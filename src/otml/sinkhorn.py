@@ -5,10 +5,17 @@ The solver returns the coupling that minimizes
     <plan, cost> + lam * sum_ij plan_ij * ln(plan_ij)
 
 over nonnegative matrices with prescribed row and column sums. Iterations
-run in the log domain by default (dual potentials updated through
-log-sum-exp), which stays finite for small ``lam`` where the naive kernel
-scaling underflows. A plain scaling variant is kept for cross-checking on
-well-scaled instances.
+run in the log domain by default: the dual potentials f, g are updated
+through max-shifted log-sum-exp, which stays finite for small ``lam``
+where the naive kernel scaling underflows. One sweep is two log-sum-exp
+passes over an m x n work buffer, the first along rows (updates f) and
+the second along columns (updates g). After the g update the columns
+sum to q, and the row sums are exp(f/lam + r), where r is the row
+log-sum-exp that the next f update computes anyway, so the stopping test
+reads the marginal error off that pass in O(m). The plan itself is built
+only when that test passes, where its full L1 error decides, at the
+polish checkpoints and at exit. A plain scaling variant is kept for
+cross-checking on well-scaled instances.
 
 ``exact_ot_oracle`` solves tiny unregularized instances exactly by
 enumeration and exists so that the iterative solver can be tested against
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import root
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 # Instances the enumeration oracle accepts: square uniform problems up to
 # this size go through permutation search, anything else must have at most
@@ -79,12 +86,17 @@ class TransportPlan:
         max(L1 row error, L1 column error) at exit.
     converged : bool
         False when the iteration cap was hit above tolerance.
+    f, g : ndarray of shape (m,), (n,)
+        Dual potentials, with exp((f_i + g_j - cost_ij) / lam) = matrix_ij.
+        Rows and columns with zero histogram mass have potential -inf.
     """
 
     matrix: np.ndarray
     iterations: int
     marginal_error: float
     converged: bool
+    f: np.ndarray
+    g: np.ndarray
 
 
 def validate_histogram(weights: np.ndarray, name: str = "histogram") -> np.ndarray:
@@ -146,24 +158,42 @@ def solve(
     rows = p > 0
     cols = q > 0
     sub_cost = cost[np.ix_(rows, cols)]
-    pp = p[rows]
-    qq = q[cols]
 
     if method == "log":
-        sub_plan, iters, err = _solve_log(sub_cost, pp, qq, cfg)
+        sub_plan, sub_f, sub_g, iters = _solve_log(sub_cost, p[rows], q[cols], cfg)
     elif method == "scaling":
-        sub_plan, iters, err = _solve_scaling(sub_cost, pp, qq, cfg)
+        sub_plan, sub_f, sub_g, iters = _solve_scaling(sub_cost, p[rows], q[cols], cfg)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     plan = np.zeros_like(cost)
     plan[np.ix_(rows, cols)] = sub_plan
+    f = np.full(p.size, -np.inf)
+    f[rows] = sub_f
+    g = np.full(q.size, -np.inf)
+    g[cols] = sub_g
+    err = max(marginal_error(plan, p, q))
     return TransportPlan(
         matrix=plan,
         iterations=iters,
         marginal_error=err,
         converged=err < cfg.tol,
+        f=f,
+        g=g,
     )
+
+
+def _logsumexp(a, axis):
+    """Log-sum-exp of ``a`` along ``axis``, overwriting ``a`` as scratch.
+
+    Each lane is shifted by its maximum before exponentiating, so the
+    largest term is exp(0) = 1 and the result is finite however far the
+    entries lie below it.
+    """
+    shift = a.max(axis=axis, keepdims=True)
+    a -= shift
+    np.exp(a, out=a)
+    return np.log(a.sum(axis=axis)) + shift.reshape(-1)
 
 
 def _solve_log(cost, p, q, cfg):
@@ -173,25 +203,40 @@ def _solve_log(cost, p, q, cfg):
     f = np.zeros(p.size)
     g = np.zeros(q.size)
     scaled = cost / lam
-    err = np.inf
-    it = 0
+    work = np.empty_like(scaled)
+
+    def row_lse(g):
+        np.subtract(g / lam, scaled, out=work)
+        return _logsumexp(work, axis=1)
+
+    def plan_of(f, g):
+        return np.exp((f[:, None] + g[None, :]) / lam - scaled)
+
     polish_at = _POLISH_FIRST
     small = p.size + q.size <= _POLISH_MAX_SIZE
+    lse_r = row_lse(g)
     for it in range(1, cfg.max_iter + 1):
-        f = lam * (log_p - logsumexp(g[None, :] / lam - scaled, axis=1))
-        g = lam * (log_q - logsumexp(f[:, None] / lam - scaled, axis=0))
-        plan = np.exp((f[:, None] + g[None, :]) / lam - scaled)
-        err = _l1_error(plan, p, q)
-        if err < cfg.tol:
-            break
+        f = lam * (log_p - lse_r)
+        np.subtract(f[:, None] / lam, scaled, out=work)
+        g = lam * (log_q - _logsumexp(work, axis=0))
+        # the columns now sum to q; the rows sum to exp(f/lam + lse_r)
+        lse_r = row_lse(g)
+        if np.abs(np.exp(f / lam + lse_r) - p).sum() < cfg.tol:
+            plan = plan_of(f, g)
+            if max(marginal_error(plan, p, q)) < cfg.tol:
+                break
         if small and it >= polish_at:
             polish_at *= 5
+            err = max(marginal_error(plan_of(f, g), p, q))
             out = _newton_polish(scaled, p, q, f, g, lam)
             if out is not None and out[3] < err:
                 f, g, plan, err = out
                 if err < cfg.tol:
                     break
-    return plan, it, err
+                lse_r = row_lse(g)
+    else:
+        plan = plan_of(f, g)
+    return plan, f, g, it
 
 
 def _newton_polish(scaled, p, q, f, g, lam):
@@ -237,7 +282,7 @@ def _newton_polish(scaled, p, q, f, g, lam):
         plan = np.exp(expo)
         if not np.all(np.isfinite(plan)):
             continue
-        err = _l1_error(plan, p, q)
+        err = max(marginal_error(plan, p, q))
         if best is None or err < best[3]:
             best = (fv, gv, plan, err)
         if best[3] < 1e-12:
@@ -248,22 +293,13 @@ def _newton_polish(scaled, p, q, f, g, lam):
 def _solve_scaling(cost, p, q, cfg):
     kernel = np.exp(-cost / cfg.lam)
     v = np.ones(q.size)
-    err = np.inf
-    it = 0
     for it in range(1, cfg.max_iter + 1):
         u = p / (kernel @ v)
         v = q / (kernel.T @ u)
         plan = u[:, None] * kernel * v[None, :]
-        err = _l1_error(plan, p, q)
-        if err < cfg.tol:
+        if max(marginal_error(plan, p, q)) < cfg.tol:
             break
-    return plan, it, err
-
-
-def _l1_error(plan, p, q):
-    row_err = float(np.abs(plan.sum(axis=1) - p).sum())
-    col_err = float(np.abs(plan.sum(axis=0) - q).sum())
-    return max(row_err, col_err)
+    return plan, cfg.lam * np.log(u), cfg.lam * np.log(v), it
 
 
 def entropy(plan: np.ndarray) -> float:

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from otml import sinkhorn as sk
 
@@ -126,6 +127,102 @@ def test_stiff_instance_reaches_tight_tolerance():
                   sk.SinkhornConfig(lam=0.02, max_iter=10000))
     assert tp.converged
     assert tp.marginal_error < 1e-9
+
+
+def random_histogram(rng, size):
+    w = rng.random(size) + 0.1
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("method", ["log", "scaling"])
+def test_potentials_reproduce_plan(method):
+    rng = np.random.default_rng(10)
+    cost = rng.random((5, 6))
+    p = np.array([0.3, 0.0, 0.2, 0.5, 0.0])
+    q = np.array([0.1, 0.2, 0.0, 0.3, 0.25, 0.15])
+    lam = 0.4
+    tp = sk.solve(cost, p, q, sk.SinkhornConfig(lam=lam), method=method)
+    assert tp.f.shape == (5,) and tp.g.shape == (6,)
+    np.testing.assert_array_equal(tp.f[p == 0], -np.inf)
+    np.testing.assert_array_equal(tp.g[q == 0], -np.inf)
+    assert np.all(np.isfinite(tp.f[p > 0])) and np.all(np.isfinite(tp.g[q > 0]))
+    rebuilt = np.exp((tp.f[:, None] + tp.g[None, :] - cost) / lam)
+    np.testing.assert_allclose(rebuilt, tp.matrix, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       m=st.integers(1, 7), n=st.integers(1, 7),
+       spread=st.floats(1e-2, 1e5), offset=st.floats(-1e5, 1e5),
+       axis=st.sampled_from([0, 1]))
+@example(seed=0, m=4, n=5, spread=1e4, offset=-5e4, axis=0)
+@example(seed=0, m=4, n=5, spread=1e4, offset=-5e4, axis=1)
+def test_logsumexp_matches_scipy(seed, m, n, spread, offset, axis):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n if axis == 1 else m)
+    scaled = rng.random((m, n))
+    a = offset + spread * ((v[None, :] if axis == 1 else v[:, None]) - scaled)
+    expected = logsumexp(a, axis=axis)
+    got = sk._logsumexp(a.copy(), axis=axis)
+    assert got.shape == expected.shape
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-9)
+
+
+def test_logsumexp_where_unshifted_exp_underflows():
+    # every lane spreads over more than 1e3, far below exp's range
+    rng = np.random.default_rng(11)
+    a = -2e3 - 1e4 * rng.random((6, 8))
+    for axis in (0, 1):
+        assert np.all(np.exp(a).sum(axis=axis) == 0.0)
+        got = sk._logsumexp(a.copy(), axis=axis)
+        np.testing.assert_allclose(got, logsumexp(a, axis=axis), rtol=1e-14)
+
+
+def test_large_cost_scale_stays_finite():
+    # cost entries near 1e3 at lam=0.05: exp(-cost/lam) underflows to 0
+    # everywhere. The large part is additive per row and per column, which
+    # the potentials absorb, so the plan equals the one for the O(1)
+    # residual and the solve must still converge.
+    rng = np.random.default_rng(12)
+    m, n = 12, 9
+    residual = rng.random((m, n))
+    cost = 1e3 * (rng.random(m)[:, None] + rng.random(n)[None, :]) + residual
+    p = random_histogram(rng, m)
+    q = random_histogram(rng, n)
+    cfg = sk.SinkhornConfig(lam=0.05)
+    assert np.all(np.exp(-cost / cfg.lam) == 0.0)
+    tp = sk.solve(cost, p, q, cfg)
+    assert np.all(np.isfinite(tp.matrix)) and np.all(tp.matrix >= 0)
+    row_err, col_err = sk.marginal_error(tp.matrix, p, q)
+    assert tp.converged and max(row_err, col_err) < cfg.tol
+    ref = sk.solve(residual, p, q, cfg)
+    np.testing.assert_allclose(tp.matrix, ref.matrix, atol=1e-8)
+
+
+@pytest.mark.parametrize("m, n, lam, max_iter, converges", [
+    pytest.param(30, 25, 0.5, 10000, True, id="converges"),
+    pytest.param(30, 25, 0.05, 3, False, id="capped"),
+    # m + n > _POLISH_MAX_SIZE: plain sweeps only, no Newton polish
+    pytest.param(320, 300, 0.1, 2000, True, id="past-polish-gate"),
+])
+def test_reported_error_is_the_plans(m, n, lam, max_iter, converges):
+    # the sweep stops on an error read off the log-sum-exp pass; what is
+    # reported must still be the L1 error of the returned matrix
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((m, 4))
+    z = rng.standard_normal((n, 4)) + 0.5
+    cost = ((x[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
+    cost /= np.median(cost)
+    p = random_histogram(rng, m)
+    q = random_histogram(rng, n)
+    cfg = sk.SinkhornConfig(lam=lam, max_iter=max_iter, tol=1e-7)
+    tp = sk.solve(cost, p, q, cfg)
+    assert tp.marginal_error == max(sk.marginal_error(tp.matrix, p, q))
+    assert tp.converged == (tp.marginal_error < cfg.tol)
+    assert tp.converged == converges
+    if not converges:
+        assert tp.iterations == max_iter
 
 
 def test_entropy_of_product_coupling():
