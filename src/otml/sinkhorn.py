@@ -13,8 +13,9 @@ the second along columns (updates g). After the g update the columns
 sum to q, and the row sums are exp(f/lam + r), where r is the row
 log-sum-exp that the next f update computes anyway, so the stopping test
 reads the marginal error off that pass in O(m). The plan itself is built
-only when that test passes, where its full L1 error decides, at the
-polish checkpoints and at exit. A plain scaling variant is kept for
+only when that test passes, where its full L1 error decides, and at exit.
+Where sweeps stall (small ``lam``), damped Newton steps on the dual finish
+the solve at any problem size. A plain scaling variant is kept for
 cross-checking on well-scaled instances.
 
 ``exact_ot_oracle`` solves tiny unregularized instances exactly by
@@ -26,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 from scipy.special import xlogy
 
 # Instances the enumeration oracle accepts: square uniform problems up to
@@ -35,13 +35,10 @@ from scipy.special import xlogy
 MAX_ORACLE_PERM = 7
 MAX_ORACLE_CELLS = 16
 
-# The alternating sweeps contract at a rate like 1 - exp(-osc(cost)/lam),
-# which for small lam stalls far above any tight tolerance. Once sweeps
-# have burned in, a Newton solve on the dual potentials (analytic
-# Jacobian, quadratic local convergence) finishes the job. The dense
-# Jacobian is (m+n-1)^2, so the polish only runs on small instances.
+# Sweeps contract at a rate like 1 - exp(-osc(cost)/lam) and so stall for
+# small lam; the Newton polish runs at sweep _POLISH_FIRST and at every
+# fivefold count after.
 _POLISH_FIRST = 200
-_POLISH_MAX_SIZE = 600
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,6 @@ def _solve_log(cost, p, q, cfg):
         return np.exp((f[:, None] + g[None, :]) / lam - scaled)
 
     polish_at = _POLISH_FIRST
-    small = p.size + q.size <= _POLISH_MAX_SIZE
     lse_r = row_lse(g)
     for it in range(1, cfg.max_iter + 1):
         f = lam * (log_p - lse_r)
@@ -225,11 +221,10 @@ def _solve_log(cost, p, q, cfg):
             plan = plan_of(f, g)
             if max(marginal_error(plan, p, q)) < cfg.tol:
                 break
-        if small and it >= polish_at:
+        if it >= polish_at:
             polish_at *= 5
-            err = max(marginal_error(plan_of(f, g), p, q))
-            out = _newton_polish(scaled, p, q, f, g, lam)
-            if out is not None and out[3] < err:
+            out = _newton_polish(scaled, p, q, f, g, lam, cfg.tol)
+            if out is not None:
                 f, g, plan, err = out
                 if err < cfg.tol:
                     break
@@ -239,54 +234,57 @@ def _solve_log(cost, p, q, cfg):
     return plan, f, g, it
 
 
-def _newton_polish(scaled, p, q, f, g, lam):
-    """Root-solve the marginal residuals in the dual potentials.
+def _newton_polish(scaled, p, q, f, g, lam, tol):
+    """Damped Newton ascent on the concave dual of the entropic problem.
 
-    The residual map is smooth with Jacobian (1/lam) * [[diag(r), plan],
-    [plan^T, diag(c)]]; the shift invariance of the potentials is removed
-    by pinning the last column potential at its current value. When the
-    plan concentrates onto disjoint support (small lam), one invariance
-    per connected component survives and the Jacobian turns singular;
-    "hybr" gives up there, so Levenberg-Marquardt is tried next - any
-    point of the resulting root manifold yields the same plan. Returns
-    the improved (f, g, plan, error) or None when no attempt went
-    anywhere useful.
+    Phi(f, g) = <f, p> + <g, q> - lam * sum(plan) has gradient (p - r, q - c).
+    Each of at most 30 steps solves the Hessian's Schur complement on the
+    shorter side, S = diag(c) - plan^T diag(1/r) plan, by eigendecomposition
+    with eigenvalues below 1e-12 of the largest taken as null: S has one null
+    direction per connected component of the plan's support, and the
+    minimum-norm step gives the same plan as any other. Steps halve (at most
+    40 times) until Phi rises by 1e-4 of their slope, though the L1 error may
+    rise; stepping ends once it is below ``tol`` or Phi can no longer rise.
+    Returns the (f, g, plan, error) of lowest error, or None if no step
+    improved on the starting point.
     """
-    m, n = scaled.shape
-    g_last = g[-1]
-
-    def fun_jac(theta):
-        fv = theta[:m]
-        gv = np.append(theta[m:], g_last)
-        expo = (fv[:, None] + gv[None, :]) / lam - scaled
-        pi = np.exp(np.minimum(expo, 700.0))
-        r = pi.sum(axis=1)
-        c = pi.sum(axis=0)
-        res = np.concatenate([r - p, (c - q)[:-1]])
-        top = np.concatenate([np.diag(r), pi[:, :-1]], axis=1)
-        bot = np.concatenate([pi[:, :-1].T, np.diag(c[:-1])], axis=1)
-        return res, np.concatenate([top, bot], axis=0) / lam
-
-    x0 = np.concatenate([f, g[:-1]])
+    if p.size < q.size:
+        out = _newton_polish(scaled.T, q, p, g, f, lam, tol)
+        return None if out is None else (out[1], out[0], out[2].T, out[3])
+    expo = (f[:, None] + g[None, :]) / lam - scaled
+    plan = np.exp(expo)
+    err = max(marginal_error(plan, p, q))
     best = None
-    for method in ("hybr", "lm"):
-        try:
-            sol = root(fun_jac, x0, jac=True, method=method)
-        except Exception:
-            continue
-        fv = sol.x[:m]
-        gv = np.append(sol.x[m:], g_last)
-        expo = (fv[:, None] + gv[None, :]) / lam - scaled
-        if expo.max() > 700.0:
-            continue
-        plan = np.exp(expo)
-        if not np.all(np.isfinite(plan)):
-            continue
-        err = max(marginal_error(plan, p, q))
-        if best is None or err < best[3]:
-            best = (fv, gv, plan, err)
-        if best[3] < 1e-12:
+    for _ in range(30):
+        r, c = plan.sum(axis=1), plan.sum(axis=0)
+        if not np.all(r > 0):
             break
+        weighted = plan / r[:, None]
+        a = lam * (p - r) / r
+        w, v = np.linalg.eigh(np.diag(c) - plan.T @ weighted)
+        keep = w > 1e-12 * w[-1]
+        dg = v[:, keep] @ ((v[:, keep].T @ (lam * (q - c) - plan.T @ a)) / w[keep])
+        df = a - weighted @ dg
+        slope = df @ (p - r) + dg @ (q - c)
+        if not slope > 0:
+            break
+        for t in 0.5 ** np.arange(40):
+            x = (df[:, None] + dg[None, :]) * (t / lam)
+            if x.max() > 700.0 or (expo + x).max() > 700.0:
+                continue
+            # plan * expm1(x) keeps Phi's gain exact far below Phi's rounding
+            if t * (df @ p + dg @ q) - lam * (plan * np.expm1(x)).sum() >= 1e-4 * t * slope:
+                break
+        else:
+            break
+        f, g, expo = f + t * df, g + t * dg, expo + x
+        plan = np.exp(expo)
+        step_err = max(marginal_error(plan, p, q))
+        if step_err < err:
+            err = step_err
+            best = (f, g, plan, err)
+            if err < tol:
+                break
     return best
 
 

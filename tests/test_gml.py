@@ -316,3 +316,29 @@ def test_cost_matrix_nonnegative_property(seed):
     cost = gml.cost_matrix(x, z, metric)
     assert np.all(cost >= 0)
     assert np.all(np.isfinite(cost))
+
+
+def test_fit_at_paper_scale_converges_and_is_monotone():
+    # m = n = 500, d = 64 at the smallest lambda of the grid: plain sweeps
+    # stop at max_iter here, so this needs the Newton polish at a size
+    # where its system is 500 x 500.
+    rng = np.random.default_rng(20)
+    dim, size, classes = 64, 500, 10
+    scales = np.exp(rng.uniform(np.log(0.1), np.log(10.0), dim))[:, None]
+    means = 2.0 * rng.standard_normal((dim, classes))
+    source_labels = np.arange(size) % classes
+    # half the target on class 0, the rest spread over all classes
+    target_labels = np.where(np.arange(size) < size // 2, 0, np.arange(size) % classes)
+    x = means[:, source_labels] + scales * rng.standard_normal((dim, size))
+    z = means[:, target_labels] + scales * rng.standard_normal((dim, size)) + 0.5
+    scale = np.sqrt(np.median(gml.cost_matrix(x, z, np.eye(dim))))
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=0.05, tol=1e-7, max_iter=2000),
+        outer_iters=8,
+        objective_rtol=0.0,
+    )
+    res = gml.fit(x / scale, z / scale, uniform(size), uniform(size), cfg)
+    assert res.sinkhorn_converged
+    hist = np.array(res.objective_history)
+    assert len(hist) == 8
+    assert np.all(np.diff(hist) <= 1e-8)

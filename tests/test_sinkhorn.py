@@ -203,8 +203,11 @@ def test_large_cost_scale_stays_finite():
 @pytest.mark.parametrize("m, n, lam, max_iter, converges", [
     pytest.param(30, 25, 0.5, 10000, True, id="converges"),
     pytest.param(30, 25, 0.05, 3, False, id="capped"),
-    # m + n > _POLISH_MAX_SIZE: plain sweeps only, no Newton polish
+    # m + n > 600, where the polish once switched off: sweeps converge
+    # alone at lam=0.1, and at lam=0.005 they stall at max_iter with an
+    # error near 7e-5 unless the Newton polish finishes the solve
     pytest.param(320, 300, 0.1, 2000, True, id="past-polish-gate"),
+    pytest.param(320, 300, 0.005, 2000, True, id="past-polish-gate-stiff"),
 ])
 def test_reported_error_is_the_plans(m, n, lam, max_iter, converges):
     # the sweep stops on an error read off the log-sum-exp pass; what is
@@ -223,6 +226,67 @@ def test_reported_error_is_the_plans(m, n, lam, max_iter, converges):
     assert tp.converged == converges
     if not converges:
         assert tp.iterations == max_iter
+
+
+def test_first_polish_reaches_rounding_level_tolerance():
+    # At tol=1e-12 the Newton steps must still make progress where the
+    # dual's gain per step is far below the rounding of the dual itself,
+    # and must not step along the system's numerically null directions;
+    # then the first polish, at sweep _POLISH_FIRST, finishes the solve.
+    rng = np.random.default_rng(13)
+    m, n = 60, 50
+    x = rng.standard_normal((m, 4))
+    z = rng.standard_normal((n, 4)) + 0.5
+    cost = ((x[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
+    cost /= np.median(cost)
+    p = random_histogram(rng, m)
+    q = random_histogram(rng, n)
+    capped = sk.SinkhornConfig(lam=0.01, tol=1e-12, max_iter=sk._POLISH_FIRST - 1)
+    assert not sk.solve(cost, p, q, capped).converged
+    tp = sk.solve(cost, p, q, sk.SinkhornConfig(lam=0.01, tol=1e-12, max_iter=2000))
+    assert tp.converged
+    assert tp.iterations == sk._POLISH_FIRST
+
+
+def test_polish_on_split_support_matches_blocks_solved_apart():
+    # Cross-block costs of 1e3 at lam=0.01 underflow exp to exactly 0, so
+    # the plan's support splits into two blocks, and the Newton system
+    # has a second null direction (a shift of one block's potentials
+    # against the other's). With block masses matched on both sides the
+    # plan is each block's own entropic plan, scaled by the block mass.
+    rng = np.random.default_rng(14)
+    sizes = [(40, 35), (30, 45)]
+    masses = [0.4, 0.6]
+    m = sum(a for a, _ in sizes)
+    n = sum(b for _, b in sizes)
+    cost = np.full((m, n), 1e3)
+    p = np.empty(m)
+    q = np.empty(n)
+    blocks = []
+    r0 = c0 = 0
+    for (a, b), mass in zip(sizes, masses):
+        rows, cols = slice(r0, r0 + a), slice(c0, c0 + b)
+        cost[rows, cols] = rng.random((a, b))
+        pa = random_histogram(rng, a)
+        qb = random_histogram(rng, b)
+        p[rows] = mass * pa
+        q[cols] = mass * qb
+        blocks.append((rows, cols, pa, qb, mass))
+        r0, c0 = r0 + a, c0 + b
+    p /= p.sum()
+    q /= q.sum()
+    cfg = sk.SinkhornConfig(lam=0.01, tol=1e-11, max_iter=5000)
+    # sweeps alone do not get there before the first polish checkpoint
+    capped = sk.SinkhornConfig(lam=cfg.lam, tol=cfg.tol, max_iter=sk._POLISH_FIRST - 1)
+    assert not sk.solve(cost, p, q, capped).converged
+    tp = sk.solve(cost, p, q, cfg)
+    assert tp.converged
+    (rows1, cols1, *_), (rows2, cols2, *_) = blocks
+    assert np.all(tp.matrix[rows1, cols2] == 0) and np.all(tp.matrix[rows2, cols1] == 0)
+    for rows, cols, pa, qb, mass in blocks:
+        ref = sk.solve(cost[rows, cols], pa, qb, cfg)
+        assert ref.converged
+        np.testing.assert_allclose(tp.matrix[rows, cols], mass * ref.matrix, rtol=0, atol=1e-9)
 
 
 def test_entropy_of_product_coupling():
