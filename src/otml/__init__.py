@@ -1,10 +1,10 @@
 """Optimal transport with a learned Mahalanobis ground metric.
 
 The pieces: ``spd`` (matrix functions on symmetric positive definite
-matrices), ``sinkhorn`` (entropic transport solver plus a small exact
-oracle), ``gml`` (the alternating metric/plan fit), ``adapt``
-(barycentric projection and 1-NN evaluation), ``data`` (file formats and
-skewed sampling), ``cli`` (command-line front end).
+matrices), ``sinkhorn`` (entropic transport solver), ``gml`` (the
+alternating metric/plan fit), ``adapt`` (barycentric projection and 1-NN
+evaluation), ``data`` (file formats and skewed sampling), ``cli``
+(command-line front end).
 """
 
 from .adapt import (
@@ -33,7 +33,6 @@ from .sinkhorn import (
     SinkhornConfig,
     TransportPlan,
     entropy,
-    exact_ot_oracle,
     marginal_error,
     solve,
     transport_cost,
@@ -74,7 +73,6 @@ __all__ = [
     "SinkhornConfig",
     "TransportPlan",
     "entropy",
-    "exact_ot_oracle",
     "marginal_error",
     "solve",
     "transport_cost",

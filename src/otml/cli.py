@@ -113,6 +113,8 @@ class RunConfig:
         ):
             if getattr(self, name) <= lo:
                 raise ConfigError(f"{name} must be positive")
+        if self.objective_rtol < 0:
+            raise ConfigError("objective_rtol must be >= 0")
         if not self.lambda_grid or any(v <= 0 for v in self.lambda_grid):
             raise ConfigError("lambda_grid must be nonempty and positive")
         for name in ("outer_iters", "sinkhorn_max_iter", "m", "n", "downsample"):
@@ -197,17 +199,6 @@ def _json_cell(v):
     if isinstance(v, np.integer):
         return int(v)
     return v
-
-
-def _write_rawf64_atomic(path: str, features, labels=None):
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        dt.save_rawf64(tmp, features, labels)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _print_table(header: "list[str]", rows: "list[list]"):
@@ -296,8 +287,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     if cfg.strict and not converged:
         raise NumericalError("transport solve did not converge")
     os.makedirs(cfg.out, exist_ok=True)
-    _write_rawf64_atomic(os.path.join(cfg.out, "gamma.rawf64"), plan)
-    _write_rawf64_atomic(os.path.join(cfg.out, "metric.rawf64"), metric)
+    for name, mat in (("gamma.rawf64", plan), ("metric.rawf64", metric)):
+        _write_bytes_atomic(os.path.join(cfg.out, name), dt.rawf64_bytes(mat))
     _write_csv_atomic(
         os.path.join(cfg.out, "objective.csv"),
         ["iteration", "objective"],

@@ -140,23 +140,29 @@ def _load_rawf64(path: str) -> RawDataset:
     return RawDataset(feats.copy(), labels)
 
 
-def save_rawf64(path: str, features: np.ndarray, labels: "np.ndarray | None" = None):
-    """Serialize a feature matrix (points as columns) to the rawf64 layout."""
+def rawf64_bytes(features: np.ndarray, labels: "np.ndarray | None" = None) -> bytes:
+    """The rawf64 encoding of a feature matrix (points as columns)."""
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ValueError("features must be 2-d")
     d, n = features.shape
+    body = np.asarray(features, dtype="<f8").tobytes(order="F")
+    parts = [struct.pack("<QQ", d, n), body]
+    if labels is None:
+        parts.append(struct.pack("B", 0))
+    else:
+        labels = np.asarray(labels).ravel()
+        if labels.size != n:
+            raise ValueError(f"{labels.size} labels for {n} samples")
+        parts += [struct.pack("B", 1), labels.astype("<u4").tobytes()]
+    return b"".join(parts)
+
+
+def save_rawf64(path: str, features: np.ndarray, labels: "np.ndarray | None" = None):
+    """Serialize a feature matrix (points as columns) to the rawf64 layout."""
+    payload = rawf64_bytes(features, labels)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", d, n))
-        fh.write(np.asarray(features, dtype="<f8").tobytes(order="F"))
-        if labels is None:
-            fh.write(struct.pack("B", 0))
-        else:
-            labels = np.asarray(labels).ravel()
-            if labels.size != n:
-                raise ValueError(f"{labels.size} labels for {n} samples")
-            fh.write(struct.pack("B", 1))
-            fh.write(labels.astype("<u4").tobytes())
+        fh.write(payload)
 
 
 def _read_idx_labels(path: str) -> np.ndarray:

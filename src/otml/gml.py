@@ -339,8 +339,7 @@ def fit(
 
     for _ in range(cfg.outer_iters):
         if cfg.learn_metric:
-            cg = _scatter(x, z, plan) + ridge * np.eye(dim)
-            metric = update_metric(cg, d_mat)
+            metric = update_metric(compute_cgamma(x, z, plan, ridge), d_mat)
         transport = sk.solve(cost_matrix(x, z, metric), p, q, cfg.sinkhorn)
         plan = transport.matrix
         all_sinkhorn_ok = all_sinkhorn_ok and transport.converged

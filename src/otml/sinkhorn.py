@@ -5,7 +5,7 @@ The solver returns the coupling that minimizes
     <plan, cost> + lam * sum_ij plan_ij * ln(plan_ij)
 
 over nonnegative matrices with prescribed row and column sums. Iterations
-run in the log domain by default: the dual potentials f, g are updated
+run in the log domain: the dual potentials f, g are updated
 through max-shifted log-sum-exp, which stays finite for small ``lam``
 where the naive kernel scaling underflows. One sweep is two log-sum-exp
 passes over an m x n work buffer, the first along rows (updates f) and
@@ -15,25 +15,13 @@ log-sum-exp that the next f update computes anyway, so the stopping test
 reads the marginal error off that pass in O(m). The plan itself is built
 only when that test passes, where its full L1 error decides, and at exit.
 Where sweeps stall (small ``lam``), damped Newton steps on the dual finish
-the solve at any problem size. A plain scaling variant is kept for
-cross-checking on well-scaled instances.
-
-``exact_ot_oracle`` solves tiny unregularized instances exactly by
-enumeration and exists so that the iterative solver can be tested against
-an independent ground truth.
+the solve at any problem size.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
-
-# Instances the enumeration oracle accepts: square uniform problems up to
-# this size go through permutation search, anything else must have at most
-# MAX_ORACLE_CELLS cells for the vertex enumeration to stay tractable.
-MAX_ORACLE_PERM = 7
-MAX_ORACLE_CELLS = 16
 
 # Sweeps contract at a rate like 1 - exp(-osc(cost)/lam) and so stall for
 # small lam; the Newton polish runs at sweep _POLISH_FIRST and at every
@@ -128,7 +116,6 @@ def solve(
     p: np.ndarray,
     q: np.ndarray,
     cfg: SinkhornConfig,
-    method: str = "log",
 ) -> TransportPlan:
     """Solve entropic OT for a fixed cost matrix.
 
@@ -140,10 +127,6 @@ def solve(
         Source and target histograms on the simplex.
     cfg : SinkhornConfig
         Regularization weight and stopping rule.
-    method : {"log", "scaling"}
-        "log" (default) iterates dual potentials with log-sum-exp;
-        "scaling" is the textbook kernel scaling, kept for cross-checks
-        and unreliable for small ``cfg.lam``.
 
     Returns
     -------
@@ -154,14 +137,9 @@ def solve(
     cost, p, q = _check_inputs(cost, p, q)
     rows = p > 0
     cols = q > 0
-    sub_cost = cost[np.ix_(rows, cols)]
-
-    if method == "log":
-        sub_plan, sub_f, sub_g, iters = _solve_log(sub_cost, p[rows], q[cols], cfg)
-    elif method == "scaling":
-        sub_plan, sub_f, sub_g, iters = _solve_scaling(sub_cost, p[rows], q[cols], cfg)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    sub_plan, sub_f, sub_g, iters = _solve_log(
+        cost[np.ix_(rows, cols)], p[rows], q[cols], cfg
+    )
 
     plan = np.zeros_like(cost)
     plan[np.ix_(rows, cols)] = sub_plan
@@ -288,18 +266,6 @@ def _newton_polish(scaled, p, q, f, g, lam, tol):
     return best
 
 
-def _solve_scaling(cost, p, q, cfg):
-    kernel = np.exp(-cost / cfg.lam)
-    v = np.ones(q.size)
-    for it in range(1, cfg.max_iter + 1):
-        u = p / (kernel @ v)
-        v = q / (kernel.T @ u)
-        plan = u[:, None] * kernel * v[None, :]
-        if max(marginal_error(plan, p, q)) < cfg.tol:
-            break
-    return plan, cfg.lam * np.log(u), cfg.lam * np.log(v), it
-
-
 def entropy(plan: np.ndarray) -> float:
     """Negative-entropy value sum_ij plan_ij * ln(plan_ij), with 0 ln 0 = 0."""
     plan = np.asarray(plan, dtype=float)
@@ -332,101 +298,3 @@ def marginal_error(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[floa
     row_err = float(np.abs(plan.sum(axis=1) - p).sum())
     col_err = float(np.abs(plan.sum(axis=0) - q).sum())
     return row_err, col_err
-
-
-def exact_ot_oracle(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact unregularized OT optimizer for tiny instances, by enumeration.
-
-    Square problems with uniform marginals are solved by scanning all
-    permutation couplings. Otherwise every extreme point of the coupling
-    polytope is generated by the greedy rule (pick any remaining cell,
-    move min(row mass, column mass), recurse), which reaches every vertex
-    under some cell ordering, and the cheapest one is returned.
-
-    Parameters
-    ----------
-    cost : ndarray of shape (m, n)
-    p, q : histograms
-
-    Returns
-    -------
-    ndarray of shape (m, n)
-        An exact minimizer of the linear transport cost.
-
-    Raises
-    ------
-    ValueError
-        If the instance is too large to enumerate.
-    """
-    cost, p, q = _check_inputs(cost, p, q)
-    m, n = cost.shape
-
-    uniform = (
-        m == n
-        and np.allclose(p, 1.0 / m, rtol=0, atol=1e-12)
-        and np.allclose(q, 1.0 / n, rtol=0, atol=1e-12)
-    )
-    if uniform and m <= MAX_ORACLE_PERM:
-        return _best_permutation_plan(cost)
-    if m * n <= MAX_ORACLE_CELLS:
-        return _best_vertex_plan(cost, p, q)
-    raise ValueError(
-        f"instance {m}x{n} too large for exact enumeration "
-        f"(need uniform square with n <= {MAX_ORACLE_PERM}, or at most "
-        f"{MAX_ORACLE_CELLS} cells)"
-    )
-
-
-def _best_permutation_plan(cost):
-    n = cost.shape[0]
-    idx = np.arange(n)
-    best_perm = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(n)):
-        c = cost[idx, perm].sum()
-        if c < best_cost:
-            best_cost = c
-            best_perm = perm
-    plan = np.zeros_like(cost)
-    plan[idx, best_perm] = 1.0 / n
-    return plan
-
-
-def _best_vertex_plan(cost, p, q):
-    memo = {}
-
-    def key(pr, qr):
-        return (tuple(np.round(pr, 12)), tuple(np.round(qr, 12)))
-
-    def search(pr, qr):
-        k = key(pr, qr)
-        if k in memo:
-            return memo[k]
-        rows = np.nonzero(pr > 0)[0]
-        cols = np.nonzero(qr > 0)[0]
-        if rows.size == 0:
-            memo[k] = (0.0, ())
-            return memo[k]
-        best = (np.inf, ())
-        for i in rows:
-            for j in cols:
-                t = min(pr[i], qr[j])
-                pr2 = pr.copy()
-                qr2 = qr.copy()
-                pr2[i] -= t
-                qr2[j] -= t
-                # kill subtraction dust so near-tied lines close properly
-                pr2[pr2 < 1e-15] = 0.0
-                qr2[qr2 < 1e-15] = 0.0
-                sub_cost, sub_moves = search(pr2, qr2)
-                total = cost[i, j] * t + sub_cost
-                if total < best[0]:
-                    best = (total, ((i, j, t),) + sub_moves)
-        memo[k] = best
-        return best
-
-    _, moves = search(p.copy(), q.copy())
-    plan = np.zeros_like(cost)
-    for i, j, t in moves:
-        plan[i, j] += t
-    return plan

@@ -69,13 +69,22 @@ def eigh_spd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _eig_power(w: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
+    """v diag(w**k) v^T from an eigendecomposition, symmetrized.
+
+    Negative powers divide the eigenvector columns by w**-k rather than
+    multiply by its reciprocal, one rounding per entry instead of two.
+    """
+    scaled = v * w**k if k > 0 else v / w**-k
+    return symmetrize(scaled @ v.T)
+
+
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of an SPD matrix.
 
     Returns the unique SPD matrix B with B @ B = mat.
     """
-    w, v = eigh_spd(mat)
-    return symmetrize((v * np.sqrt(w)) @ v.T)
+    return _eig_power(*eigh_spd(mat), 0.5)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -87,7 +96,7 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     of such inputs, so no positivity check is applied here.
     """
     w, v = np.linalg.eigh(symmetrize(mat))
-    return symmetrize((v * np.sqrt(np.maximum(w, 0.0))) @ v.T)
+    return _eig_power(np.maximum(w, 0.0), v, 0.5)
 
 
 def spd_inv_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -95,20 +104,33 @@ def spd_inv_sqrt(mat: np.ndarray) -> np.ndarray:
 
     Returns the unique SPD matrix B with B @ mat @ B = identity.
     """
-    w, v = eigh_spd(mat)
-    return symmetrize((v / np.sqrt(w)) @ v.T)
+    return _eig_power(*eigh_spd(mat), -0.5)
 
 
 def spd_inv(mat: np.ndarray) -> np.ndarray:
     """Inverse of an SPD matrix via eigendecomposition."""
-    w, v = eigh_spd(mat)
-    return symmetrize((v / w) @ v.T)
+    return _eig_power(*eigh_spd(mat), -1.0)
+
+
+def _mean(a: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
+    # R (S b S)^{1/2} R with R = a^k and S = a^-k, k = +-1/2, both roots
+    # taken from one eigendecomposition of a.
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    w, v = eigh_spd(a)
+    outer = _eig_power(w, v, k)
+    inner = _eig_power(w, v, -k)
+    return symmetrize(outer @ _psd_sqrt(inner @ symmetrize(b) @ inner) @ outer)
 
 
 def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Solve the quadratic matrix equation A @ C @ A = D for SPD A.
 
-    The unique SPD solution is C^{-1/2} (C^{1/2} D C^{1/2})^{1/2} C^{-1/2}.
+    The unique SPD solution is C^{-1/2} (C^{1/2} D C^{1/2})^{1/2} C^{-1/2},
+    computed with two eigendecompositions: one of C for both of its roots,
+    one of the inner product.
 
     Parameters
     ----------
@@ -120,14 +142,7 @@ def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     ndarray of shape (d, d)
         The SPD solution, symmetrized before return.
     """
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if c.shape != d.shape:
-        raise ValueError(f"dimension mismatch: {c.shape} vs {d.shape}")
-    c_half = spd_sqrt(c)
-    c_inv_half = spd_inv_sqrt(c)
-    inner = _psd_sqrt(c_half @ symmetrize(d) @ c_half)
-    return symmetrize(c_inv_half @ inner @ c_inv_half)
+    return _mean(c, d, -0.5)
 
 
 def geometric_mean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -148,23 +163,14 @@ def geometric_mean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ndarray of shape (d, d)
         The geometric mean, symmetrized before return.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    p_half = spd_sqrt(p)
-    p_inv_half = spd_inv_sqrt(p)
-    inner = _psd_sqrt(p_inv_half @ symmetrize(q) @ p_inv_half)
-    return symmetrize(p_half @ inner @ p_half)
+    return _mean(p, q, 0.5)
 
 
-def eigen_floor(mat: np.ndarray, eps: float, always: bool = True) -> np.ndarray:
+def eigen_floor(mat: np.ndarray, eps: float) -> np.ndarray:
     """Lift a symmetric matrix to a safely positive definite one.
 
-    By default adds ``eps * I`` unconditionally, which keeps results
-    deterministic and independent of how close the input already is to
-    singular. With ``always=False`` the lift is skipped when the smallest
-    eigenvalue already clears ``eps``; the matrix is then only revalidated.
+    Adds ``eps * I`` unconditionally, which keeps results deterministic
+    and independent of how close the input already is to singular.
 
     Parameters
     ----------
@@ -172,8 +178,6 @@ def eigen_floor(mat: np.ndarray, eps: float, always: bool = True) -> np.ndarray:
         Symmetric matrix (symmetrized first).
     eps : float
         Positive lift added to the diagonal.
-    always : bool
-        Apply the lift unconditionally (default) or only when needed.
 
     Returns
     -------
@@ -183,11 +187,6 @@ def eigen_floor(mat: np.ndarray, eps: float, always: bool = True) -> np.ndarray:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     sym = symmetrize(mat)
-    if not always:
-        w = np.linalg.eigvalsh(sym)
-        if w[0] > eps:
-            eigh_spd(sym)  # revalidate
-            return sym
     return sym + eps * np.eye(sym.shape[0])
 
 

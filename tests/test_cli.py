@@ -66,6 +66,18 @@ def test_config_validation_errors():
         cli.load_config(None, {"outer_iters": 0})
 
 
+def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
+    src, tgt = fit_inputs
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(
+        {"objective_rtol": -1, "source": src, "target": tgt,
+         "out": str(tmp_path / "out")}
+    ))
+    assert cli.main(["fit", "--config", str(config)]) == 1
+    assert "config error: objective_rtol" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_bad_flag_exits_one(capsys):
     assert cli.main(["fit", "--lambda", "abc"]) == 1
     assert "config error" in capsys.readouterr().err

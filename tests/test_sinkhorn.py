@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
+from ot_oracle import MAX_ORACLE_CELLS, exact_ot_oracle, kernel_scaling_plan
 from otml import sinkhorn as sk
 
 
@@ -66,7 +67,7 @@ def test_small_lambda_approaches_exact_optimum():
     p = uniform(3)
     q = uniform(3)
     tp = sk.solve(cost, p, q, sk.SinkhornConfig(lam=0.01))
-    opt = sk.exact_ot_oracle(cost, p, q)
+    opt = exact_ot_oracle(cost, p, q)
     gap = sk.transport_cost(tp.matrix, cost) - sk.transport_cost(opt, cost)
     assert 0 <= gap < 0.02 * (cost.max() - cost.min())
 
@@ -84,7 +85,7 @@ def test_entropic_objective_beats_feasible_competitor():
     competitor = np.outer(p, q)
     theirs = sk.transport_cost(competitor, cost) + lam * sk.entropy(competitor)
     assert ours <= theirs + 1e-9
-    vertex = sk.exact_ot_oracle(cost, p, q)
+    vertex = exact_ot_oracle(cost, p, q)
     theirs2 = sk.transport_cost(vertex, cost) + lam * sk.entropy(vertex)
     assert ours <= theirs2 + 1e-9
 
@@ -95,15 +96,9 @@ def test_log_and_scaling_routes_agree():
     p = uniform(5)
     q = uniform(6)
     cfg = sk.SinkhornConfig(lam=0.7, tol=1e-12)
-    a = sk.solve(cost, p, q, cfg, method="log")
-    b = sk.solve(cost, p, q, cfg, method="scaling")
-    np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-10)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        sk.solve(np.zeros((2, 2)), uniform(2), uniform(2),
-                 sk.SinkhornConfig(lam=1.0), method="turbo")
+    a = sk.solve(cost, p, q, cfg)
+    b = kernel_scaling_plan(cost, p, q, cfg.lam, cfg.tol, cfg.max_iter)
+    np.testing.assert_allclose(a.matrix, b, atol=1e-10)
 
 
 def test_zero_mass_rows_excluded():
@@ -134,14 +129,14 @@ def random_histogram(rng, size):
     return w / w.sum()
 
 
-@pytest.mark.parametrize("method", ["log", "scaling"])
-def test_potentials_reproduce_plan(method):
+@pytest.mark.parametrize("solver", [pytest.param(sk.solve, id="log")])
+def test_potentials_reproduce_plan(solver):
     rng = np.random.default_rng(10)
     cost = rng.random((5, 6))
     p = np.array([0.3, 0.0, 0.2, 0.5, 0.0])
     q = np.array([0.1, 0.2, 0.0, 0.3, 0.25, 0.15])
     lam = 0.4
-    tp = sk.solve(cost, p, q, sk.SinkhornConfig(lam=lam), method=method)
+    tp = solver(cost, p, q, sk.SinkhornConfig(lam=lam))
     assert tp.f.shape == (5,) and tp.g.shape == (6,)
     np.testing.assert_array_equal(tp.f[p == 0], -np.inf)
     np.testing.assert_array_equal(tp.g[q == 0], -np.inf)
@@ -345,7 +340,7 @@ def test_oracle_matches_brute_force_permutations():
     rng = np.random.default_rng(8)
     for n in (2, 3, 4, 5):
         cost = rng.random((n, n))
-        plan = sk.exact_ot_oracle(cost, uniform(n), uniform(n))
+        plan = exact_ot_oracle(cost, uniform(n), uniform(n))
         assert sk.transport_cost(plan, cost) == pytest.approx(
             brute_force_permutation(cost), abs=1e-12
         )
@@ -356,14 +351,14 @@ def test_oracle_feasible_and_optimal_general_marginals():
     for _ in range(25):
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 5))
-        if m * n > sk.MAX_ORACLE_CELLS:
+        if m * n > MAX_ORACLE_CELLS:
             continue
         cost = rng.random((m, n))
         p = rng.random(m)
         p /= p.sum()
         q = rng.random(n)
         q /= q.sum()
-        plan = sk.exact_ot_oracle(cost, p, q)
+        plan = exact_ot_oracle(cost, p, q)
         assert np.all(plan >= 0)
         row_err, col_err = sk.marginal_error(plan, p, q)
         assert max(row_err, col_err) < 1e-9
@@ -374,17 +369,17 @@ def test_oracle_feasible_and_optimal_general_marginals():
 
 def test_oracle_rejects_oversized_instances():
     with pytest.raises(ValueError):
-        sk.exact_ot_oracle(np.zeros((8, 8)), uniform(8), uniform(8))
+        exact_ot_oracle(np.zeros((8, 8)), uniform(8), uniform(8))
     with pytest.raises(ValueError):
         # non-uniform 5x5 has 25 cells, over the vertex-enumeration cap
         p = np.array([0.3, 0.2, 0.2, 0.2, 0.1])
-        sk.exact_ot_oracle(np.zeros((5, 5)), p, uniform(5))
+        exact_ot_oracle(np.zeros((5, 5)), p, uniform(5))
 
 
 def test_oracle_identity_cost_structure():
     # zero diagonal, expensive off-diagonal: identity coupling is optimal
     cost = 1.0 - np.eye(4)
-    plan = sk.exact_ot_oracle(cost, uniform(4), uniform(4))
+    plan = exact_ot_oracle(cost, uniform(4), uniform(4))
     np.testing.assert_allclose(plan, np.eye(4) / 4, atol=1e-12)
 
 

@@ -138,6 +138,22 @@ def test_geometric_mean_is_riccati_solution():
     )
 
 
+@pytest.mark.parametrize("fn", [spd.riccati_solve, spd.geometric_mean])
+def test_mean_takes_two_eigendecompositions(fn, monkeypatch):
+    # one for both roots of the first argument, one for the inner root
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(mat):
+        calls.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(13)
+    fn(random_spd(rng, 5), random_spd(rng, 5))
+    assert len(calls) == 2
+
+
 def test_riccati_tolerates_near_singular_product():
     # the congruence C^{1/2} D C^{1/2} can come out numerically singular
     # even for definite inputs; the solve must not trip on round-off
@@ -154,15 +170,6 @@ def test_eigen_floor_always_adds():
     m = np.diag([1.0, 2.0])
     out = spd.eigen_floor(m, 0.5)
     np.testing.assert_allclose(out, np.diag([1.5, 2.5]))
-
-
-def test_eigen_floor_conditional_skip():
-    m = np.diag([1.0, 2.0])
-    out = spd.eigen_floor(m, 0.5, always=False)
-    np.testing.assert_allclose(out, m)
-    # not already clear of eps: lift applies
-    out2 = spd.eigen_floor(np.diag([0.1, 2.0]), 0.5, always=False)
-    assert np.linalg.eigvalsh(out2)[0] >= 0.5 - 1e-12
 
 
 def test_trace_inner_matches_trace_product():
