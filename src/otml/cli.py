@@ -77,7 +77,6 @@ class RunConfig:
     sinkhorn_max_iter: int = 10000
     strict: bool = False
     seeds: "list[int]" = field(default_factory=lambda: list(DEFAULT_SEEDS))
-    deterministic: bool = False
     out: str = "out"
     name: str = ""
     fmt: "str | None" = None
@@ -104,21 +103,19 @@ class RunConfig:
                 raise ConfigError(f"unknown method {m!r}")
         if not self.methods:
             raise ConfigError("methods list is empty")
-        if self.d_choice not in gml.D_CHOICES:
+        # GmlConfig would take a matrix; JSON can only give a list here.
+        if not isinstance(self.d_choice, str):
             raise ConfigError(f"d_choice must be one of {gml.D_CHOICES}")
-        for name, lo in (
-            ("lam", 0.0),
-            ("eps", 0.0),
-            ("sinkhorn_tol", 0.0),
-        ):
-            if getattr(self, name) <= lo:
-                raise ConfigError(f"{name} must be positive")
-        if self.objective_rtol < 0:
-            raise ConfigError("objective_rtol must be >= 0")
-        if not self.lambda_grid or any(v <= 0 for v in self.lambda_grid):
-            raise ConfigError("lambda_grid must be nonempty and positive")
-        for name in ("outer_iters", "sinkhorn_max_iter", "m", "n", "downsample"):
-            if getattr(self, name) < 1:
+        if not self.lambda_grid:
+            raise ConfigError("lambda_grid is empty")
+        # The solver configs own the range checks of their settings.
+        try:
+            for lam in (self.lam, *self.lambda_grid):
+                _gml_config(self, lam)
+        except ValueError as e:
+            raise ConfigError(str(e))
+        for name in ("m", "n", "downsample"):
+            if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be at least 1")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
@@ -127,6 +124,19 @@ class RunConfig:
         for w in self.skews:
             if not 0 < w < 100:
                 raise ConfigError(f"skew percent {w} outside (0, 100)")
+
+
+def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
+    return gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(
+            lam=lam, max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol
+        ),
+        outer_iters=cfg.outer_iters,
+        eps=cfg.eps,
+        d_choice=cfg.d_choice,
+        objective_rtol=cfg.objective_rtol,
+        learn_metric=cfg.learn_metric,
+    )
 
 
 _JSON_ALIASES = {"lambda": "lam", "format": "fmt"}
@@ -237,19 +247,6 @@ def _labeled_cloud(ds: dt.RawDataset, path: str) -> ad.LabeledCloud:
     return ad.LabeledCloud(ds.features, ds.labels)
 
 
-def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
-    return gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(
-            lam=lam, max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol
-        ),
-        outer_iters=cfg.outer_iters,
-        eps=cfg.eps,
-        d_choice=cfg.d_choice,
-        objective_rtol=cfg.objective_rtol,
-        learn_metric=cfg.learn_metric,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -267,23 +264,18 @@ def cmd_fit(cfg: RunConfig) -> int:
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
     gcfg = _gml_config(cfg, cfg.lam)
-    try:
-        if cfg.method == "learned":
-            result = gml.fit(x, z, p, q, gcfg)
-            plan, metric = result.plan, result.metric
-            history = result.objective_history
-            iters, converged = result.iters_run, result.sinkhorn_converged
-        else:
-            metric = gml.baseline_metric(cfg.method, x, z, eps=cfg.eps)
-            cost = gml.cost_matrix(x, z, metric)
-            tp = sk.solve(cost, p, q, gcfg.sinkhorn)
-            plan = tp.matrix
-            history = [
-                sk.transport_cost(plan, cost) + cfg.lam * sk.entropy(plan)
-            ]
-            iters, converged = tp.iterations, tp.converged
-    except PositivityError as e:
-        raise NumericalError(str(e))
+    if cfg.method == "learned":
+        result = gml.fit(x, z, p, q, gcfg)
+        plan, metric = result.plan, result.metric
+        history = result.objective_history
+        iters, converged = result.iters_run, result.sinkhorn_converged
+    else:
+        metric = gml.baseline_metric(cfg.method, x, z, eps=cfg.eps)
+        cost = gml.cost_matrix(x, z, metric)
+        tp = sk.solve(cost, p, q, gcfg.sinkhorn)
+        plan = tp.matrix
+        history = [sk.transport_cost(plan, cost) + cfg.lam * sk.entropy(plan)]
+        iters, converged = tp.iterations, tp.converged
     if cfg.strict and not converged:
         raise NumericalError("transport solve did not converge")
     os.makedirs(cfg.out, exist_ok=True)
@@ -335,25 +327,20 @@ def cmd_adapt(cfg: RunConfig) -> int:
         raise DataError(f"feature dimensions differ across inputs: {sorted(dims)}")
     gcfg = _gml_config(cfg, cfg.lam)
     rows = []
-    try:
-        for method in cfg.methods:
-            print(f"adapt: method={method}", file=sys.stderr)
-            rep = ad.run_task(
-                source, ttrain, ttest, method, list(cfg.lambda_grid), gcfg
+    for method in cfg.methods:
+        print(f"adapt: method={method}", file=sys.stderr)
+        rep = ad.run_task(source, ttrain, ttest, method, list(cfg.lambda_grid), gcfg)
+        for seed in cfg.seeds:
+            rows.append(
+                [
+                    cfg.name,
+                    method,
+                    seed,
+                    rep.lambda_chosen,
+                    rep.train_accuracy,
+                    rep.test_accuracy,
+                ]
             )
-            for seed in cfg.seeds:
-                rows.append(
-                    [
-                        cfg.name,
-                        method,
-                        seed,
-                        rep.lambda_chosen,
-                        rep.train_accuracy,
-                        rep.test_accuracy,
-                    ]
-                )
-    except PositivityError as e:
-        raise NumericalError(str(e))
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv_atomic(os.path.join(cfg.out, "report.csv"), REPORT_HEADER, rows)
     payload = [dict(zip(REPORT_HEADER, (_json_cell(v) for v in row))) for row in rows]
@@ -392,46 +379,43 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
             raise DataError(f"skew class {c} out of range")
     gcfg = _gml_config(cfg, cfg.lam)
     rows = []
-    try:
-        for w in cfg.skews:
-            for c in classes:
-                for seed in cfg.seeds:
-                    mix = np.random.SeedSequence([int(seed), int(w), int(c)])
-                    s_src, s_tgt = (int(v) for v in mix.generate_state(2))
-                    try:
-                        x_cloud = dt.uniform_sample(src_pool, cfg.m, s_src)
-                        spec = dt.SkewSpec(c, float(w), cfg.n)
-                        ztrain, ztest = dt.disjoint_split(tgt_pool, spec, spec, s_tgt)
-                    except ValueError as e:
-                        raise DataError(str(e))
-                    for method in cfg.methods:
-                        print(
-                            f"experiment-skew: w={w} class={c} seed={seed} "
-                            f"method={method}",
-                            file=sys.stderr,
-                        )
-                        rep = ad.run_task(
-                            x_cloud,
-                            ztrain,
-                            ztest,
+    for w in cfg.skews:
+        for c in classes:
+            for seed in cfg.seeds:
+                mix = np.random.SeedSequence([int(seed), int(w), int(c)])
+                s_src, s_tgt = (int(v) for v in mix.generate_state(2))
+                try:
+                    x_cloud = dt.uniform_sample(src_pool, cfg.m, s_src)
+                    spec = dt.SkewSpec(c, float(w), cfg.n)
+                    ztrain, ztest = dt.disjoint_split(tgt_pool, spec, spec, s_tgt)
+                except ValueError as e:
+                    raise DataError(str(e))
+                for method in cfg.methods:
+                    print(
+                        f"experiment-skew: w={w} class={c} seed={seed} "
+                        f"method={method}",
+                        file=sys.stderr,
+                    )
+                    rep = ad.run_task(
+                        x_cloud,
+                        ztrain,
+                        ztest,
+                        method,
+                        list(cfg.lambda_grid),
+                        gcfg,
+                        seed=seed,
+                    )
+                    rows.append(
+                        [
+                            w,
+                            c,
+                            seed,
                             method,
-                            list(cfg.lambda_grid),
-                            gcfg,
-                            seed=seed,
-                        )
-                        rows.append(
-                            [
-                                w,
-                                c,
-                                seed,
-                                method,
-                                rep.lambda_chosen,
-                                rep.train_accuracy,
-                                rep.test_accuracy,
-                            ]
-                        )
-    except PositivityError as e:
-        raise NumericalError(str(e))
+                            rep.lambda_chosen,
+                            rep.train_accuracy,
+                            rep.test_accuracy,
+                        ]
+                    )
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv_atomic(os.path.join(cfg.out, "runs.csv"), RUNS_HEADER, rows)
 
@@ -517,15 +501,14 @@ def _build_parser() -> _Parser:
     for name in ("fit", "adapt", "experiment-skew", "summarize"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--method", action="append", default=None)
+        sp.add_argument("--method", dest="methods", action="append", default=None)
         sp.add_argument(
-            "--lambda", dest="lam_values", action="append", type=float, default=None
+            "--lambda", dest="lambda_grid", action="append", type=float, default=None
         )
         sp.add_argument("--outer-iters", type=int, default=None)
         sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--seed", action="append", type=int, default=None)
+        sp.add_argument("--seed", dest="seeds", action="append", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--deterministic", action="store_true", default=None)
         sp.add_argument("--name", default=None)
         sp.add_argument("--format", dest="fmt", default=None)
         sp.add_argument("--downsample", type=int, default=None)
@@ -541,37 +524,17 @@ def _build_parser() -> _Parser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    simple = (
-        "outer_iters",
-        "eps",
-        "out",
-        "name",
-        "fmt",
-        "downsample",
-        "source",
-        "target",
-        "target_train",
-        "target_test",
-        "m",
-        "n",
-    )
-    for key in simple:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    if args.deterministic:
-        out["deterministic"] = True
-    if args.seed is not None:
-        out["seeds"] = args.seed
-    if args.method is not None:
-        out["methods"] = args.method
-        if len(args.method) == 1:
-            out["method"] = args.method[0]
-    if args.lam_values is not None:
-        out["lambda_grid"] = args.lam_values
-        if len(args.lam_values) == 1:
-            out["lam"] = args.lam_values[0]
+    # Each flag's dest is its RunConfig field; a single --method or
+    # --lambda also sets the one-value field.
+    out = {
+        key: val
+        for key, val in vars(args).items()
+        if val is not None and key not in ("command", "config", "inputs")
+    }
+    if len(out.get("methods", ())) == 1:
+        out["method"] = out["methods"][0]
+    if len(out.get("lambda_grid", ())) == 1:
+        out["lam"] = out["lambda_grid"][0]
     return out
 
 

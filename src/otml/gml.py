@@ -19,8 +19,14 @@ import numpy as np
 from . import sinkhorn as sk
 from .spd import eigen_floor, eigh_spd, riccati_solve, spd_inv, symmetrize, trace_inner
 
-D_CHOICES = ("identity", "gram_sum", "gram_sum_inverse")
 BASELINE_METRICS = ("euclidean", "gram", "whiten")
+# Each named regularization target is the matching fixed baseline metric.
+_D_BASELINES = {
+    "identity": "euclidean",
+    "gram_sum": "gram",
+    "gram_sum_inverse": "whiten",
+}
+D_CHOICES = tuple(_D_BASELINES)
 
 
 @dataclass(frozen=True)
@@ -63,11 +69,11 @@ class GmlConfig:
     learn_metric: bool = True
 
     def __post_init__(self):
-        if self.outer_iters < 1:
+        if not self.outer_iters >= 1:
             raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.objective_rtol < 0:
+        if not self.objective_rtol >= 0:
             raise ValueError(f"objective_rtol must be >= 0, got {self.objective_rtol}")
         if isinstance(self.d_choice, str) and self.d_choice not in D_CHOICES:
             raise ValueError(
@@ -210,8 +216,7 @@ def cost_matrix(x: np.ndarray, z: np.ndarray, metric: np.ndarray) -> np.ndarray:
 
 
 def objective(
-    x: np.ndarray,
-    z: np.ndarray,
+    cost: np.ndarray,
     plan: np.ndarray,
     metric: np.ndarray,
     d: np.ndarray,
@@ -220,18 +225,15 @@ def objective(
 ) -> float:
     """Joint objective: transport cost + metric regularizer + entropy term.
 
-    Equals ``<plan, cost(A)> + ridge * trace(A) + trace(A^{-1} D)
-    + lam * sum plan ln plan``. The ridge term is the trace counterpart
+    Equals ``<plan, cost> + ridge * trace(A) + trace(A^{-1} D)
+    + lam * sum plan ln plan``, where ``cost`` is ``cost_matrix(x, z, A)``
+    for the metric A. The ridge term is the trace counterpart
     of the diagonal ridge used in the metric update; with the same fixed
     value both alternating steps minimize this exact functional.
     """
-    transport = sk.transport_cost(plan, cost_matrix(x, z, metric))
+    transport = sk.transport_cost(plan, cost)
     reg = ridge * float(np.trace(metric)) + trace_inner(spd_inv(metric), d)
     return transport + reg + lam * sk.entropy(plan)
-
-
-def _gram_sum(x, z):
-    return symmetrize(x @ x.T + z @ z.T)
 
 
 def make_d(
@@ -254,18 +256,15 @@ def make_d(
         Diagonal floor applied to the Gram sum before any inversion.
     """
     x, z = _check_clouds(x, z)
-    dim = x.shape[0]
     if isinstance(choice, np.ndarray):
         custom = symmetrize(choice)
         eigh_spd(custom)  # validate
         return custom
-    if choice == "identity":
-        return np.eye(dim)
-    if choice == "gram_sum":
-        return eigen_floor(_gram_sum(x, z), eps)
-    if choice == "gram_sum_inverse":
-        return spd_inv(eigen_floor(_gram_sum(x, z), eps))
-    raise ValueError(f"d_choice must be one of {D_CHOICES} or an SPD matrix, got {choice!r}")
+    if choice not in D_CHOICES:
+        raise ValueError(
+            f"d_choice must be one of {D_CHOICES} or an SPD matrix, got {choice!r}"
+        )
+    return baseline_metric(_D_BASELINES[choice], x, z, eps)
 
 
 def baseline_metric(
@@ -278,13 +277,12 @@ def baseline_metric(
     pooled data.
     """
     x, z = _check_clouds(x, z)
+    if kind not in BASELINE_METRICS:
+        raise ValueError(f"kind must be one of {BASELINE_METRICS}, got {kind!r}")
     if kind == "euclidean":
         return np.eye(x.shape[0])
-    if kind == "gram":
-        return eigen_floor(_gram_sum(x, z), eps)
-    if kind == "whiten":
-        return spd_inv(eigen_floor(_gram_sum(x, z), eps))
-    raise ValueError(f"kind must be one of {BASELINE_METRICS}, got {kind!r}")
+    gram = eigen_floor(symmetrize(x @ x.T + z @ z.T), eps)
+    return gram if kind == "gram" else spd_inv(gram)
 
 
 def fit(
@@ -340,11 +338,12 @@ def fit(
     for _ in range(cfg.outer_iters):
         if cfg.learn_metric:
             metric = update_metric(compute_cgamma(x, z, plan, ridge), d_mat)
-        transport = sk.solve(cost_matrix(x, z, metric), p, q, cfg.sinkhorn)
+        cost = cost_matrix(x, z, metric)
+        transport = sk.solve(cost, p, q, cfg.sinkhorn)
         plan = transport.matrix
         all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
         iters_run += 1
-        history.append(objective(x, z, plan, metric, d_mat, lam, ridge=ridge))
+        history.append(objective(cost, plan, metric, d_mat, lam, ridge=ridge))
         if len(history) >= 2 and cfg.objective_rtol > 0:
             decrease = history[-2] - history[-1]
             if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):

@@ -49,11 +49,11 @@ class SinkhornConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 

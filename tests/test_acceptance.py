@@ -503,14 +503,13 @@ def test_criterion_9_cli_determinism(tmp_path):
 
     invocations = {
         "fit": ["fit", "--method", "learned", "--lambda", "0.5",
-                "--source", src_m, "--target", tgt_m, "--deterministic"],
+                "--source", src_m, "--target", tgt_m],
         "adapt": ["adapt", "--source", src_m, "--target-train", tgt_m,
                   "--target-test", tgt_m, "--method", "euclidean",
                   "--method", "learned", "--seed", "0",
-                  "--lambda", "0.1", "--lambda", "1.0", "--deterministic"],
-        "experiment-skew": ["experiment-skew", "--config", str(expcfg),
-                            "--deterministic"],
-        "summarize": ["summarize", str(report_csv), "--deterministic"],
+                  "--lambda", "0.1", "--lambda", "1.0"],
+        "experiment-skew": ["experiment-skew", "--config", str(expcfg)],
+        "summarize": ["summarize", str(report_csv)],
     }
     mismatches = []
     for name, argv in invocations.items():

@@ -64,18 +64,27 @@ def test_config_validation_errors():
         cli.load_config(None, {"d_choice": "spiral"})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"outer_iters": 0})
+    nan = float("nan")
+    for name in ("lam", "eps", "sinkhorn_tol", "sinkhorn_max_iter",
+                 "objective_rtol", "outer_iters"):
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(None, {name: nan})
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(None, {"lambda_grid": [0.1, nan]})
 
 
 def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     config = tmp_path / "c.json"
-    config.write_text(json.dumps(
-        {"objective_rtol": -1, "source": src, "target": tgt,
-         "out": str(tmp_path / "out")}
-    ))
-    assert cli.main(["fit", "--config", str(config)]) == 1
-    assert "config error: objective_rtol" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out")
+    # Python's json reads NaN; a NaN lambda must not reach the solver either.
+    for bad, key in (({"objective_rtol": -1}, "objective_rtol"),
+                     ({"lam": float("nan"), "method": "euclidean"}, "lam")):
+        config.write_text(json.dumps(
+            {**bad, "source": src, "target": tgt, "out": str(tmp_path / "out")}
+        ))
+        assert cli.main(["fit", "--config", str(config)]) == 1
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
 
 def test_bad_flag_exits_one(capsys):

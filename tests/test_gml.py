@@ -147,7 +147,8 @@ def test_objective_matches_manual_formula():
         + float(np.trace(np.linalg.inv(metric) @ d))
         + lam * float((plan * np.log(plan)).sum())
     )
-    assert gml.objective(x, z, plan, metric, d, lam) == pytest.approx(want, rel=1e-10)
+    cost = gml.cost_matrix(x, z, metric)
+    assert gml.objective(cost, plan, metric, d, lam) == pytest.approx(want, rel=1e-10)
 
 
 def test_make_d_choices():
@@ -195,6 +196,9 @@ def test_config_validation():
         gml.GmlConfig(sinkhorn=scfg, objective_rtol=-1.0)
     with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, d_choice="banana")
+    for name in ("outer_iters", "eps", "objective_rtol"):
+        with pytest.raises(ValueError):
+            gml.GmlConfig(sinkhorn=scfg, **{name: np.nan})
 
 
 def make_problem(seed, dim=3, m=8, n=8):

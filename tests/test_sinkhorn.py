@@ -22,6 +22,10 @@ def test_config_validation():
         sk.SinkhornConfig(lam=1.0, tol=0.0)
     with pytest.raises(ValueError):
         sk.SinkhornConfig(lam=1.0, max_iter=0)
+    for bad in ({"lam": np.nan}, {"lam": 1.0, "tol": np.nan},
+                {"lam": 1.0, "max_iter": np.nan}):
+        with pytest.raises(ValueError):
+            sk.SinkhornConfig(**bad)
 
 
 def test_histogram_validation():
