@@ -12,12 +12,13 @@ problem handled by the Sinkhorn solver. The full objective is therefore
 non-increasing across sweeps, up to solver tolerance.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sinkhorn as sk
-from .spd import eigen_floor, eigh_spd, riccati_solve, spd_inv, symmetrize, trace_inner
+from .spd import eigh_spd, riccati_solve, spd_inv, symmetrize, trace_inner
 
 BASELINE_METRICS = ("euclidean", "gram", "whiten")
 # Each named regularization target is the matching fixed baseline metric.
@@ -40,18 +41,18 @@ class GmlConfig:
     outer_iters : int
         Number of alternating sweeps (metric update + plan update).
     eps : float
-        Relative ridge on the metric: a diagonal term ``ridge * I`` is
-        added to the scatter matrix C before each metric update, with
-        ``ridge = eps * mean(diag scale)`` fixed once from the
-        independence-coupling scatter. This keeps C safely positive
-        definite even when the data dimension exceeds the number of
-        samples, and because the ridge is frozen the alternating steps
-        minimize one common objective (which includes ``ridge *
-        trace(A)``), so the recorded history is genuinely monotone.
-        Interpreted as an absolute ridge when the scatter has zero trace.
+        Relative ridge: ``eps * trace(M) / d * I`` is added to a matrix M
+        that needs a floor (absolute eps when M has zero trace). For the
+        metric, M is the independence-coupling scatter; that ridge, frozen
+        for the run, is added to the scatter C before each metric update.
+        This keeps C positive definite even when d exceeds the number of
+        samples, and because the ridge is frozen both alternating steps
+        minimize one objective (which includes ``ridge * trace(A)``), so
+        the recorded history is genuinely monotone. The Gram targets of
+        ``d_choice`` take the same rule.
     d_choice : str or ndarray
         Regularization target D: "identity", "gram_sum" (X X^T + Z Z^T,
-        floored), "gram_sum_inverse", or an explicit SPD matrix.
+        ridged), "gram_sum_inverse", or an explicit SPD matrix.
     objective_rtol : float
         Early stop once the objective decrease over one sweep drops below
         ``objective_rtol * max(1, |objective|)``. Zero disables early
@@ -69,8 +70,9 @@ class GmlConfig:
     learn_metric: bool = True
 
     def __post_init__(self):
-        if not self.outer_iters >= 1:
-            raise ValueError(f"outer_iters must be >= 1, got {self.outer_iters}")
+        iters = self.outer_iters
+        if not (isinstance(iters, numbers.Integral) and iters >= 1):
+            raise ValueError(f"outer_iters must be an integer >= 1, got {iters}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.objective_rtol >= 0:
@@ -135,8 +137,8 @@ def _scatter(x, z, plan):
 
 
 def _ridge(raw, eps):
-    # Scale-relative diagonal ridge; falls back to the absolute value when
-    # the scatter vanishes (all mass on coincident points).
+    # Scale-relative diagonal ridge for the scatter and the Gram matrix;
+    # falls back to the absolute value when the matrix vanishes.
     scale = float(np.trace(raw)) / raw.shape[0]
     return eps * (scale if scale > 0 else 1.0)
 
@@ -215,25 +217,17 @@ def cost_matrix(x: np.ndarray, z: np.ndarray, metric: np.ndarray) -> np.ndarray:
     return np.maximum(cost, 0.0)
 
 
-def objective(
-    cost: np.ndarray,
-    plan: np.ndarray,
-    metric: np.ndarray,
-    d: np.ndarray,
-    lam: float,
-    ridge: float = 0.0,
-) -> float:
+def objective(cost: np.ndarray, plan: np.ndarray, reg: float, lam: float) -> float:
     """Joint objective: transport cost + metric regularizer + entropy term.
 
-    Equals ``<plan, cost> + ridge * trace(A) + trace(A^{-1} D)
-    + lam * sum plan ln plan``, where ``cost`` is ``cost_matrix(x, z, A)``
-    for the metric A. The ridge term is the trace counterpart
-    of the diagonal ridge used in the metric update; with the same fixed
-    value both alternating steps minimize this exact functional.
+    Equals ``<plan, cost> + reg + lam * sum plan ln plan``, where ``cost``
+    is ``cost_matrix(x, z, A)`` for the metric A and ``reg`` is the metric
+    regularizer ``ridge * trace(A) + trace(A^{-1} D)``. The ridge term is
+    the trace counterpart of the diagonal ridge used in the metric update;
+    with the same fixed value both alternating steps minimize this exact
+    functional.
     """
-    transport = sk.transport_cost(plan, cost)
-    reg = ridge * float(np.trace(metric)) + trace_inner(spd_inv(metric), d)
-    return transport + reg + lam * sk.entropy(plan)
+    return sk.transport_cost(plan, cost) + reg + lam * sk.entropy(plan)
 
 
 def make_d(
@@ -247,13 +241,13 @@ def make_d(
     Parameters
     ----------
     choice : str or ndarray
-        "identity" for I, "gram_sum" for the floored X X^T + Z Z^T,
+        "identity" for I, "gram_sum" for the ridged X X^T + Z Z^T,
         "gram_sum_inverse" for its inverse, or an explicit matrix which
         is validated as SPD and passed through.
     x, z : ndarray of shape (d, m), (d, n)
         Point clouds (columns are points).
     eps : float
-        Diagonal floor applied to the Gram sum before any inversion.
+        Relative ridge on the Gram sum, as in ``baseline_metric``.
     """
     x, z = _check_clouds(x, z)
     if isinstance(choice, np.ndarray):
@@ -272,16 +266,19 @@ def baseline_metric(
 ) -> np.ndarray:
     """Fixed (not learned) ground metrics used as baselines.
 
-    "euclidean" is the identity, "gram" the floored pooled Gram matrix
-    [X, Z] [X, Z]^T, and "whiten" its inverse, which decorrelates the
-    pooled data.
+    "euclidean" is the identity, "gram" the pooled Gram matrix
+    G = [X, Z] [X, Z]^T lifted by ``eps * trace(G) / d * I`` (the scatter's
+    relative ridge rule), and "whiten" its inverse, which decorrelates the
+    pooled data. The lift is relative so that the inverse exists at any
+    data scale, also when d exceeds the number of points.
     """
     x, z = _check_clouds(x, z)
     if kind not in BASELINE_METRICS:
         raise ValueError(f"kind must be one of {BASELINE_METRICS}, got {kind!r}")
     if kind == "euclidean":
         return np.eye(x.shape[0])
-    gram = eigen_floor(symmetrize(x @ x.T + z @ z.T), eps)
+    raw = symmetrize(x @ x.T + z @ z.T)
+    gram = raw + _ridge(raw, eps) * np.eye(x.shape[0])
     return gram if kind == "gram" else spd_inv(gram)
 
 
@@ -300,7 +297,8 @@ def fit(
     quadratic solve), then re-solves the entropic OT problem under the
     updated cost matrix. The ridged objective is recorded after each
     full sweep; both steps minimize it exactly, so the history is
-    non-increasing up to the inner solver tolerance.
+    non-increasing up to the inner solver tolerance. The metric is never
+    inverted: A C A = D gives trace(A^{-1} D) = trace(A C).
 
     Parameters
     ----------
@@ -330,6 +328,9 @@ def fit(
     plan = np.outer(p, q)
     ridge = _ridge(_scatter(x, z, plan), cfg.eps)
     metric = np.eye(dim)
+    # ridge * trace(A) + trace(A^{-1} D) at A = I; each update recomputes
+    # it as ridge * trace(A) + trace(A C), since A C A = D.
+    reg = ridge * dim + trace_inner(metric, d_mat)
     history: list[float] = []
     converged = False
     all_sinkhorn_ok = True
@@ -337,13 +338,15 @@ def fit(
 
     for _ in range(cfg.outer_iters):
         if cfg.learn_metric:
-            metric = update_metric(compute_cgamma(x, z, plan, ridge), d_mat)
+            cg = compute_cgamma(x, z, plan, ridge)
+            metric = update_metric(cg, d_mat)
+            reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
         cost = cost_matrix(x, z, metric)
         transport = sk.solve(cost, p, q, cfg.sinkhorn)
         plan = transport.matrix
         all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
         iters_run += 1
-        history.append(objective(cost, plan, metric, d_mat, lam, ridge=ridge))
+        history.append(objective(cost, plan, reg, lam))
         if len(history) >= 2 and cfg.objective_rtol > 0:
             decrease = history[-2] - history[-1]
             if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):

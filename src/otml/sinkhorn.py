@@ -18,6 +18,7 @@ Where sweeps stall (small ``lam``), damped Newton steps on the dual finish
 the solve at any problem size.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class SinkhornConfig:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass

@@ -166,30 +166,6 @@ def geometric_mean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _mean(p, q, 0.5)
 
 
-def eigen_floor(mat: np.ndarray, eps: float) -> np.ndarray:
-    """Lift a symmetric matrix to a safely positive definite one.
-
-    Adds ``eps * I`` unconditionally, which keeps results deterministic
-    and independent of how close the input already is to singular.
-
-    Parameters
-    ----------
-    mat : ndarray of shape (d, d)
-        Symmetric matrix (symmetrized first).
-    eps : float
-        Positive lift added to the diagonal.
-
-    Returns
-    -------
-    ndarray of shape (d, d)
-        SPD matrix.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    sym = symmetrize(mat)
-    return sym + eps * np.eye(sym.shape[0])
-
-
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Trace inner product trace(A @ B) of two symmetric matrices.
 

@@ -71,14 +71,20 @@ def test_config_validation_errors():
             cli.load_config(None, {name: nan})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"lambda_grid": [0.1, nan]})
+    for name in ("sinkhorn_max_iter", "outer_iters"):
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(None, {name: 2.5})
 
 
 def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     config = tmp_path / "c.json"
-    # Python's json reads NaN; a NaN lambda must not reach the solver either.
+    # Python's json reads NaN; neither a NaN lambda nor a non-integral
+    # count (which range() rejects) may reach the solver.
     for bad, key in (({"objective_rtol": -1}, "objective_rtol"),
-                     ({"lam": float("nan"), "method": "euclidean"}, "lam")):
+                     ({"lam": float("nan"), "method": "euclidean"}, "lam"),
+                     ({"sinkhorn_max_iter": 2.5, "method": "euclidean"}, "max_iter"),
+                     ({"outer_iters": 2.5}, "outer_iters")):
         config.write_text(json.dumps(
             {**bad, "source": src, "target": tgt, "out": str(tmp_path / "out")}
         ))

@@ -39,6 +39,19 @@ def naive_scatter(x, z, plan, eps):
     return out + eps * np.eye(dim)
 
 
+def ridged_gram(x, z, eps=1e-6):
+    # The pooled Gram matrix lifted by the relative rule eps * mean(diag).
+    raw = x @ x.T + z @ z.T
+    return raw + eps * np.trace(raw) / raw.shape[0] * np.eye(raw.shape[0])
+
+
+def pixel_clouds(dim=200, m=40, n=40, seed=0):
+    # Pixel-like coordinates with d > m + n: the raw Gram matrix has rank
+    # m + n and eigenvalues up to ~1e8, far above any absolute floor.
+    rng = np.random.default_rng(seed)
+    return (128 + 4 * rng.normal(size=(dim, m)), 128 + 4 * rng.normal(size=(dim, n)))
+
+
 def test_cost_matrix_matches_pairwise_loop():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 6))
@@ -142,13 +155,52 @@ def test_objective_matches_manual_formula():
     metric = random_spd(rng, 3)
     d = random_spd(rng, 3)
     lam = 0.7
+    reg = float(np.trace(np.linalg.inv(metric) @ d))
     want = (
         float((plan * naive_cost(x, z, metric)).sum())
-        + float(np.trace(np.linalg.inv(metric) @ d))
+        + reg
         + lam * float((plan * np.log(plan)).sum())
     )
     cost = gml.cost_matrix(x, z, metric)
-    assert gml.objective(cost, plan, metric, d, lam) == pytest.approx(want, rel=1e-10)
+    assert gml.objective(cost, plan, reg, lam) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("d_choice,learn", [
+    ("identity", True), ("gram_sum", True), ("identity", False),
+])
+def test_fit_objective_is_the_explicit_formula(d_choice, learn):
+    # The fit never inverts the metric (A C A = D gives tr(A^-1 D) = tr(A C));
+    # its recorded objective must still be the formula with A^-1 in it.
+    x, z, p, q = make_problem(20, dim=4, m=9, n=7)
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=0.5, tol=1e-10), outer_iters=4,
+        d_choice=d_choice, objective_rtol=0.0, learn_metric=learn,
+    )
+    res = gml.fit(x, z, p, q, cfg)
+    a, plan = res.metric, res.plan
+    d = np.eye(4) if d_choice == "identity" else ridged_gram(x, z)
+    ridge = 1e-6 * np.trace(naive_scatter(x, z, np.outer(p, q), 0.0)) / 4
+    want = (
+        float((plan * naive_cost(x, z, a)).sum())
+        + ridge * np.trace(a)
+        + float(np.trace(np.linalg.inv(a) @ d))
+        + 0.5 * float((plan * np.log(plan)).sum())
+    )
+    assert res.objective_history[-1] == pytest.approx(want, rel=1e-10)
+    if not learn:
+        np.testing.assert_array_equal(a, np.eye(4))
+
+
+def test_fit_never_inverts_the_metric(monkeypatch):
+    def no_inverse(mat):
+        raise AssertionError("the fit inverted a matrix")
+
+    monkeypatch.setattr(gml, "spd_inv", no_inverse)
+    x, z, p, q = make_problem(21)
+    cfg = gml.GmlConfig(sinkhorn=sk.SinkhornConfig(lam=0.5), outer_iters=3)
+    res = gml.fit(x, z, p, q, cfg)
+    assert res.iters_run >= 2
+    assert np.all(np.isfinite(res.objective_history))
 
 
 def test_make_d_choices():
@@ -157,7 +209,7 @@ def test_make_d_choices():
     z = rng.normal(size=(3, 8))
     np.testing.assert_array_equal(gml.make_d("identity", x, z), np.eye(3))
     gram = gml.make_d("gram_sum", x, z)
-    np.testing.assert_allclose(gram, x @ x.T + z @ z.T, atol=1e-8)
+    np.testing.assert_allclose(gram, ridged_gram(x, z), rtol=1e-13, atol=1e-13)
     inv = gml.make_d("gram_sum_inverse", x, z)
     np.testing.assert_allclose(inv @ gram, np.eye(3), atol=1e-8)
 
@@ -179,11 +231,38 @@ def test_baseline_metric_kinds():
     z = rng.normal(size=(4, 10))
     np.testing.assert_array_equal(gml.baseline_metric("euclidean", x, z), np.eye(4))
     gram = gml.baseline_metric("gram", x, z)
-    np.testing.assert_allclose(gram, x @ x.T + z @ z.T, atol=1e-8)
+    np.testing.assert_allclose(gram, ridged_gram(x, z), rtol=1e-13, atol=1e-13)
+    eps_gram = gml.baseline_metric("gram", x, z, eps=0.5)
+    np.testing.assert_allclose(eps_gram, ridged_gram(x, z, 0.5), rtol=1e-13)
     whiten = gml.baseline_metric("whiten", x, z)
     np.testing.assert_allclose(whiten @ gram, np.eye(4), atol=1e-8)
     with pytest.raises(ValueError):
         gml.baseline_metric("mahalanobis", x, z)
+
+
+def test_gram_floor_is_relative_at_pixel_scale():
+    # An absolute 1e-6 lift vanishes next to eigenvalues ~1e8, and the
+    # inverse then fails the positivity check.
+    x, z = pixel_clouds()
+    whiten = gml.baseline_metric("whiten", x, z)
+    for mat in (whiten, gml.make_d("gram_sum_inverse", x, z)):
+        np.testing.assert_array_equal(mat, mat.T)
+        vals, _ = spd.eigh_spd(mat)
+        assert vals.min() > 0
+    np.testing.assert_allclose(whiten @ ridged_gram(x, z), np.eye(200), atol=1e-6)
+
+
+def test_learned_fit_with_gram_target_at_pixel_scale():
+    # The learned metric's eigenvalues span many decades here; the fit
+    # must not hand it to a positivity-checked inverse.
+    x, z = pixel_clouds()
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=1.0, tol=1e-7, max_iter=2000),
+        outer_iters=2, d_choice="gram_sum", objective_rtol=0.0,
+    )
+    res = gml.fit(x, z, uniform(40), uniform(40), cfg)
+    hist = res.objective_history
+    assert len(hist) == 2 and np.all(np.isfinite(hist)) and hist[1] <= hist[0]
 
 
 def test_config_validation():
@@ -199,6 +278,8 @@ def test_config_validation():
     for name in ("outer_iters", "eps", "objective_rtol"):
         with pytest.raises(ValueError):
             gml.GmlConfig(sinkhorn=scfg, **{name: np.nan})
+    with pytest.raises(ValueError):
+        gml.GmlConfig(sinkhorn=scfg, outer_iters=2.5)
 
 
 def make_problem(seed, dim=3, m=8, n=8):

@@ -23,7 +23,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         sk.SinkhornConfig(lam=1.0, max_iter=0)
     for bad in ({"lam": np.nan}, {"lam": 1.0, "tol": np.nan},
-                {"lam": 1.0, "max_iter": np.nan}):
+                {"lam": 1.0, "max_iter": np.nan}, {"lam": 1.0, "max_iter": 2.5}):
         with pytest.raises(ValueError):
             sk.SinkhornConfig(**bad)
 

@@ -166,12 +166,6 @@ def test_riccati_tolerates_near_singular_product():
     assert resid < 1e-6
 
 
-def test_eigen_floor_always_adds():
-    m = np.diag([1.0, 2.0])
-    out = spd.eigen_floor(m, 0.5)
-    np.testing.assert_allclose(out, np.diag([1.5, 2.5]))
-
-
 def test_trace_inner_matches_trace_product():
     rng = np.random.default_rng(12)
     a = spd.symmetrize(rng.standard_normal((5, 5)))
