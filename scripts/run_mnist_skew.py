@@ -10,10 +10,12 @@ t10k-images-idx3-ubyte, t10k-labels-idx1-ubyte.
 Defaults reproduce the desk-scale protocol: m = n = 500, seeds 0..4,
 skews 10..50, identity regularization target, lambda grid tuned for
 median-normalized costs. Use --downsample 2 --m 200 --n 200 for the
-quick variant.
+quick variant. The run's config is kept as <out>/config.json next to
+runs.csv and table.csv, so `otml experiment-skew --config` repeats it.
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -29,7 +31,7 @@ FILES = {
 }
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--data-dir", default="data/mnist")
     ap.add_argument("--out", default="out/skew")
@@ -45,7 +47,7 @@ def main():
     ap.add_argument("--lambdas", type=float, nargs="+",
                     default=[0.05, 0.2, 0.5, 1.0, 2.0])
     ap.add_argument("--outer-iters", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     paths = {key: os.path.join(args.data_dir, name) for key, name in FILES.items()}
     missing = [p for p in paths.values() if not os.path.exists(p)]
@@ -54,9 +56,6 @@ def main():
         print("hint: scripts/export_digits_idx.py builds a small stand-in corpus",
               file=sys.stderr)
         return 2
-
-    import json
-    import tempfile
 
     config = {
         **paths,
@@ -76,15 +75,11 @@ def main():
     }
     if args.skew_classes is not None:
         config["skew_classes"] = args.skew_classes
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".json", delete=False
-    ) as fh:
-        json.dump(config, fh)
-        cfg_path = fh.name
-    try:
-        return cli.main(["experiment-skew", "--config", cfg_path])
-    finally:
-        os.unlink(cfg_path)
+    os.makedirs(args.out, exist_ok=True)
+    cfg_path = os.path.join(args.out, "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh, indent=2)
+    return cli.main(["experiment-skew", "--config", cfg_path])
 
 
 if __name__ == "__main__":

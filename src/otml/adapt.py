@@ -58,6 +58,7 @@ class AdaptationReport:
     train_accuracy: float
     test_accuracy: float
     seed: int = 0
+    sinkhorn_converged: bool = True  # AND over every fit on the grid
 
     def __post_init__(self):
         for name in ("train_accuracy", "test_accuracy"):
@@ -154,7 +155,7 @@ def fit_plan(
     method: str,
     lam: float,
     cfg: gml.GmlConfig,
-) -> np.ndarray:
+) -> gml.FitResult:
     """Fit a transport plan between source and target-train clouds.
 
     Costs are normalized so that one entropic-weight grid serves data of
@@ -163,7 +164,10 @@ def fit_plan(
     data by the square root of the Euclidean cost median (which divides
     its initial cost matrix by the same amount) before the alternating
     fit. With ``cfg.learn_metric`` false the "learned" method degenerates
-    to the Euclidean baseline.
+    to the Euclidean baseline. The returned ``metric`` carries the
+    normalization: the plan solves the problem at ``lam`` for
+    ``cost_matrix(x, zt, metric)``, whose objective is recorded. A
+    baseline fit is one sweep.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -171,10 +175,20 @@ def fit_plan(
     if method == "learned" and cfg.learn_metric:
         scale = np.sqrt(_median_scale(gml.cost_matrix(x, zt, np.eye(x.shape[0]))))
         result = gml.fit(x / scale, zt / scale, p, q, replace(cfg, sinkhorn=scfg))
-        return result.plan
+        return replace(result, metric=result.metric / scale**2)
     kind = "euclidean" if method == "learned" else method
-    cost = gml.cost_matrix(x, zt, gml.baseline_metric(kind, x, zt, eps=cfg.eps))
-    return sk.solve(cost / _median_scale(cost), p, q, scfg).matrix
+    metric = gml.baseline_metric(kind, x, zt, eps=cfg.eps)
+    cost = gml.cost_matrix(x, zt, metric)
+    med = _median_scale(cost)
+    cost = cost / med
+    transport = sk.solve(cost, p, q, scfg)
+    return gml.FitResult(
+        plan=transport.matrix,
+        metric=metric / med,
+        objective_history=[gml.objective(cost, transport.matrix, 0.0, lam)],
+        iters_run=1,
+        sinkhorn_converged=transport.converged,
+    )
 
 
 def run_task(
@@ -215,9 +229,11 @@ def run_task(
     q = np.full(n, 1.0 / n)
 
     best = None  # (accuracy, lambda, projected sources)
+    converged = True
     for lam in sorted(lambdas):
-        plan = fit_plan(x, zt, p, q, method, lam, cfg)
-        projected = barycentric_map(plan, zt, p)
+        result = fit_plan(x, zt, p, q, method, lam, cfg)
+        converged = converged and result.sinkhorn_converged
+        projected = barycentric_map(result.plan, zt, p)
         pred = knn1_predict(LabeledCloud(projected, source.labels), zt)
         acc = accuracy(pred, target_train.labels)
         if best is None or acc > best[0]:
@@ -232,4 +248,5 @@ def run_task(
         train_accuracy=train_acc,
         test_accuracy=test_acc,
         seed=seed,
+        sinkhorn_converged=converged,
     )

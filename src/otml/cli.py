@@ -4,8 +4,9 @@ Subcommands
 -----------
 fit
     Fit a transport plan (and, for the learned method, a ground metric)
-    between two point-cloud files; writes gamma.rawf64, metric.rawf64 and
-    objective.csv into the output directory.
+    between two point-cloud files through ``adapt.fit_plan``, so lambda
+    is normalized as in adapt; writes gamma.rawf64, metric.rawf64 (whose
+    cost the plan solves) and objective.csv into the output directory.
 adapt
     Run the adaptation protocol on labeled source / target-train /
     target-test files and write one report row per (seed, method).
@@ -20,7 +21,8 @@ summarize
 
 Configuration is a JSON object with the same keys as the RunConfig
 dataclass below; command-line flags override file values. Exit codes:
-0 success, 1 configuration error, 2 data error, 3 numerical failure.
+0 success, 1 configuration error, 2 data error, 3 numerical failure
+(under ``strict`` also an unconverged solve, before any output).
 Results go to stdout, diagnostics to stderr. Output files are written
 atomically (temp file then rename).
 """
@@ -29,6 +31,7 @@ import argparse
 import csv
 import io
 import json
+import numbers
 import os
 import statistics
 import sys
@@ -72,7 +75,6 @@ class RunConfig:
     outer_iters: int = 20
     eps: float = 1e-6
     objective_rtol: float = 1e-6
-    learn_metric: bool = True
     sinkhorn_tol: float = 1e-9
     sinkhorn_max_iter: int = 10000
     strict: bool = False
@@ -115,10 +117,18 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(str(e))
         for name in ("m", "n", "downsample"):
-            if not getattr(self, name) >= 1:
-                raise ConfigError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value}")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
+        # Seeds feed numpy's seeding, which takes nonnegative integers only.
+        for name in ("seeds", "skew_classes"):
+            for value in getattr(self, name) or ():
+                if not (isinstance(value, numbers.Integral) and value >= 0):
+                    raise ConfigError(
+                        f"{name} entries must be integers >= 0, got {value}"
+                    )
         if self.fmt is not None and self.fmt not in dt.FORMATS:
             raise ConfigError(f"format must be one of {dt.FORMATS}")
         for w in self.skews:
@@ -135,7 +145,6 @@ def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
         eps=cfg.eps,
         d_choice=cfg.d_choice,
         objective_rtol=cfg.objective_rtol,
-        learn_metric=cfg.learn_metric,
     )
 
 
@@ -241,10 +250,17 @@ def _load(path, cfg: RunConfig, labeled: bool, labels_path=None) -> dt.RawDatase
         raise DataError(str(e))
 
 
-def _labeled_cloud(ds: dt.RawDataset, path: str) -> ad.LabeledCloud:
+def _load_labeled(path, cfg: RunConfig, labels_path) -> dt.RawDataset:
+    ds = _load(path, cfg, labeled=True, labels_path=labels_path)
     if ds.labels is None:
         raise DataError(f"{path}: labels required but not present")
-    return ad.LabeledCloud(ds.features, ds.labels)
+    return ds
+
+
+def _check_converged(cfg: RunConfig, converged: bool, method: str):
+    # Under strict, an unconverged solve ends the run before any output.
+    if cfg.strict and not converged:
+        raise NumericalError(f"transport solve did not converge ({method})")
 
 
 # ---------------------------------------------------------------------------
@@ -263,30 +279,21 @@ def cmd_fit(cfg: RunConfig) -> int:
     m, n = x.shape[1], z.shape[1]
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
-    gcfg = _gml_config(cfg, cfg.lam)
-    if cfg.method == "learned":
-        result = gml.fit(x, z, p, q, gcfg)
-        plan, metric = result.plan, result.metric
-        history = result.objective_history
-        iters, converged = result.iters_run, result.sinkhorn_converged
-    else:
-        metric = gml.baseline_metric(cfg.method, x, z, eps=cfg.eps)
-        cost = gml.cost_matrix(x, z, metric)
-        tp = sk.solve(cost, p, q, gcfg.sinkhorn)
-        plan = tp.matrix
-        history = [sk.transport_cost(plan, cost) + cfg.lam * sk.entropy(plan)]
-        iters, converged = tp.iterations, tp.converged
-    if cfg.strict and not converged:
-        raise NumericalError("transport solve did not converge")
+    result = ad.fit_plan(x, z, p, q, cfg.method, cfg.lam, _gml_config(cfg, cfg.lam))
+    _check_converged(cfg, result.sinkhorn_converged, cfg.method)
     os.makedirs(cfg.out, exist_ok=True)
-    for name, mat in (("gamma.rawf64", plan), ("metric.rawf64", metric)):
+    for name, mat in (("gamma.rawf64", result.plan), ("metric.rawf64", result.metric)):
         _write_bytes_atomic(os.path.join(cfg.out, name), dt.rawf64_bytes(mat))
+    history = result.objective_history
     _write_csv_atomic(
         os.path.join(cfg.out, "objective.csv"),
         ["iteration", "objective"],
         [[i, v] for i, v in enumerate(history)],
     )
-    print(f"objective={history[-1]!r} iterations={iters} converged={converged}")
+    print(
+        f"objective={history[-1]!r} iterations={result.iters_run} "
+        f"converged={result.sinkhorn_converged}"
+    )
     return 0
 
 
@@ -306,21 +313,13 @@ def cmd_adapt(cfg: RunConfig) -> int:
     The pipeline is deterministic given the input files, so the seed only
     labels the row; each method is computed once and stamped per seed.
     """
-    source = _labeled_cloud(
-        _load(cfg.source, cfg, labeled=True, labels_path=cfg.source_labels),
-        cfg.source,
-    )
-    ttrain = _labeled_cloud(
-        _load(
-            cfg.target_train, cfg, labeled=True, labels_path=cfg.target_train_labels
-        ),
-        cfg.target_train,
-    )
-    ttest = _labeled_cloud(
-        _load(
-            cfg.target_test, cfg, labeled=True, labels_path=cfg.target_test_labels
-        ),
-        cfg.target_test,
+    source, ttrain, ttest = (
+        ad.LabeledCloud(ds.features, ds.labels)
+        for ds in (
+            _load_labeled(cfg.source, cfg, cfg.source_labels),
+            _load_labeled(cfg.target_train, cfg, cfg.target_train_labels),
+            _load_labeled(cfg.target_test, cfg, cfg.target_test_labels),
+        )
     )
     dims = {source.points.shape[0], ttrain.points.shape[0], ttest.points.shape[0]}
     if len(dims) != 1:
@@ -330,6 +329,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
     for method in cfg.methods:
         print(f"adapt: method={method}", file=sys.stderr)
         rep = ad.run_task(source, ttrain, ttest, method, list(cfg.lambda_grid), gcfg)
+        _check_converged(cfg, rep.sinkhorn_converged, method)
         for seed in cfg.seeds:
             rows.append(
                 [
@@ -365,10 +365,8 @@ RUNS_HEADER = [
 
 def cmd_experiment_skew(cfg: RunConfig) -> int:
     """Skew sweep over (percent, class, seed, method)."""
-    src_pool = _load(cfg.source, cfg, labeled=True, labels_path=cfg.source_labels)
-    tgt_pool = _load(cfg.target, cfg, labeled=True, labels_path=cfg.target_labels)
-    if src_pool.labels is None or tgt_pool.labels is None:
-        raise DataError("experiment pools must be labeled")
+    src_pool = _load_labeled(cfg.source, cfg, cfg.source_labels)
+    tgt_pool = _load_labeled(cfg.target, cfg, cfg.target_labels)
     if src_pool.features.shape[0] != tgt_pool.features.shape[0]:
         raise DataError("source and target pools have different dimensions")
     classes = cfg.skew_classes
@@ -405,6 +403,7 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
                         gcfg,
                         seed=seed,
                     )
+                    _check_converged(cfg, rep.sinkhorn_converged, method)
                     rows.append(
                         [
                             w,
@@ -525,16 +524,19 @@ def _build_parser() -> _Parser:
 
 def _overrides(args: argparse.Namespace) -> dict:
     # Each flag's dest is its RunConfig field; a single --method or
-    # --lambda also sets the one-value field.
+    # --lambda also sets the one-value field, which is all fit reads.
     out = {
         key: val
         for key, val in vars(args).items()
         if val is not None and key not in ("command", "config", "inputs")
     }
-    if len(out.get("methods", ())) == 1:
-        out["method"] = out["methods"][0]
-    if len(out.get("lambda_grid", ())) == 1:
-        out["lam"] = out["lambda_grid"][0]
+    for key, one, flag in (("methods", "method", "--method"),
+                           ("lambda_grid", "lam", "--lambda")):
+        values = out.get(key, ())
+        if len(values) == 1:
+            out[one] = values[0]
+        elif values and args.command == "fit":
+            raise ConfigError(f"fit takes one {flag}, got {len(values)}")
     return out
 
 

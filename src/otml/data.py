@@ -316,19 +316,23 @@ def _skewed_counts(n: int, k: int, skew_class: int, percent: float) -> np.ndarra
 
 
 def _draw_by_counts(
-    ds: RawDataset, counts: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    picked = []
+    ds: RawDataset, counts: "list[np.ndarray]", rng: np.random.Generator
+) -> "list[LabeledCloud]":
+    # One cloud per count vector, cut in order from one draw per class.
+    parts = [[] for _ in counts]
     for j in range(ds.class_count):
-        if counts[j] == 0:
+        sizes = [int(c[j]) for c in counts]
+        need = sum(sizes)
+        if need == 0:
             continue
         pool = np.flatnonzero(ds.labels == j)
-        if pool.size < counts[j]:
-            raise ValueError(
-                f"class {j} has {pool.size} samples, need {counts[j]}"
-            )
-        picked.append(rng.choice(pool, size=counts[j], replace=False))
-    return np.concatenate(picked)
+        if pool.size < need:
+            split = " for a disjoint split" if len(counts) > 1 else ""
+            raise ValueError(f"class {j} has {pool.size} samples, need {need}{split}")
+        draw = rng.choice(pool, size=need, replace=False)
+        for part, piece in zip(parts, np.split(draw, np.cumsum(sizes)[:-1])):
+            part.append(piece)
+    return [_cloud_from_indices(ds, np.concatenate(part)) for part in parts]
 
 
 def _cloud_from_indices(ds: RawDataset, idx: np.ndarray) -> LabeledCloud:
@@ -345,23 +349,7 @@ def uniform_sample(ds: RawDataset, n: int, seed: int) -> LabeledCloud:
     if n < 1:
         raise ValueError("sample size must be positive")
     rng = np.random.default_rng(seed)
-    counts = _uniform_counts(n, ds.class_count)
-    return _cloud_from_indices(ds, _draw_by_counts(ds, counts, rng))
-
-
-def skewed_sample(ds: RawDataset, spec: SkewSpec, seed: int) -> LabeledCloud:
-    """Draw a subset whose class proportions follow a SkewSpec."""
-    _require_labels(ds)
-    if spec.skew_class >= ds.class_count:
-        raise ValueError(
-            f"skew_class {spec.skew_class} out of range for "
-            f"{ds.class_count} classes"
-        )
-    rng = np.random.default_rng(seed)
-    counts = _skewed_counts(
-        spec.sample_size, ds.class_count, spec.skew_class, spec.skew_percent
-    )
-    return _cloud_from_indices(ds, _draw_by_counts(ds, counts, rng))
+    return _draw_by_counts(ds, [_uniform_counts(n, ds.class_count)], rng)[0]
 
 
 def disjoint_split(
@@ -385,26 +373,8 @@ def disjoint_split(
                 spec.sample_size, ds.class_count, spec.skew_class, spec.skew_percent
             )
         )
-    rng = np.random.default_rng(seed)
-    first, second = [], []
-    for j in range(ds.class_count):
-        need = counts[0][j] + counts[1][j]
-        if need == 0:
-            continue
-        pool = np.flatnonzero(ds.labels == j)
-        if pool.size < need:
-            raise ValueError(
-                f"class {j} has {pool.size} samples, need {need} "
-                "for a disjoint split"
-            )
-        draw = rng.choice(pool, size=need, replace=False)
-        if counts[0][j]:
-            first.append(draw[: counts[0][j]])
-        if counts[1][j]:
-            second.append(draw[counts[0][j] :])
-    idx1 = np.concatenate(first)
-    idx2 = np.concatenate(second)
-    return _cloud_from_indices(ds, idx1), _cloud_from_indices(ds, idx2)
+    first, second = _draw_by_counts(ds, counts, np.random.default_rng(seed))
+    return first, second
 
 
 def split_even(

@@ -236,7 +236,7 @@ def test_criterion_6_reduction_and_pipeline_equality():
 
     best = None
     for lam in sorted(grid):
-        plan = adapt.fit_plan(x, z, p, q, "euclidean", lam, cfg)
+        plan = adapt.fit_plan(x, z, p, q, "euclidean", lam, cfg).plan
         projected = adapt.barycentric_map(plan, z, p)
         pred = adapt.knn1_predict(adapt.LabeledCloud(projected, labels), z)
         acc = adapt.accuracy(pred, t_labels)

@@ -184,7 +184,7 @@ def test_fit_plan_produces_feasible_plan(method):
     x = rng.normal(size=(3, 6))
     z = rng.normal(size=(3, 5)) + 1.0
     p, q = uniform(6), uniform(5)
-    plan = adapt.fit_plan(x, z, p, q, method, 0.1, base_cfg())
+    plan = adapt.fit_plan(x, z, p, q, method, 0.1, base_cfg()).plan
     row_err, col_err = sk.marginal_error(plan, p, q)
     assert max(row_err, col_err) < 1e-8
     assert np.all(plan >= 0)
@@ -198,8 +198,8 @@ def test_fit_plan_frozen_learned_equals_euclidean_bitwise():
     cfg = gml.GmlConfig(
         sinkhorn=sk.SinkhornConfig(lam=0.1), outer_iters=5, learn_metric=False
     )
-    frozen = adapt.fit_plan(x, z, p, q, "learned", 0.1, cfg)
-    plain = adapt.fit_plan(x, z, p, q, "euclidean", 0.1, cfg)
+    frozen = adapt.fit_plan(x, z, p, q, "learned", 0.1, cfg).plan
+    plain = adapt.fit_plan(x, z, p, q, "euclidean", 0.1, cfg).plan
     np.testing.assert_array_equal(frozen, plain)
 
 
@@ -209,8 +209,8 @@ def test_fit_plan_euclidean_invariant_to_feature_scale():
     x = rng.normal(size=(2, 5))
     z = rng.normal(size=(2, 5)) + 1.0
     p = q = uniform(5)
-    a = adapt.fit_plan(x, z, p, q, "euclidean", 0.2, base_cfg())
-    b = adapt.fit_plan(1000.0 * x, 1000.0 * z, p, q, "euclidean", 0.2, base_cfg())
+    a = adapt.fit_plan(x, z, p, q, "euclidean", 0.2, base_cfg()).plan
+    b = adapt.fit_plan(1000.0 * x, 1000.0 * z, p, q, "euclidean", 0.2, base_cfg()).plan
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -243,7 +243,7 @@ def test_run_task_matches_manual_pipeline():
     q = uniform(train.size)
     best = None
     for lam in sorted(grid):
-        plan = adapt.fit_plan(source.points, train.points, p, q, "gram", lam, cfg)
+        plan = adapt.fit_plan(source.points, train.points, p, q, "gram", lam, cfg).plan
         projected = adapt.barycentric_map(plan, train.points, p)
         pred = adapt.knn1_predict(adapt.LabeledCloud(projected, source.labels), train.points)
         acc = adapt.accuracy(pred, train.labels)

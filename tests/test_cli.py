@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from otml import adapt as ad
 from otml import cli
 from otml import data as dt
+from otml import gml
+from otml import sinkhorn as sk
 
 
 def write_cloud_csv(path, rng, per_class=6, k=2, dim=2, jitter=0.3):
@@ -43,9 +46,11 @@ def test_load_config_aliases_and_overrides(tmp_path):
 
 def test_load_config_rejects_unknown_key(tmp_path):
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"lambada": 1.0}))
-    with pytest.raises(cli.ConfigError):
-        cli.load_config(str(cfgfile), {})
+    # learn_metric was an alias: "learned" without it is "euclidean".
+    for key in ("lambada", "learn_metric"):
+        cfgfile.write_text(json.dumps({key: False}))
+        with pytest.raises(cli.ConfigError, match="unknown config key"):
+            cli.load_config(str(cfgfile), {})
 
 
 def test_load_config_rejects_inputs_key(tmp_path):
@@ -74,6 +79,10 @@ def test_config_validation_errors():
     for name in ("sinkhorn_max_iter", "outer_iters"):
         with pytest.raises(cli.ConfigError):
             cli.load_config(None, {name: 2.5})
+    for bad in ({"m": 20.5}, {"n": 2.0}, {"downsample": 1.5},
+                {"skew_classes": [0.5]}, {"seeds": [1.5]}, {"seeds": [-1]}):
+        with pytest.raises(cli.ConfigError, match="integer"):
+            cli.load_config(None, bad)
 
 
 def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
@@ -96,6 +105,19 @@ def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
 def test_bad_flag_exits_one(capsys):
     assert cli.main(["fit", "--lambda", "abc"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,values", [("--method", ("euclidean", "gram")),
+                                         ("--lambda", ("0.2", "0.5"))])
+def test_fit_rejects_repeated_flag(fit_inputs, tmp_path, capsys, flag, values):
+    src, tgt = fit_inputs
+    out = tmp_path / "out"
+    argv = ["fit", "--source", src, "--target", tgt, "--out", str(out)]
+    for v in values:
+        argv += [flag, v]
+    assert cli.main(argv) == 1
+    assert f"config error: fit takes one {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_command_exits_one():
@@ -134,13 +156,44 @@ def test_fit_euclidean_outputs(fit_inputs, tmp_path, capsys):
     np.testing.assert_allclose(plan.sum(axis=1), 1 / 7, atol=1e-9)
     np.testing.assert_allclose(plan.sum(axis=0), 1 / 5, atol=1e-9)
 
+    # The metric carries the median normalization of the cost.
+    x = dt.load_matrix(src).features
+    z = dt.load_matrix(tgt).features
+    median = np.median(gml.cost_matrix(x, z, np.eye(2)))
     metric = dt.load_matrix(os.path.join(out, "metric.rawf64")).features
-    np.testing.assert_array_equal(metric, np.eye(2))
+    np.testing.assert_array_equal(metric, np.eye(2) / median)
 
     with open(os.path.join(out, "objective.csv")) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "iteration,objective"
     float(lines[1].split(",")[1])
+
+
+@pytest.mark.parametrize("method", ad.METHODS)
+def test_fit_writes_the_fit_plan_result(tmp_path, capsys, method):
+    # Feature scale ~30: without the median normalization the Euclidean
+    # solve at lambda 0.2 stopped at max_iter unconverged.
+    rng = np.random.default_rng(0)
+    x = 30.0 * rng.normal(size=(2, 7))
+    z = 30.0 * (rng.normal(size=(2, 5)) + 1.0)
+    src = write_matrix_csv(tmp_path / "src.csv", x)
+    tgt = write_matrix_csv(tmp_path / "tgt.csv", z)
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--method", method, "--lambda", "0.2",
+                     "--source", src, "--target", tgt, "--out", str(out)]) == 0
+    assert "converged=True" in capsys.readouterr().out
+
+    x, z = dt.load_matrix(src).features, dt.load_matrix(tgt).features
+    p, q = np.full(7, 1 / 7), np.full(5, 1 / 5)
+    cfg = cli._gml_config(cli.RunConfig(), 0.2)
+    expected = ad.fit_plan(x, z, p, q, method, 0.2, cfg)
+    plan = dt.load_matrix(str(out / "gamma.rawf64")).features
+    metric = dt.load_matrix(str(out / "metric.rawf64")).features
+    np.testing.assert_array_equal(plan, expected.plan)
+    np.testing.assert_array_equal(metric, expected.metric)
+    # The written metric is the one whose cost the plan solves.
+    resolved = sk.solve(gml.cost_matrix(x, z, metric), p, q, cfg.sinkhorn)
+    np.testing.assert_allclose(resolved.matrix, plan, rtol=0, atol=1e-8)
 
 
 def test_fit_learned_metric_departs_from_identity(fit_inputs, tmp_path):
@@ -204,6 +257,35 @@ def test_fit_strict_nonconvergence_exits_three(fit_inputs, tmp_path, capsys):
     assert rc == 3
     assert "numerical error" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "gamma.rawf64"))
+
+
+# ---------------------------------------------------------------------------
+# strict
+
+
+@pytest.mark.parametrize("command", ["adapt", "experiment-skew"])
+def test_strict_nonconvergence_exits_three_without_outputs(
+    tmp_path, capsys, command
+):
+    rng = np.random.default_rng(4)
+    if command == "adapt":
+        cloud = write_cloud_csv(tmp_path / "cloud.csv", rng)
+        inputs = {"source": cloud, "target_train": cloud, "target_test": cloud}
+    else:
+        inputs = {
+            "source": write_pool_rawf64(tmp_path / "s.rawf64", rng),
+            "target": write_pool_rawf64(tmp_path / "t.rawf64", rng, shift=0.4),
+            "m": 20, "n": 20, "skews": [50], "skew_classes": [1], "seeds": [0],
+        }
+    base = {**inputs, "methods": ["euclidean"], "lambda_grid": [0.01],
+            "sinkhorn_max_iter": 1}
+    cfgfile = tmp_path / "c.json"
+    for strict, code in ((False, 0), (True, 3)):
+        out = tmp_path / f"out-{strict}"
+        cfgfile.write_text(json.dumps({**base, "strict": strict, "out": str(out)}))
+        assert cli.main([command, "--config", str(cfgfile)]) == code
+        assert out.exists() == (not strict)
+    assert "numerical error: transport solve did not converge" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

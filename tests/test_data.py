@@ -326,32 +326,33 @@ def test_uniform_sample_requires_labels():
     ],
 )
 def test_skewed_sample_exact_composition(n, k, skew_class, percent, expected):
+    # Both halves of a disjoint split are skewed samples of the spec.
     ds = make_ds(per_class=n, k=k)
     spec = dt.SkewSpec(skew_class=skew_class, skew_percent=percent, sample_size=n)
-    cloud = dt.skewed_sample(ds, spec, seed=0)
-    np.testing.assert_array_equal(np.bincount(cloud.labels, minlength=k), expected)
-    assert len(set(cloud.indices.tolist())) == n
+    for cloud in dt.disjoint_split(ds, spec, spec, seed=0):
+        np.testing.assert_array_equal(np.bincount(cloud.labels, minlength=k), expected)
+        assert len(set(cloud.indices.tolist())) == n
 
 
 def test_skewed_sample_at_uniform_share_matches_uniform_counts():
     ds = make_ds(per_class=20, k=10)
     spec = dt.SkewSpec(skew_class=4, skew_percent=10.0, sample_size=100)
-    cloud = dt.skewed_sample(ds, spec, seed=0)
-    np.testing.assert_array_equal(np.bincount(cloud.labels, minlength=10), [10] * 10)
+    for cloud in dt.disjoint_split(ds, spec, spec, seed=0):
+        np.testing.assert_array_equal(np.bincount(cloud.labels, minlength=10), [10] * 10)
 
 
 def test_skewed_sample_rejects_under_representation():
     ds = make_ds(per_class=20, k=10)
     spec = dt.SkewSpec(skew_class=0, skew_percent=5.0, sample_size=100)
     with pytest.raises(ValueError, match="under-represent"):
-        dt.skewed_sample(ds, spec, seed=0)
+        dt.disjoint_split(ds, spec, spec, seed=0)
 
 
 def test_skewed_sample_class_out_of_range():
     ds = make_ds(per_class=10, k=3)
     spec = dt.SkewSpec(skew_class=5, skew_percent=50.0, sample_size=9)
     with pytest.raises(ValueError, match="out of range"):
-        dt.skewed_sample(ds, spec, seed=0)
+        dt.disjoint_split(ds, spec, spec, seed=0)
 
 
 def test_disjoint_split_never_shares_rows():
