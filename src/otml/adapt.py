@@ -3,9 +3,9 @@
 Labeled source points are pushed into the target domain through the
 barycentric projection of the fitted plan, and target points are then
 classified by a 1-nearest-neighbor rule over the projected sources.
-``run_task`` wraps the full protocol for one source/target pair: tune the
-entropic weight on the target training split, evaluate on the held-out
-target test split.
+``run_task`` wraps the full protocol for one source/target pair, each a
+labeled ``data.RawDataset``: tune the entropic weight on the target
+training split, evaluate on the held-out target test split.
 """
 
 import warnings
@@ -18,35 +18,6 @@ from . import gml
 from . import sinkhorn as sk
 
 METHODS = ("euclidean", "gram", "whiten", "learned")
-
-
-@dataclass
-class LabeledCloud:
-    """Points as columns plus one integer label per column.
-
-    ``indices`` optionally records which rows of the originating dataset
-    the columns were sampled from, for provenance and disjointness checks.
-    """
-
-    points: np.ndarray
-    labels: np.ndarray
-    indices: "np.ndarray | None" = None
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int).ravel()
-        if self.points.ndim != 2:
-            raise ValueError("points must be a 2-d array (points as columns)")
-        if self.labels.size != self.points.shape[1]:
-            raise ValueError(
-                f"{self.labels.size} labels for {self.points.shape[1]} points"
-            )
-        if self.labels.size and self.labels.min() < 0:
-            raise ValueError("labels must be nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[1]
 
 
 @dataclass
@@ -114,21 +85,29 @@ def barycentric_map(plan: np.ndarray, z: np.ndarray, p: np.ndarray) -> np.ndarra
     return mapped
 
 
-def knn1_predict(train: LabeledCloud, queries: np.ndarray) -> np.ndarray:
-    """Label each query with its Euclidean-nearest training column.
+def knn1_predict(
+    points: np.ndarray, labels: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
+    """Label each query with the label of its Euclidean-nearest point.
 
-    Ties are broken toward the lowest training column index.
+    ``points`` (d, k) and ``queries`` (d, l) hold points as columns, and
+    ``labels`` has one entry per column of ``points``. Ties are broken
+    toward the lowest point index.
     """
-    if train.size == 0:
-        raise ValueError("training set is empty")
+    points = np.asarray(points, dtype=float)
     queries = np.asarray(queries, dtype=float)
-    if queries.shape[0] != train.points.shape[0]:
+    labels = np.asarray(labels).ravel()
+    if points.shape[1] == 0:
+        raise ValueError("training set is empty")
+    if labels.size != points.shape[1]:
+        raise ValueError(f"{labels.size} labels for {points.shape[1]} points")
+    if queries.shape[0] != points.shape[0]:
         raise ValueError(
             f"query dimension {queries.shape[0]} does not match "
-            f"training dimension {train.points.shape[0]}"
+            f"training dimension {points.shape[0]}"
         )
-    dist = cdist(queries.T, train.points.T, metric="sqeuclidean")
-    return train.labels[np.argmin(dist, axis=1)]
+    dist = cdist(queries.T, points.T, metric="sqeuclidean")
+    return labels[np.argmin(dist, axis=1)]
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -192,9 +171,9 @@ def fit_plan(
 
 
 def run_task(
-    source: LabeledCloud,
-    target_train: LabeledCloud,
-    target_test: LabeledCloud,
+    source: "data.RawDataset",
+    target_train: "data.RawDataset",
+    target_test: "data.RawDataset",
     method: str,
     lambdas: "list[float]",
     cfg: gml.GmlConfig,
@@ -212,7 +191,8 @@ def run_task(
 
     Parameters
     ----------
-    source, target_train, target_test : LabeledCloud
+    source, target_train, target_test : data.RawDataset
+        Labeled points as columns (``.features``, ``.labels``).
     method : {"euclidean", "gram", "whiten", "learned"}
     lambdas : list of float
         Candidate entropic weights (applied to median-normalized costs).
@@ -222,8 +202,8 @@ def run_task(
     """
     if not lambdas:
         raise ValueError("lambda grid is empty")
-    x = source.points
-    zt = target_train.points
+    x = source.features
+    zt = target_train.features
     m, n = x.shape[1], zt.shape[1]
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
@@ -234,13 +214,13 @@ def run_task(
         result = fit_plan(x, zt, p, q, method, lam, cfg)
         converged = converged and result.sinkhorn_converged
         projected = barycentric_map(result.plan, zt, p)
-        pred = knn1_predict(LabeledCloud(projected, source.labels), zt)
+        pred = knn1_predict(projected, source.labels, zt)
         acc = accuracy(pred, target_train.labels)
         if best is None or acc > best[0]:
             best = (acc, lam, projected)
 
     train_acc, lam_best, projected = best
-    test_pred = knn1_predict(LabeledCloud(projected, source.labels), target_test.points)
+    test_pred = knn1_predict(projected, source.labels, target_test.features)
     test_acc = accuracy(test_pred, target_test.labels)
     return AdaptationReport(
         method=method,

@@ -313,15 +313,10 @@ def cmd_adapt(cfg: RunConfig) -> int:
     The pipeline is deterministic given the input files, so the seed only
     labels the row; each method is computed once and stamped per seed.
     """
-    source, ttrain, ttest = (
-        ad.LabeledCloud(ds.features, ds.labels)
-        for ds in (
-            _load_labeled(cfg.source, cfg, cfg.source_labels),
-            _load_labeled(cfg.target_train, cfg, cfg.target_train_labels),
-            _load_labeled(cfg.target_test, cfg, cfg.target_test_labels),
-        )
-    )
-    dims = {source.points.shape[0], ttrain.points.shape[0], ttest.points.shape[0]}
+    source = _load_labeled(cfg.source, cfg, cfg.source_labels)
+    ttrain = _load_labeled(cfg.target_train, cfg, cfg.target_train_labels)
+    ttest = _load_labeled(cfg.target_test, cfg, cfg.target_test_labels)
+    dims = {ds.features.shape[0] for ds in (source, ttrain, ttest)}
     if len(dims) != 1:
         raise DataError(f"feature dimensions differ across inputs: {sorted(dims)}")
     gcfg = _gml_config(cfg, cfg.lam)
@@ -476,7 +471,7 @@ def cmd_summarize(cfg: RunConfig) -> int:
                     len(keys) + 1,
                     statistics.fmean(float(r["train_accuracy"]) for r in grp),
                 )
-        except ValueError as e:
+        except (TypeError, ValueError) as e:  # a short row's cells read None
             raise DataError(f"non-numeric accuracy value: {e}")
         out_rows.append(row)
     os.makedirs(cfg.out, exist_ok=True)

@@ -20,11 +20,10 @@ are reproducible.
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .adapt import LabeledCloud
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -34,11 +33,16 @@ FORMATS = ("csv", "rawf64", "idx")
 
 @dataclass
 class RawDataset:
-    """A feature matrix with points as columns, optionally labeled."""
+    """A feature matrix with points as columns, optionally labeled.
+
+    ``indices`` optionally records which columns of the originating
+    dataset a sample was drawn from, for provenance and disjointness checks.
+    """
 
     features: np.ndarray
     labels: "np.ndarray | None" = None
     class_count: int = 0
+    indices: "np.ndarray | None" = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -107,9 +111,12 @@ def _load_csv(path: str, labeled: bool) -> RawDataset:
         float(first.split(",")[0])
     except ValueError:
         skip = 1
-    table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    with warnings.catch_warnings():
+        # A file without data rows is an error that load_matrix reports.
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if labeled:
-        if table.shape[1] < 2:
+        if table.size and table.shape[1] < 2:
             raise ValueError(f"{path}: labeled csv needs at least 2 columns")
         labels = table[:, -1]
         if not np.all(labels == np.round(labels)):
@@ -207,8 +214,10 @@ def _load_idx(path: str, labels_path: "str | None", downsample: int) -> RawDatas
             )
         r, c = rows // downsample, cols // downsample
         imgs = imgs.reshape(count, r, downsample, c, downsample).mean(axis=(2, 4))
-    # flatten each image column by column, stack images as matrix columns
-    feats = imgs.transpose(0, 2, 1).reshape(count, -1).T
+    # flatten each image column by column, stack images as matrix columns;
+    # the pixel count is explicit so that a file of no images reshapes too
+    pixels = imgs.shape[1] * imgs.shape[2]
+    feats = imgs.transpose(0, 2, 1).reshape(count, pixels).T
     if labels_path is None:
         labels_path = _guess_labels_path(path)
     labels = None
@@ -276,10 +285,16 @@ def load_matrix(
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     if fmt == "csv":
-        return _load_csv(path, labeled)
-    if fmt == "rawf64":
-        return _load_rawf64(path)
-    return _load_idx(path, labels_path, downsample)
+        ds = _load_csv(path, labeled)
+    elif fmt == "rawf64":
+        ds = _load_rawf64(path)
+    else:
+        ds = _load_idx(path, labels_path, downsample)
+    if ds.size == 0:
+        raise ValueError(f"{path}: no points")
+    if not np.isfinite(ds.features).all():
+        raise ValueError(f"{path}: non-finite feature value")
+    return ds
 
 
 def _require_labels(ds: RawDataset):
@@ -317,8 +332,8 @@ def _skewed_counts(n: int, k: int, skew_class: int, percent: float) -> np.ndarra
 
 def _draw_by_counts(
     ds: RawDataset, counts: "list[np.ndarray]", rng: np.random.Generator
-) -> "list[LabeledCloud]":
-    # One cloud per count vector, cut in order from one draw per class.
+) -> "list[RawDataset]":
+    # One sample per count vector, cut in order from one draw per class.
     parts = [[] for _ in counts]
     for j in range(ds.class_count):
         sizes = [int(c[j]) for c in counts]
@@ -332,14 +347,14 @@ def _draw_by_counts(
         draw = rng.choice(pool, size=need, replace=False)
         for part, piece in zip(parts, np.split(draw, np.cumsum(sizes)[:-1])):
             part.append(piece)
-    return [_cloud_from_indices(ds, np.concatenate(part)) for part in parts]
+    return [_subset(ds, np.concatenate(part)) for part in parts]
 
 
-def _cloud_from_indices(ds: RawDataset, idx: np.ndarray) -> LabeledCloud:
-    return LabeledCloud(ds.features[:, idx], ds.labels[idx], indices=idx)
+def _subset(ds: RawDataset, idx: np.ndarray) -> RawDataset:
+    return RawDataset(ds.features[:, idx], ds.labels[idx], ds.class_count, idx)
 
 
-def uniform_sample(ds: RawDataset, n: int, seed: int) -> LabeledCloud:
+def uniform_sample(ds: RawDataset, n: int, seed: int) -> RawDataset:
     """Draw n points with per-class counts differing by at most one.
 
     When n is not a multiple of the class count, the lowest-indexed
@@ -354,11 +369,11 @@ def uniform_sample(ds: RawDataset, n: int, seed: int) -> LabeledCloud:
 
 def disjoint_split(
     ds: RawDataset, spec_t: SkewSpec, spec_e: SkewSpec, seed: int
-) -> "tuple[LabeledCloud, LabeledCloud]":
-    """Draw two index-disjoint clouds, one per SkewSpec.
+) -> "tuple[RawDataset, RawDataset]":
+    """Draw two index-disjoint samples, one per SkewSpec.
 
-    Per class, both clouds' draws come from one sample without
-    replacement, so the clouds never share a dataset row.
+    Per class, both samples' draws come from one sample without
+    replacement, so the samples never share a dataset column.
     """
     _require_labels(ds)
     counts = []
@@ -377,9 +392,7 @@ def disjoint_split(
     return first, second
 
 
-def split_even(
-    ds: RawDataset, seed: int
-) -> "tuple[LabeledCloud, LabeledCloud]":
+def split_even(ds: RawDataset, seed: int) -> "tuple[RawDataset, RawDataset]":
     """Split every class roughly in half (odd counts favor the first half)."""
     _require_labels(ds)
     rng = np.random.default_rng(seed)
@@ -392,7 +405,4 @@ def split_even(
         half = (pool.size + 1) // 2
         first.append(perm[:half])
         second.append(perm[half:])
-    return (
-        _cloud_from_indices(ds, np.concatenate(first)),
-        _cloud_from_indices(ds, np.concatenate(second)),
-    )
+    return _subset(ds, np.concatenate(first)), _subset(ds, np.concatenate(second))

@@ -79,14 +79,6 @@ def _eig_power(w: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
     return symmetrize(scaled @ v.T)
 
 
-def spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Principal square root of an SPD matrix.
-
-    Returns the unique SPD matrix B with B @ B = mat.
-    """
-    return _eig_power(*eigh_spd(mat), 0.5)
-
-
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Square root of a matrix known to be PSD up to round-off.
 
@@ -97,14 +89,6 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(symmetrize(mat))
     return _eig_power(np.maximum(w, 0.0), v, 0.5)
-
-
-def spd_inv_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Inverse principal square root of an SPD matrix.
-
-    Returns the unique SPD matrix B with B @ mat @ B = identity.
-    """
-    return _eig_power(*eigh_spd(mat), -0.5)
 
 
 def spd_inv(mat: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otml import adapt, gml
+from otml import data as dt
 from otml import sinkhorn as sk
 
 
@@ -16,22 +17,11 @@ def two_blob_cloud(rng, per_class=6, shift=(0.0, 0.0), spread=0.3):
     b = rng.normal(size=(2, per_class)) * spread + np.array([[4.0], [4.0]])
     pts = np.concatenate([a, b], axis=1) + np.asarray(shift).reshape(2, 1)
     labels = np.array([0] * per_class + [1] * per_class)
-    return adapt.LabeledCloud(pts, labels)
+    return dt.RawDataset(pts, labels)
 
 
 # ---------------------------------------------------------------------------
-# LabeledCloud / AdaptationReport
-
-
-def test_labeled_cloud_validation():
-    with pytest.raises(ValueError):
-        adapt.LabeledCloud(np.zeros((2, 3)), np.array([0, 1]))
-    with pytest.raises(ValueError):
-        adapt.LabeledCloud(np.zeros((2, 2)), np.array([0, -1]))
-    with pytest.raises(ValueError):
-        adapt.LabeledCloud(np.zeros(4), np.array([0, 1, 0, 1]))
-    cloud = adapt.LabeledCloud(np.zeros((3, 5)), np.arange(5))
-    assert cloud.size == 5
+# AdaptationReport
 
 
 def test_report_validation():
@@ -111,42 +101,42 @@ def test_barycentric_shape_error():
 
 
 def test_knn1_exact_match():
-    train = adapt.LabeledCloud(np.array([[0.0, 1.0, 5.0]]), np.array([3, 1, 4]))
-    pred = adapt.knn1_predict(train, np.array([[5.0, 0.0, 1.0]]))
+    pred = adapt.knn1_predict(
+        np.array([[0.0, 1.0, 5.0]]), np.array([3, 1, 4]), np.array([[5.0, 0.0, 1.0]])
+    )
     np.testing.assert_array_equal(pred, [4, 3, 1])
 
 
 def test_knn1_tie_goes_to_lower_index():
-    train = adapt.LabeledCloud(np.array([[0.0, 2.0]]), np.array([7, 9]))
-    pred = adapt.knn1_predict(train, np.array([[1.0]]))
+    pred = adapt.knn1_predict(np.array([[0.0, 2.0]]), np.array([7, 9]), np.array([[1.0]]))
     assert pred[0] == 7
 
 
 def test_knn1_matches_brute_force():
     rng = np.random.default_rng(4)
-    train = adapt.LabeledCloud(rng.normal(size=(3, 8)), rng.integers(0, 4, size=8))
+    points = rng.normal(size=(3, 8))
+    labels = rng.integers(0, 4, size=8)
     queries = rng.normal(size=(3, 10))
-    pred = adapt.knn1_predict(train, queries)
+    pred = adapt.knn1_predict(points, labels, queries)
     for k in range(10):
-        dists = ((train.points - queries[:, k : k + 1]) ** 2).sum(axis=0)
-        assert pred[k] == train.labels[int(np.argmin(dists))]
+        dists = ((points - queries[:, k : k + 1]) ** 2).sum(axis=0)
+        assert pred[k] == labels[int(np.argmin(dists))]
 
 
 def test_knn1_on_training_points_recovers_labels():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(2, 6))
     labels = rng.integers(0, 3, size=6)
-    train = adapt.LabeledCloud(pts, labels)
-    np.testing.assert_array_equal(adapt.knn1_predict(train, pts), labels)
+    np.testing.assert_array_equal(adapt.knn1_predict(pts, labels, pts), labels)
 
 
 def test_knn1_errors():
-    train = adapt.LabeledCloud(np.zeros((2, 1)), np.array([0]))
-    with pytest.raises(ValueError):
-        adapt.knn1_predict(train, np.zeros((3, 2)))
-    empty = adapt.LabeledCloud(np.zeros((2, 0)), np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        adapt.knn1_predict(empty, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="query dimension"):
+        adapt.knn1_predict(np.zeros((2, 1)), np.array([0]), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="empty"):
+        adapt.knn1_predict(np.zeros((2, 0)), np.array([], dtype=int), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="2 labels for 3 points"):
+        adapt.knn1_predict(np.zeros((2, 3)), np.array([0, 1]), np.zeros((2, 2)))
 
 
 def test_accuracy_basics():
@@ -243,15 +233,13 @@ def test_run_task_matches_manual_pipeline():
     q = uniform(train.size)
     best = None
     for lam in sorted(grid):
-        plan = adapt.fit_plan(source.points, train.points, p, q, "gram", lam, cfg).plan
-        projected = adapt.barycentric_map(plan, train.points, p)
-        pred = adapt.knn1_predict(adapt.LabeledCloud(projected, source.labels), train.points)
+        plan = adapt.fit_plan(source.features, train.features, p, q, "gram", lam, cfg).plan
+        projected = adapt.barycentric_map(plan, train.features, p)
+        pred = adapt.knn1_predict(projected, source.labels, train.features)
         acc = adapt.accuracy(pred, train.labels)
         if best is None or acc > best[0]:
             best = (acc, lam, projected)
-    test_pred = adapt.knn1_predict(
-        adapt.LabeledCloud(best[2], source.labels), test.points
-    )
+    test_pred = adapt.knn1_predict(best[2], source.labels, test.features)
 
     assert report.seed == 3
     assert report.lambda_chosen == best[1]
@@ -339,7 +327,6 @@ def test_knn1_idempotent_on_predictions(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(2, 8))
     labels = rng.integers(0, 5, size=8)
-    train = adapt.LabeledCloud(pts, labels)
-    once = adapt.knn1_predict(train, pts)
-    twice = adapt.knn1_predict(adapt.LabeledCloud(pts, once), pts)
+    once = adapt.knn1_predict(pts, labels, pts)
+    twice = adapt.knn1_predict(pts, once, pts)
     np.testing.assert_array_equal(once, twice)

@@ -242,6 +242,27 @@ def test_fit_missing_input_exits_two_without_outputs(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_fit_non_finite_rawf64_exits_two_without_outputs(fit_inputs, tmp_path, capsys):
+    src, tgt = fit_inputs
+    bad = str(tmp_path / "nan.rawf64")
+    dt.save_rawf64(bad, np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0]]))
+    out = str(tmp_path / "out")
+    rc = cli.main(["fit", "--source", bad, "--target", tgt, "--out", out])
+    assert rc == 2
+    assert f"data error: {bad}: non-finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_fit_header_only_csv_exits_two_without_outputs(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("f0,f1\n")
+    out = str(tmp_path / "out")
+    rc = cli.main(["fit", "--source", str(empty), "--target", str(empty), "--out", out])
+    assert rc == 2
+    assert f"data error: {empty}: no points" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_fit_strict_nonconvergence_exits_three(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     cfgfile = tmp_path / "strict.json"
@@ -321,6 +342,24 @@ def test_adapt_identical_clouds(tmp_path, capsys):
     for rec in payload:
         assert isinstance(rec["test_accuracy"], float)
         assert rec["test_accuracy"] == 1.0
+
+
+@pytest.mark.parametrize("method", ["learned", "euclidean"])
+def test_adapt_non_finite_csv_exits_two_without_outputs(tmp_path, capsys, method):
+    rng = np.random.default_rng(5)
+    cloud = write_cloud_csv(tmp_path / "cloud.csv", rng)
+    bad = tmp_path / "nan.csv"
+    lines = (tmp_path / "cloud.csv").read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    bad.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    rc = cli.main(
+        ["adapt", "--source", str(bad), "--target-train", cloud,
+         "--target-test", cloud, "--method", method, "--out", out]
+    )
+    assert rc == 2
+    assert f"data error: {bad}: non-finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_adapt_dimension_mismatch_exits_two(tmp_path):
@@ -448,6 +487,17 @@ def test_summarize_rejects_mixed_headers(tmp_path):
     b.write_text("task,method,test_accuracy\n")
     rc = cli.main(["summarize", "--out", str(tmp_path / "out"), str(a), str(b)])
     assert rc == 2
+
+
+def test_summarize_short_row_exits_two(tmp_path, capsys):
+    report = tmp_path / "report.csv"
+    report.write_text(
+        ",".join(cli.REPORT_HEADER) + "\n" + "t,euclidean,0,0.1,0.5\n"
+    )
+    out = tmp_path / "out"
+    assert cli.main(["summarize", "--out", str(out), str(report)]) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_summarize_accepts_runs_csv(tmp_path):

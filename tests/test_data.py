@@ -3,7 +3,9 @@ import struct
 import numpy as np
 import pytest
 
+from otml import adapt, gml
 from otml import data as dt
+from otml import sinkhorn as sk
 
 
 def make_ds(per_class, k=4, dim=2, seed=0):
@@ -263,6 +265,25 @@ def test_load_matrix_unknown_format(tmp_path):
         dt.load_matrix(str(path), fmt="hdf5")
 
 
+BAD_FILES = {
+    "nan.csv": (b"1.0,2.0\nnan,3.0\n", "non-finite"),
+    "inf.csv": (b"1.0,inf\n", "non-finite"),
+    "header.csv": (b"a,b\n", "no points"),
+    "empty.csv": (b"", "no points"),
+    "nan.rawf64": (dt.rawf64_bytes(np.array([[1.0, np.nan]])), "non-finite"),
+    "none-idx3-ubyte": (struct.pack(">IIII", dt.IDX_IMAGE_MAGIC, 0, 2, 2), "no points"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_FILES))
+def test_load_matrix_rejects_non_finite_and_empty(tmp_path, name):
+    payload, match = BAD_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match=match):
+        dt.load_matrix(str(path))
+
+
 def test_format_detection_by_extension(tmp_path):
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(2, 3))
@@ -282,7 +303,7 @@ def test_uniform_sample_even_split():
     assert cloud.size == 12
     np.testing.assert_array_equal(np.bincount(cloud.labels, minlength=4), [3, 3, 3, 3])
     # returned points really are the dataset columns they claim to be
-    np.testing.assert_array_equal(cloud.points, ds.features[:, cloud.indices])
+    np.testing.assert_array_equal(cloud.features, ds.features[:, cloud.indices])
     assert len(set(cloud.indices.tolist())) == 12
 
 
@@ -362,8 +383,8 @@ def test_disjoint_split_never_shares_rows():
         a, b = dt.disjoint_split(ds, spec, spec, seed)
         assert a.size == 40 and b.size == 40
         assert not set(a.indices.tolist()) & set(b.indices.tolist())
-        np.testing.assert_array_equal(a.points, ds.features[:, a.indices])
-        np.testing.assert_array_equal(b.points, ds.features[:, b.indices])
+        np.testing.assert_array_equal(a.features, ds.features[:, a.indices])
+        np.testing.assert_array_equal(b.features, ds.features[:, b.indices])
 
 
 def test_disjoint_split_respects_both_specs():
@@ -403,3 +424,23 @@ def test_split_even_partitions_each_class():
     np.testing.assert_array_equal(np.bincount(b.labels, minlength=3), [3, 3, 3])
     assert not set(a.indices.tolist()) & set(b.indices.tolist())
     assert len(set(a.indices.tolist()) | set(b.indices.tolist())) == 21
+
+
+def test_samples_are_pool_datasets_that_run_task_takes():
+    # Class 3 has one point: the skewed halves and split_even's second half
+    # draw none of it, yet every sample keeps the pool's class count.
+    labels = np.array([0] * 8 + [1] * 8 + [2] * 8 + [3])
+    ds = dt.RawDataset(np.random.default_rng(5).normal(size=(2, 25)), labels)
+    spec = dt.SkewSpec(skew_class=1, skew_percent=50.0, sample_size=4)
+    source = dt.uniform_sample(ds, 6, seed=0)
+    train, test = dt.disjoint_split(ds, spec, spec, seed=1)
+    samples = [source, train, test, *dt.split_even(ds, seed=2)]
+    assert train.labels.max() == 2
+    for sample in samples:
+        assert isinstance(sample, dt.RawDataset)
+        assert sample.class_count == 4
+        np.testing.assert_array_equal(sample.features, ds.features[:, sample.indices])
+        np.testing.assert_array_equal(sample.labels, ds.labels[sample.indices])
+    cfg = gml.GmlConfig(sinkhorn=sk.SinkhornConfig(lam=0.5))
+    report = adapt.run_task(source, train, test, "euclidean", [0.5], cfg, seed=4)
+    assert report.lambda_chosen == 0.5 and report.seed == 4

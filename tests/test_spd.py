@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import sqrtm
 
 from otml import spd
 
@@ -26,20 +27,6 @@ def test_symmetrize_rejects_nonsquare():
         spd.symmetrize(np.zeros((2, 3)))
 
 
-def test_sqrt_squares_back():
-    rng = np.random.default_rng(1)
-    m = random_spd(rng, 6)
-    r = spd.spd_sqrt(m)
-    np.testing.assert_allclose(r @ r, m, rtol=1e-10, atol=1e-12)
-
-
-def test_inv_sqrt_whitens():
-    rng = np.random.default_rng(2)
-    m = random_spd(rng, 4)
-    b = spd.spd_inv_sqrt(m)
-    np.testing.assert_allclose(b @ m @ b, np.eye(4), atol=1e-12)
-
-
 def test_inv_matches_numpy():
     rng = np.random.default_rng(3)
     m = random_spd(rng, 5)
@@ -49,7 +36,7 @@ def test_inv_matches_numpy():
 def test_positivity_error_on_indefinite():
     m = np.diag([1.0, -0.5])
     with pytest.raises(spd.PositivityError):
-        spd.spd_sqrt(m)
+        spd.eigh_spd(m)
     with pytest.raises(spd.PositivityError):
         spd.spd_inv(m)
 
@@ -80,11 +67,11 @@ def test_riccati_identity_cases():
     m = random_spd(rng, d)
     # C = I: A * A = D
     np.testing.assert_allclose(
-        spd.riccati_solve(np.eye(d), m), spd.spd_sqrt(m), rtol=1e-10
+        spd.riccati_solve(np.eye(d), m), sqrtm(m), rtol=1e-10
     )
     # D = I: A = C^{-1/2}
     np.testing.assert_allclose(
-        spd.riccati_solve(m, np.eye(d)), spd.spd_inv_sqrt(m), rtol=1e-10
+        spd.riccati_solve(m, np.eye(d)), np.linalg.inv(sqrtm(m)), rtol=1e-10
     )
 
 
@@ -103,7 +90,7 @@ def test_geometric_mean_with_identity():
     rng = np.random.default_rng(7)
     m = random_spd(rng, 5)
     np.testing.assert_allclose(
-        spd.geometric_mean(np.eye(5), m), spd.spd_sqrt(m), rtol=1e-10
+        spd.geometric_mean(np.eye(5), m), sqrtm(m), rtol=1e-10
     )
 
 
@@ -176,17 +163,6 @@ def test_trace_inner_matches_trace_product():
 def test_trace_inner_dimension_check():
     with pytest.raises(ValueError):
         spd.trace_inner(np.eye(2), np.eye(3))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8))
-def test_sqrt_inverse_consistency(seed, d):
-    rng = np.random.default_rng(seed)
-    m = random_spd(rng, d, cond=1e3)
-    r = spd.spd_sqrt(m)
-    ri = spd.spd_inv_sqrt(m)
-    np.testing.assert_allclose(r @ ri, np.eye(d), atol=1e-9)
-    np.testing.assert_allclose(r @ r, m, rtol=1e-8, atol=1e-10)
 
 
 @settings(max_examples=50, deadline=None)
