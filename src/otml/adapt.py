@@ -142,21 +142,18 @@ def fit_plan(
     its median entry, and the metric-learning method rescales the input
     data by the square root of the Euclidean cost median (which divides
     its initial cost matrix by the same amount) before the alternating
-    fit. With ``cfg.learn_metric`` false the "learned" method degenerates
-    to the Euclidean baseline. The returned ``metric`` carries the
-    normalization: the plan solves the problem at ``lam`` for
-    ``cost_matrix(x, zt, metric)``, whose objective is recorded. A
-    baseline fit is one sweep.
+    fit. The returned ``metric`` carries the normalization: the plan
+    solves the problem at ``lam`` for ``cost_matrix(x, zt, metric)``,
+    whose objective is recorded. A baseline fit is one sweep.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     scfg = replace(cfg.sinkhorn, lam=lam)
-    if method == "learned" and cfg.learn_metric:
+    if method == "learned":
         scale = np.sqrt(_median_scale(gml.cost_matrix(x, zt, np.eye(x.shape[0]))))
         result = gml.fit(x / scale, zt / scale, p, q, replace(cfg, sinkhorn=scfg))
         return replace(result, metric=result.metric / scale**2)
-    kind = "euclidean" if method == "learned" else method
-    metric = gml.baseline_metric(kind, x, zt, eps=cfg.eps)
+    metric = gml.baseline_metric(method, x, zt, eps=cfg.eps)
     cost = gml.cost_matrix(x, zt, metric)
     med = _median_scale(cost)
     cost = cost / med

@@ -7,6 +7,8 @@ fit
     between two point-cloud files through ``adapt.fit_plan``, so lambda
     is normalized as in adapt; writes gamma.rawf64, metric.rawf64 (whose
     cost the plan solves) and objective.csv into the output directory.
+    Takes exactly one method and one lambda: ``methods`` and
+    ``lambda_grid`` must each hold one entry.
 adapt
     Run the adaptation protocol on labeled source / target-train /
     target-test files and write one report row per (seed, method).
@@ -19,10 +21,13 @@ summarize
     Aggregate report CSVs: group rows (over seeds and skew classes) and
     average the accuracy columns.
 
-Configuration is a JSON object with the same keys as the RunConfig
-dataclass below; command-line flags override file values. Exit codes:
-0 success, 1 configuration error, 2 data error, 3 numerical failure
-(under ``strict`` also an unconverged solve, before any output).
+Configuration is a JSON object whose keys are exactly the field names
+of the RunConfig dataclass below. Each flag sets one field and
+overrides the file value; repeated ``--method``, ``--lambda`` and
+``--seed`` flags make up the ``methods``, ``lambda_grid`` and ``seeds``
+lists. Exit codes: 0 success, 1 configuration error, 2 data error,
+3 numerical failure (under ``strict`` also an unconverged solve, before
+any output).
 Results go to stdout, diagnostics to stderr. Output files are written
 atomically (temp file then rename).
 """
@@ -65,10 +70,8 @@ class NumericalError(RuntimeError):
 class RunConfig:
     """Everything a subcommand needs; mirrors the JSON schema."""
 
-    method: str = "learned"
     methods: "list[str]" = field(default_factory=lambda: list(ad.METHODS))
     d_choice: str = "identity"
-    lam: float = 0.1
     lambda_grid: "list[float]" = field(
         default_factory=lambda: list(DEFAULT_LAMBDA_GRID)
     )
@@ -81,7 +84,7 @@ class RunConfig:
     seeds: "list[int]" = field(default_factory=lambda: list(DEFAULT_SEEDS))
     out: str = "out"
     name: str = ""
-    fmt: "str | None" = None
+    format: "str | None" = None
     downsample: int = 1
     source: "str | None" = None
     source_labels: "str | None" = None
@@ -98,42 +101,49 @@ class RunConfig:
     inputs: "list[str]" = field(default_factory=list)
 
     def __post_init__(self):
-        if self.method not in ad.METHODS:
-            raise ConfigError(f"method must be one of {ad.METHODS}")
+        for name in ("methods", "lambda_grid", "seeds", "skews", "skew_classes"):
+            value = getattr(self, name)
+            if name == "skew_classes" and value is None:  # every class
+                continue
+            if not isinstance(value, list):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
+            if not value:
+                raise ConfigError(f"{name} list is empty")
         for m in self.methods:
             if m not in ad.METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if not self.methods:
-            raise ConfigError("methods list is empty")
         # GmlConfig would take a matrix; JSON can only give a list here.
         if not isinstance(self.d_choice, str):
             raise ConfigError(f"d_choice must be one of {gml.D_CHOICES}")
-        if not self.lambda_grid:
-            raise ConfigError("lambda_grid is empty")
         # The solver configs own the range checks of their settings.
         try:
-            for lam in (self.lam, *self.lambda_grid):
+            for lam in self.lambda_grid:
                 _gml_config(self, lam)
         except ValueError as e:
             raise ConfigError(str(e))
+        if not isinstance(self.strict, bool):
+            raise ConfigError(f"strict must be true or false, got {self.strict!r}")
         for name in ("m", "n", "downsample"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if not (_is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value}")
-        if not self.seeds:
-            raise ConfigError("seeds list is empty")
         # Seeds feed numpy's seeding, which takes nonnegative integers only.
         for name in ("seeds", "skew_classes"):
             for value in getattr(self, name) or ():
-                if not (isinstance(value, numbers.Integral) and value >= 0):
+                if not (_is_int(value) and value >= 0):
                     raise ConfigError(
                         f"{name} entries must be integers >= 0, got {value}"
                     )
-        if self.fmt is not None and self.fmt not in dt.FORMATS:
+        if self.format is not None and self.format not in dt.FORMATS:
             raise ConfigError(f"format must be one of {dt.FORMATS}")
         for w in self.skews:
             if not 0 < w < 100:
                 raise ConfigError(f"skew percent {w} outside (0, 100)")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an integer.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
@@ -146,9 +156,6 @@ def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
         d_choice=cfg.d_choice,
         objective_rtol=cfg.objective_rtol,
     )
-
-
-_JSON_ALIASES = {"lambda": "lam", "format": "fmt"}
 
 
 def load_config(path: "str | None", overrides: dict) -> RunConfig:
@@ -169,7 +176,6 @@ def load_config(path: "str | None", overrides: dict) -> RunConfig:
     known = {f.name for f in fields(RunConfig)}
     merged = {}
     for key, val in values.items():
-        key = _JSON_ALIASES.get(key, key)
         if key not in known or key == "inputs":
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = val
@@ -241,7 +247,7 @@ def _load(path, cfg: RunConfig, labeled: bool, labels_path=None) -> dt.RawDatase
     try:
         return dt.load_matrix(
             path,
-            fmt=cfg.fmt,
+            fmt=cfg.format,
             labeled=labeled,
             labels_path=labels_path,
             downsample=cfg.downsample,
@@ -269,6 +275,10 @@ def _check_converged(cfg: RunConfig, converged: bool, method: str):
 
 def cmd_fit(cfg: RunConfig) -> int:
     """Fit one plan/metric pair and dump it to the output directory."""
+    for flag, values in (("--method", cfg.methods), ("--lambda", cfg.lambda_grid)):
+        if len(values) != 1:
+            raise ConfigError(f"fit takes one {flag}, got {len(values)}")
+    (method,), (lam,) = cfg.methods, cfg.lambda_grid
     src = _load(cfg.source, cfg, labeled=False)
     tgt = _load(cfg.target, cfg, labeled=False)
     x, z = src.features, tgt.features
@@ -279,8 +289,8 @@ def cmd_fit(cfg: RunConfig) -> int:
     m, n = x.shape[1], z.shape[1]
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
-    result = ad.fit_plan(x, z, p, q, cfg.method, cfg.lam, _gml_config(cfg, cfg.lam))
-    _check_converged(cfg, result.sinkhorn_converged, cfg.method)
+    result = ad.fit_plan(x, z, p, q, method, lam, _gml_config(cfg, lam))
+    _check_converged(cfg, result.sinkhorn_converged, method)
     os.makedirs(cfg.out, exist_ok=True)
     for name, mat in (("gamma.rawf64", result.plan), ("metric.rawf64", result.metric)):
         _write_bytes_atomic(os.path.join(cfg.out, name), dt.rawf64_bytes(mat))
@@ -319,7 +329,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
     dims = {ds.features.shape[0] for ds in (source, ttrain, ttest)}
     if len(dims) != 1:
         raise DataError(f"feature dimensions differ across inputs: {sorted(dims)}")
-    gcfg = _gml_config(cfg, cfg.lam)
+    gcfg = _gml_config(cfg, cfg.lambda_grid[0])
     rows = []
     for method in cfg.methods:
         print(f"adapt: method={method}", file=sys.stderr)
@@ -370,7 +380,7 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
     for c in classes:
         if not 0 <= c < tgt_pool.class_count:
             raise DataError(f"skew class {c} out of range")
-    gcfg = _gml_config(cfg, cfg.lam)
+    gcfg = _gml_config(cfg, cfg.lambda_grid[0])
     rows = []
     for w in cfg.skews:
         for c in classes:
@@ -504,7 +514,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", dest="seeds", action="append", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--name", default=None)
-        sp.add_argument("--format", dest="fmt", default=None)
+        sp.add_argument("--format", default=None)
         sp.add_argument("--downsample", type=int, default=None)
         sp.add_argument("--source", default=None)
         sp.add_argument("--target", default=None)
@@ -518,21 +528,12 @@ def _build_parser() -> _Parser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    # Each flag's dest is its RunConfig field; a single --method or
-    # --lambda also sets the one-value field, which is all fit reads.
-    out = {
+    # Each flag's dest is its RunConfig field.
+    return {
         key: val
         for key, val in vars(args).items()
         if val is not None and key not in ("command", "config", "inputs")
     }
-    for key, one, flag in (("methods", "method", "--method"),
-                           ("lambda_grid", "lam", "--lambda")):
-        values = out.get(key, ())
-        if len(values) == 1:
-            out[one] = values[0]
-        elif values and args.command == "fit":
-            raise ConfigError(f"fit takes one {flag}, got {len(values)}")
-    return out
 
 
 _COMMANDS = {

@@ -57,9 +57,6 @@ class GmlConfig:
         Early stop once the objective decrease over one sweep drops below
         ``objective_rtol * max(1, |objective|)``. Zero disables early
         stopping.
-    learn_metric : bool
-        When False the metric stays at identity and only the plan is
-        optimized, which reduces the fit to plain entropic OT.
     """
 
     sinkhorn: sk.SinkhornConfig
@@ -67,11 +64,13 @@ class GmlConfig:
     eps: float = 1e-6
     d_choice: "str | np.ndarray" = "identity"
     objective_rtol: float = 1e-6
-    learn_metric: bool = True
 
     def __post_init__(self):
         iters = self.outer_iters
-        if not (isinstance(iters, numbers.Integral) and iters >= 1):
+        # JSON true/false arrive as bool, which Python counts as an integer.
+        if isinstance(iters, bool) or not (
+            isinstance(iters, numbers.Integral) and iters >= 1
+        ):
             raise ValueError(f"outer_iters must be an integer >= 1, got {iters}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
@@ -321,26 +320,21 @@ def fit(
             f"histogram sizes ({p.size}, {q.size}) do not match cloud sizes "
             f"({x.shape[1]}, {z.shape[1]})"
         )
-    dim = x.shape[0]
     d_mat = make_d(cfg.d_choice, x, z, eps=cfg.eps)
     lam = cfg.sinkhorn.lam
 
     plan = np.outer(p, q)
     ridge = _ridge(_scatter(x, z, plan), cfg.eps)
-    metric = np.eye(dim)
-    # ridge * trace(A) + trace(A^{-1} D) at A = I; each update recomputes
-    # it as ridge * trace(A) + trace(A C), since A C A = D.
-    reg = ridge * dim + trace_inner(metric, d_mat)
     history: list[float] = []
     converged = False
     all_sinkhorn_ok = True
     iters_run = 0
 
     for _ in range(cfg.outer_iters):
-        if cfg.learn_metric:
-            cg = compute_cgamma(x, z, plan, ridge)
-            metric = update_metric(cg, d_mat)
-            reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
+        cg = compute_cgamma(x, z, plan, ridge)
+        metric = update_metric(cg, d_mat)
+        # ridge * trace(A) + trace(A^{-1} D), with trace(A^{-1} D) = trace(A C).
+        reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
         cost = cost_matrix(x, z, metric)
         transport = sk.solve(cost, p, q, cfg.sinkhorn)
         plan = transport.matrix

@@ -54,7 +54,10 @@ class SinkhornConfig:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        # JSON true/false arrive as bool, which Python counts as an integer.
+        if isinstance(self.max_iter, bool) or not (
+            isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1
+        ):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 

@@ -8,7 +8,7 @@ values next to each PASS/FAIL line. Numbered checks:
 3. entropic plans against the exact enumeration oracle
 4. vectorized cost/scatter formulas against naive loops
 5. alternating-descent monotonicity
-6. frozen-metric reduction and manual-pipeline equivalence
+6. Euclidean reduction to plain Sinkhorn and manual-pipeline equivalence
 7. skewed digit adaptation, learned metric vs fixed Euclidean
 8. office-features adaptation table (only with user-supplied exports)
 9. byte-identical determinism of the CLI
@@ -208,7 +208,7 @@ def test_criterion_5_objective_monotone():
 
 
 # ---------------------------------------------------------------------------
-# 6: frozen-metric reduction and pipeline equivalence
+# 6: Euclidean reduction and pipeline equivalence
 
 
 def test_criterion_6_reduction_and_pipeline_equality():
@@ -218,13 +218,13 @@ def test_criterion_6_reduction_and_pipeline_equality():
     p = np.full(15, 1.0 / 15.0)
     q = np.full(12, 1.0 / 12.0)
     scfg = sk.SinkhornConfig(lam=0.3, tol=1e-9, max_iter=10000)
-    frozen = gml.fit(
-        x, z, p, q,
-        gml.GmlConfig(sinkhorn=scfg, outer_iters=5, learn_metric=False),
-    )
-    direct = sk.solve(gml.cost_matrix(x, z, np.eye(4)), p, q, scfg)
-    plans_equal = np.array_equal(frozen.plan, direct.matrix)
-    metric_identity = np.array_equal(frozen.metric, np.eye(4))
+    cfg = gml.GmlConfig(sinkhorn=scfg, outer_iters=5, objective_rtol=1e-6)
+    euclidean = adapt.fit_plan(x, z, p, q, "euclidean", scfg.lam, cfg)
+    cost = gml.cost_matrix(x, z, np.eye(4))
+    median = np.median(cost)
+    direct = sk.solve(cost / median, p, q, scfg)
+    plans_equal = np.array_equal(euclidean.plan, direct.matrix)
+    metric_identity = np.array_equal(euclidean.metric, np.eye(4) / median)
 
     labels = rng.integers(0, 3, size=15)
     t_labels = rng.integers(0, 3, size=12)
@@ -232,7 +232,6 @@ def test_criterion_6_reduction_and_pipeline_equality():
     ttrain = dt.RawDataset(z, t_labels)
     ttest = dt.RawDataset(z + 0.05, t_labels)
     grid = [0.05, 0.3, 1.0]
-    cfg = gml.GmlConfig(sinkhorn=scfg, outer_iters=5, objective_rtol=1e-6)
     report = adapt.run_task(source, ttrain, ttest, "euclidean", grid, cfg, seed=2)
 
     best = None
@@ -256,7 +255,7 @@ def test_criterion_6_reduction_and_pipeline_equality():
     _report(
         6,
         plans_equal and metric_identity and fields_equal,
-        f"frozen plan identical={plans_equal}, metric stays identity="
+        f"euclidean plan identical={plans_equal}, metric is I/median="
         f"{metric_identity}, manual pipeline fields match={fields_equal}",
     )
 

@@ -180,19 +180,6 @@ def test_fit_plan_produces_feasible_plan(method):
     assert np.all(plan >= 0)
 
 
-def test_fit_plan_frozen_learned_equals_euclidean_bitwise():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 6))
-    z = rng.normal(size=(3, 6)) + 0.5
-    p = q = uniform(6)
-    cfg = gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(lam=0.1), outer_iters=5, learn_metric=False
-    )
-    frozen = adapt.fit_plan(x, z, p, q, "learned", 0.1, cfg).plan
-    plain = adapt.fit_plan(x, z, p, q, "euclidean", 0.1, cfg).plan
-    np.testing.assert_array_equal(frozen, plain)
-
-
 def test_fit_plan_euclidean_invariant_to_feature_scale():
     # median normalization makes the baseline plan independent of units
     rng = np.random.default_rng(9)
@@ -245,23 +232,6 @@ def test_run_task_matches_manual_pipeline():
     assert report.lambda_chosen == best[1]
     assert report.train_accuracy == best[0]
     assert report.test_accuracy == adapt.accuracy(test_pred, test.labels)
-
-
-def test_run_task_frozen_learned_reduces_to_euclidean():
-    rng = np.random.default_rng(12)
-    source = two_blob_cloud(rng)
-    train = two_blob_cloud(rng, shift=(0.2, 0.4))
-    test = two_blob_cloud(rng, shift=(0.2, 0.4))
-    cfg = gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(lam=0.1), outer_iters=5, learn_metric=False
-    )
-    grid = [0.05, 0.2, 1.0]
-    frozen = adapt.run_task(source, train, test, "learned", grid, cfg)
-    plain = adapt.run_task(source, train, test, "euclidean", grid, cfg)
-    assert frozen.method == "learned"
-    assert frozen.lambda_chosen == plain.lambda_chosen
-    assert frozen.train_accuracy == plain.train_accuracy
-    assert frozen.test_accuracy == plain.test_accuracy
 
 
 def test_run_task_tie_takes_smaller_lambda():

@@ -36,12 +36,18 @@ def write_pool_rawf64(path, rng, per_class=24, k=10, dim=3, shift=0.0):
 
 
 def test_load_config_aliases_and_overrides(tmp_path):
+    # Config keys are exactly the field names; no key has a second name.
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"lambda": 0.25, "format": "csv", "m": 40}))
+    cfgfile.write_text(json.dumps({"lambda_grid": [0.25], "format": "csv", "m": 40}))
     cfg = cli.load_config(str(cfgfile), {"m": 60})
-    assert cfg.lam == 0.25
-    assert cfg.fmt == "csv"
+    assert cfg.lambda_grid == [0.25]
+    assert cfg.format == "csv"
     assert cfg.m == 60  # command line beats file
+    for key, value in (("lambda", 0.25), ("lam", 0.25), ("fmt", "csv"),
+                       ("method", "euclidean")):
+        cfgfile.write_text(json.dumps({key: value}))
+        with pytest.raises(cli.ConfigError, match=f"unknown config key '{key}'"):
+            cli.load_config(str(cfgfile), {})
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -62,7 +68,7 @@ def test_load_config_rejects_inputs_key(tmp_path):
 
 def test_config_validation_errors():
     with pytest.raises(cli.ConfigError):
-        cli.load_config(None, {"method": "cosine"})
+        cli.load_config(None, {"methods": ["cosine"]})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"lambda_grid": []})
     with pytest.raises(cli.ConfigError):
@@ -70,19 +76,37 @@ def test_config_validation_errors():
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"outer_iters": 0})
     nan = float("nan")
-    for name in ("lam", "eps", "sinkhorn_tol", "sinkhorn_max_iter",
+    for name in ("eps", "sinkhorn_tol", "sinkhorn_max_iter",
                  "objective_rtol", "outer_iters"):
         with pytest.raises(cli.ConfigError):
             cli.load_config(None, {name: nan})
-    with pytest.raises(cli.ConfigError):
-        cli.load_config(None, {"lambda_grid": [0.1, nan]})
+    for grid in ([nan], [0.1, nan]):
+        with pytest.raises(cli.ConfigError, match="lam must be positive"):
+            cli.load_config(None, {"lambda_grid": grid})
     for name in ("sinkhorn_max_iter", "outer_iters"):
-        with pytest.raises(cli.ConfigError):
-            cli.load_config(None, {name: 2.5})
+        for bad in (2.5, True):
+            with pytest.raises(cli.ConfigError, match="integer"):
+                cli.load_config(None, {name: bad})
     for bad in ({"m": 20.5}, {"n": 2.0}, {"downsample": 1.5},
-                {"skew_classes": [0.5]}, {"seeds": [1.5]}, {"seeds": [-1]}):
+                {"skew_classes": [0.5]}, {"seeds": [1.5]}, {"seeds": [-1]},
+                {"m": True}, {"n": False}, {"downsample": True},
+                {"skew_classes": [True]}, {"seeds": [True]}):
         with pytest.raises(cli.ConfigError, match="integer"):
             cli.load_config(None, bad)
+    for bad in ("false", 0, 1, None):
+        with pytest.raises(cli.ConfigError, match="strict must be true or false"):
+            cli.load_config(None, {"strict": bad})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("methods", "learned"), ("lambda_grid", 0.5), ("seeds", 3), ("skews", 50),
+    ("skew_classes", 1),
+])
+def test_list_fields_must_be_lists(name, value):
+    with pytest.raises(cli.ConfigError, match=f"{name} must be a list"):
+        cli.load_config(None, {name: value})
+    with pytest.raises(cli.ConfigError, match=f"{name} list is empty"):
+        cli.load_config(None, {name: []})
 
 
 def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
@@ -91,8 +115,8 @@ def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
     # Python's json reads NaN; neither a NaN lambda nor a non-integral
     # count (which range() rejects) may reach the solver.
     for bad, key in (({"objective_rtol": -1}, "objective_rtol"),
-                     ({"lam": float("nan"), "method": "euclidean"}, "lam"),
-                     ({"sinkhorn_max_iter": 2.5, "method": "euclidean"}, "max_iter"),
+                     ({"lambda_grid": [float("nan")], "methods": ["euclidean"]}, "lam"),
+                     ({"sinkhorn_max_iter": 2.5, "methods": ["euclidean"]}, "max_iter"),
                      ({"outer_iters": 2.5}, "outer_iters")):
         config.write_text(json.dumps(
             {**bad, "source": src, "target": tgt, "out": str(tmp_path / "out")}
@@ -112,11 +136,58 @@ def test_bad_flag_exits_one(capsys):
 def test_fit_rejects_repeated_flag(fit_inputs, tmp_path, capsys, flag, values):
     src, tgt = fit_inputs
     out = tmp_path / "out"
-    argv = ["fit", "--source", src, "--target", tgt, "--out", str(out)]
+    other = ["--lambda", "0.2"] if flag == "--method" else ["--method", "euclidean"]
+    argv = ["fit", "--source", src, "--target", tgt, "--out", str(out), *other]
     for v in values:
         argv += [flag, v]
     assert cli.main(argv) == 1
-    assert f"config error: fit takes one {flag}" in capsys.readouterr().err
+    assert f"config error: fit takes one {flag}, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "fit takes one --method, got 4"),
+    (["--method", "euclidean"], "fit takes one --lambda, got 6"),
+], ids=["no-method", "no-lambda"])
+def test_fit_needs_one_method_and_one_lambda(tmp_path, capsys, argv, message):
+    # The defaults hold every method and six lambdas; fit says so before
+    # it reads any input (the inputs here do not exist).
+    out = tmp_path / "out"
+    absent = str(tmp_path / "absent.csv")
+    rc = cli.main(["fit", "--source", absent, "--target", absent,
+                   "--out", str(out), *argv])
+    assert rc == 1
+    assert f"config error: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_reads_methods_and_lambda_grid_from_config(fit_inputs, tmp_path):
+    src, tgt = fit_inputs
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"methods": ["euclidean"], "lambda_grid": [0.5]}))
+    trees = []
+    for sub, argv in (("config", ["--config", str(cfgfile)]),
+                      ("flags", ["--method", "euclidean", "--lambda", "0.5"])):
+        out = tmp_path / sub
+        assert cli.main(["fit", "--source", src, "--target", tgt,
+                         "--out", str(out), *argv]) == 0
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert trees[0] == trees[1]
+    assert trees[0]["objective.csv"].count(b"\n") == 2  # header + one sweep
+
+
+@pytest.mark.parametrize("command", ["fit", "adapt"])
+def test_removed_config_keys_exit_one_without_outputs(tmp_path, capsys, command):
+    rng = np.random.default_rng(6)
+    cloud = write_cloud_csv(tmp_path / "cloud.csv", rng)
+    out = tmp_path / "out"
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({
+        "method": "euclidean", "lambda": 0.5, "source": cloud, "target": cloud,
+        "target_train": cloud, "target_test": cloud, "out": str(out),
+    }))
+    assert cli.main([command, "--config", str(cfgfile)]) == 1
+    assert "config error: unknown config key 'method'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -234,7 +305,8 @@ def test_fit_deterministic_bytes(fit_inputs, tmp_path):
 def test_fit_missing_input_exits_two_without_outputs(tmp_path, capsys):
     out = str(tmp_path / "out")
     rc = cli.main(
-        ["fit", "--source", str(tmp_path / "absent.csv"),
+        ["fit", "--method", "learned", "--lambda", "0.1",
+         "--source", str(tmp_path / "absent.csv"),
          "--target", str(tmp_path / "absent.csv"), "--out", out]
     )
     assert rc == 2
@@ -247,7 +319,8 @@ def test_fit_non_finite_rawf64_exits_two_without_outputs(fit_inputs, tmp_path, c
     bad = str(tmp_path / "nan.rawf64")
     dt.save_rawf64(bad, np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0]]))
     out = str(tmp_path / "out")
-    rc = cli.main(["fit", "--source", bad, "--target", tgt, "--out", out])
+    rc = cli.main(["fit", "--method", "learned", "--lambda", "0.1",
+                   "--source", bad, "--target", tgt, "--out", out])
     assert rc == 2
     assert f"data error: {bad}: non-finite" in capsys.readouterr().err
     assert not os.path.exists(out)
@@ -257,7 +330,8 @@ def test_fit_header_only_csv_exits_two_without_outputs(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("f0,f1\n")
     out = str(tmp_path / "out")
-    rc = cli.main(["fit", "--source", str(empty), "--target", str(empty), "--out", out])
+    rc = cli.main(["fit", "--method", "learned", "--lambda", "0.1",
+                   "--source", str(empty), "--target", str(empty), "--out", out])
     assert rc == 2
     assert f"data error: {empty}: no points" in capsys.readouterr().err
     assert not os.path.exists(out)
@@ -267,8 +341,8 @@ def test_fit_strict_nonconvergence_exits_three(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     cfgfile = tmp_path / "strict.json"
     cfgfile.write_text(json.dumps(
-        {"strict": True, "sinkhorn_max_iter": 1, "lambda": 0.01,
-         "method": "euclidean"}
+        {"strict": True, "sinkhorn_max_iter": 1, "lambda_grid": [0.01],
+         "methods": ["euclidean"]}
     ))
     out = str(tmp_path / "out")
     rc = cli.main(
