@@ -5,10 +5,13 @@ barycentric projection of the fitted plan, and target points are then
 classified by a 1-nearest-neighbor rule over the projected sources.
 ``run_task`` wraps the full protocol for one source/target pair, each a
 labeled ``data.RawDataset``: tune the entropic weight on the target
-training split, evaluate on the held-out target test split.
+training split, evaluate on the held-out target test split. Its grid of
+entropic weights is one ``fit_plan`` call, which computes the part of
+the fit that does not depend on the weight once per grid.
 """
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,39 +135,50 @@ def fit_plan(
     p: np.ndarray,
     q: np.ndarray,
     method: str,
-    lam: float,
+    lambdas: "list[float]",
     cfg: gml.GmlConfig,
-) -> gml.FitResult:
-    """Fit a transport plan between source and target-train clouds.
+) -> Iterator[gml.FitResult]:
+    """Fit a transport plan between source and target-train clouds per lambda.
 
     Costs are normalized so that one entropic-weight grid serves data of
     any feature scale: baseline methods divide their fixed cost matrix by
     its median entry, and the metric-learning method rescales the input
     data by the square root of the Euclidean cost median (which divides
     its initial cost matrix by the same amount) before the alternating
-    fit. The returned ``metric`` carries the normalization: the plan
-    solves the problem at ``lam`` for ``cost_matrix(x, zt, metric)``,
+    fit. Each returned ``metric`` carries the normalization: its plan
+    solves the problem at its lambda for ``cost_matrix(x, zt, metric)``,
     whose objective is recorded. A baseline fit is one sweep.
+
+    The lambda-independent part (the scale, a baseline's metric, cost and
+    median, the learned fit's first sweep up to its Sinkhorn solve) is
+    computed once, before this returns. The returned iterator then fits
+    lazily and yields one ``gml.FitResult`` per entry of ``lambdas``, in
+    the order given; results may share arrays and are not to be modified
+    in place.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    scfg = replace(cfg.sinkhorn, lam=lam)
     if method == "learned":
         scale = np.sqrt(_median_scale(gml.cost_matrix(x, zt, np.eye(x.shape[0]))))
-        result = gml.fit(x / scale, zt / scale, p, q, replace(cfg, sinkhorn=scfg))
-        return replace(result, metric=result.metric / scale**2)
+        results = gml.fit_grid(x / scale, zt / scale, p, q, cfg, lambdas)
+        return (replace(r, metric=r.metric / scale**2) for r in results)
     metric = gml.baseline_metric(method, x, zt, eps=cfg.eps)
     cost = gml.cost_matrix(x, zt, metric)
     med = _median_scale(cost)
-    cost = cost / med
-    transport = sk.solve(cost, p, q, scfg)
-    return gml.FitResult(
-        plan=transport.matrix,
-        metric=metric / med,
-        objective_history=[gml.objective(cost, transport.matrix, 0.0, lam)],
-        iters_run=1,
-        sinkhorn_converged=transport.converged,
-    )
+    cost, metric = cost / med, metric / med
+
+    def fits():
+        for lam in lambdas:
+            transport = sk.solve(cost, p, q, replace(cfg.sinkhorn, lam=lam))
+            yield gml.FitResult(
+                plan=transport.matrix,
+                metric=metric,
+                objective_history=[gml.objective(cost, transport.matrix, 0.0, lam)],
+                iters_run=1,
+                sinkhorn_converged=transport.converged,
+            )
+
+    return fits()
 
 
 def run_task(
@@ -207,8 +221,8 @@ def run_task(
 
     best = None  # (accuracy, lambda, projected sources)
     converged = True
-    for lam in sorted(lambdas):
-        result = fit_plan(x, zt, p, q, method, lam, cfg)
+    grid = sorted(lambdas)
+    for lam, result in zip(grid, fit_plan(x, zt, p, q, method, grid, cfg)):
         converged = converged and result.sinkhorn_converged
         projected = barycentric_map(result.plan, zt, p)
         pred = knn1_predict(projected, source.labels, zt)

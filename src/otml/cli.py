@@ -4,14 +4,16 @@ Subcommands
 -----------
 fit
     Fit a transport plan (and, for the learned method, a ground metric)
-    between two point-cloud files through ``adapt.fit_plan``, so lambda
-    is normalized as in adapt; writes gamma.rawf64, metric.rawf64 (whose
-    cost the plan solves) and objective.csv into the output directory.
-    Takes exactly one method and one lambda: ``methods`` and
-    ``lambda_grid`` must each hold one entry.
+    between two point-cloud files through ``adapt.fit_plan`` on a
+    one-entry grid, so lambda is normalized as in adapt; writes
+    gamma.rawf64, metric.rawf64 (whose cost the plan solves) and
+    objective.csv into the output directory. Takes exactly one method
+    and one lambda: ``methods`` and ``lambda_grid`` must each hold one
+    entry.
 adapt
     Run the adaptation protocol on labeled source / target-train /
-    target-test files and write one report row per (seed, method).
+    target-test files and write one report row per (seed, method). Each
+    method fits its whole lambda grid through one ``adapt.run_task``.
 experiment-skew
     Full skew sweep: for every (skew percent, skew class, seed) draw a
     uniform source sample and two disjoint skewed target samples from the
@@ -25,9 +27,10 @@ Configuration is a JSON object whose keys are exactly the field names
 of the RunConfig dataclass below. Each flag sets one field and
 overrides the file value; repeated ``--method``, ``--lambda`` and
 ``--seed`` flags make up the ``methods``, ``lambda_grid`` and ``seeds``
-lists. Exit codes: 0 success, 1 configuration error, 2 data error,
-3 numerical failure (under ``strict`` also an unconverged solve, before
-any output).
+lists. Numeric fields and the entries of ``lambda_grid`` and ``skews``
+must be JSON numbers (true/false are rejected). Exit codes: 0 success,
+1 configuration error, 2 data error, 3 numerical failure (under
+``strict`` also an unconverged solve, before any output).
 Results go to stdout, diagnostics to stderr. Output files are written
 atomically (temp file then rename).
 """
@@ -115,6 +118,14 @@ class RunConfig:
         # GmlConfig would take a matrix; JSON can only give a list here.
         if not isinstance(self.d_choice, str):
             raise ConfigError(f"d_choice must be one of {gml.D_CHOICES}")
+        for name in ("eps", "sinkhorn_tol", "objective_rtol"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("lambda_grid", "skews"):
+            for value in getattr(self, name):
+                if not _is_number(value):
+                    raise ConfigError(f"{name} entries must be numbers, got {value!r}")
         # The solver configs own the range checks of their settings.
         try:
             for lam in self.lambda_grid:
@@ -141,9 +152,13 @@ class RunConfig:
                 raise ConfigError(f"skew percent {w} outside (0, 100)")
 
 
+# JSON true/false arrive as bool, which Python counts as an integer.
 def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as an integer.
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
@@ -289,7 +304,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     m, n = x.shape[1], z.shape[1]
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
-    result = ad.fit_plan(x, z, p, q, method, lam, _gml_config(cfg, lam))
+    (result,) = ad.fit_plan(x, z, p, q, method, [lam], _gml_config(cfg, lam))
     _check_converged(cfg, result.sinkhorn_converged, method)
     os.makedirs(cfg.out, exist_ok=True)
     for name, mat in (("gamma.rawf64", result.plan), ("metric.rawf64", result.metric)):

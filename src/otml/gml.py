@@ -13,7 +13,8 @@ non-increasing across sweeps, up to solver tolerance.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -299,6 +300,8 @@ def fit(
     non-increasing up to the inner solver tolerance. The metric is never
     inverted: A C A = D gives trace(A^{-1} D) = trace(A C).
 
+    This is the one-lambda call of ``fit_grid`` at ``cfg.sinkhorn.lam``.
+
     Parameters
     ----------
     x : ndarray of shape (d, m)
@@ -312,6 +315,31 @@ def fit(
     -------
     FitResult
     """
+    (result,) = fit_grid(x, z, p, q, cfg, [cfg.sinkhorn.lam])
+    return result
+
+
+def fit_grid(
+    x: np.ndarray,
+    z: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    cfg: GmlConfig,
+    lambdas: "list[float]",
+) -> Iterator[FitResult]:
+    """``fit`` at each entropic weight of ``lambdas``, sharing the first sweep.
+
+    Every fit starts from the independence coupling p q^T, so the target
+    D, the first scatter, the ridge, the first metric, its regularizer and
+    its cost matrix do not depend on lambda. They are computed once, here,
+    before this returns; the first Sinkhorn solve and every later sweep
+    run per lambda, with no warm start, so each result is bitwise the one
+    ``fit`` gives at that lambda (``cfg.sinkhorn.lam`` is replaced).
+
+    Returns an iterator that fits lazily and yields one ``FitResult`` per
+    lambda, in the order given; results may share the lambda-independent
+    metric and are not to be modified in place.
+    """
     x, z = _check_clouds(x, z)
     p = sk.validate_histogram(p, "p")
     q = sk.validate_histogram(q, "q")
@@ -321,37 +349,45 @@ def fit(
             f"({x.shape[1]}, {z.shape[1]})"
         )
     d_mat = make_d(cfg.d_choice, x, z, eps=cfg.eps)
-    lam = cfg.sinkhorn.lam
+    raw = _scatter(x, z, np.outer(p, q))
+    ridge = _ridge(raw, cfg.eps)
+    first = _metric_step(x, z, raw + ridge * np.eye(x.shape[0]), d_mat, ridge)
 
-    plan = np.outer(p, q)
-    ridge = _ridge(_scatter(x, z, plan), cfg.eps)
-    history: list[float] = []
-    converged = False
-    all_sinkhorn_ok = True
-    iters_run = 0
+    def fits():
+        for lam in lambdas:
+            scfg = replace(cfg.sinkhorn, lam=lam)
+            metric, reg, cost = first
+            history: list[float] = []
+            converged = False
+            all_sinkhorn_ok = True
+            for sweep in range(cfg.outer_iters):
+                if sweep:
+                    cg = compute_cgamma(x, z, plan, ridge)
+                    metric, reg, cost = _metric_step(x, z, cg, d_mat, ridge)
+                transport = sk.solve(cost, p, q, scfg)
+                plan = transport.matrix
+                all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
+                history.append(objective(cost, plan, reg, lam))
+                if len(history) >= 2 and cfg.objective_rtol > 0:
+                    decrease = history[-2] - history[-1]
+                    if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):
+                        converged = True
+                        break
+            yield FitResult(
+                plan=plan,
+                metric=metric,
+                objective_history=history,
+                converged=converged,
+                iters_run=len(history),
+                sinkhorn_converged=all_sinkhorn_ok,
+            )
 
-    for _ in range(cfg.outer_iters):
-        cg = compute_cgamma(x, z, plan, ridge)
-        metric = update_metric(cg, d_mat)
-        # ridge * trace(A) + trace(A^{-1} D), with trace(A^{-1} D) = trace(A C).
-        reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
-        cost = cost_matrix(x, z, metric)
-        transport = sk.solve(cost, p, q, cfg.sinkhorn)
-        plan = transport.matrix
-        all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
-        iters_run += 1
-        history.append(objective(cost, plan, reg, lam))
-        if len(history) >= 2 and cfg.objective_rtol > 0:
-            decrease = history[-2] - history[-1]
-            if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):
-                converged = True
-                break
+    return fits()
 
-    return FitResult(
-        plan=plan,
-        metric=metric,
-        objective_history=history,
-        converged=converged,
-        iters_run=iters_run,
-        sinkhorn_converged=all_sinkhorn_ok,
-    )
+
+def _metric_step(x, z, cg, d_mat, ridge):
+    # Metric for the ridged scatter cg, its regularizer and its cost matrix.
+    metric = update_metric(cg, d_mat)
+    # ridge * trace(A) + trace(A^{-1} D), with trace(A^{-1} D) = trace(A C).
+    reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
+    return metric, reg, cost_matrix(x, z, metric)

@@ -219,7 +219,7 @@ def test_criterion_6_reduction_and_pipeline_equality():
     q = np.full(12, 1.0 / 12.0)
     scfg = sk.SinkhornConfig(lam=0.3, tol=1e-9, max_iter=10000)
     cfg = gml.GmlConfig(sinkhorn=scfg, outer_iters=5, objective_rtol=1e-6)
-    euclidean = adapt.fit_plan(x, z, p, q, "euclidean", scfg.lam, cfg)
+    (euclidean,) = adapt.fit_plan(x, z, p, q, "euclidean", [scfg.lam], cfg)
     cost = gml.cost_matrix(x, z, np.eye(4))
     median = np.median(cost)
     direct = sk.solve(cost / median, p, q, scfg)
@@ -236,7 +236,8 @@ def test_criterion_6_reduction_and_pipeline_equality():
 
     best = None
     for lam in sorted(grid):
-        plan = adapt.fit_plan(x, z, p, q, "euclidean", lam, cfg).plan
+        (fit,) = adapt.fit_plan(x, z, p, q, "euclidean", [lam], cfg)
+        plan = fit.plan
         projected = adapt.barycentric_map(plan, z, p)
         pred = adapt.knn1_predict(projected, labels, z)
         acc = adapt.accuracy(pred, t_labels)

@@ -165,7 +165,7 @@ def test_fit_plan_rejects_unknown_method():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(2, 4))
     with pytest.raises(ValueError):
-        adapt.fit_plan(x, x, uniform(4), uniform(4), "cosine", 0.1, base_cfg())
+        adapt.fit_plan(x, x, uniform(4), uniform(4), "cosine", [0.1], base_cfg())
 
 
 @pytest.mark.parametrize("method", adapt.METHODS)
@@ -174,7 +174,8 @@ def test_fit_plan_produces_feasible_plan(method):
     x = rng.normal(size=(3, 6))
     z = rng.normal(size=(3, 5)) + 1.0
     p, q = uniform(6), uniform(5)
-    plan = adapt.fit_plan(x, z, p, q, method, 0.1, base_cfg()).plan
+    (fit,) = adapt.fit_plan(x, z, p, q, method, [0.1], base_cfg())
+    plan = fit.plan
     row_err, col_err = sk.marginal_error(plan, p, q)
     assert max(row_err, col_err) < 1e-8
     assert np.all(plan >= 0)
@@ -186,9 +187,74 @@ def test_fit_plan_euclidean_invariant_to_feature_scale():
     x = rng.normal(size=(2, 5))
     z = rng.normal(size=(2, 5)) + 1.0
     p = q = uniform(5)
-    a = adapt.fit_plan(x, z, p, q, "euclidean", 0.2, base_cfg()).plan
-    b = adapt.fit_plan(1000.0 * x, 1000.0 * z, p, q, "euclidean", 0.2, base_cfg()).plan
-    np.testing.assert_allclose(a, b, atol=1e-9)
+    (a,) = adapt.fit_plan(x, z, p, q, "euclidean", [0.2], base_cfg())
+    (b,) = adapt.fit_plan(1000.0 * x, 1000.0 * z, p, q, "euclidean", [0.2], base_cfg())
+    np.testing.assert_allclose(a.plan, b.plan, atol=1e-9)
+
+
+GRID = [0.05, 0.2, 0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("outer", [1, 3])
+@pytest.mark.parametrize("method", adapt.METHODS)
+def test_fit_plan_grid_matches_one_lambda_fits(method, outer):
+    # The whole grid is drawn before any comparison, so a later fit that
+    # leaked state from an earlier one, or modified an earlier result in
+    # place, shows as a difference from the one-lambda fit.
+    rng = np.random.default_rng(12)
+    x = 3.0 * rng.normal(size=(4, 12))
+    z = 3.0 * rng.normal(size=(4, 10)) + 1.0
+    p, q = uniform(12), uniform(10)
+    cfg = base_cfg(outer=outer)
+    grid = list(adapt.fit_plan(x, z, p, q, method, GRID, cfg))
+    assert len(grid) == len(GRID)
+    for lam, res in zip(GRID, grid):
+        (solo,) = adapt.fit_plan(x, z, p, q, method, [lam], cfg)
+        assert np.array_equal(res.plan, solo.plan)
+        assert np.array_equal(res.metric, solo.metric)
+        assert np.array_equal(res.objective_history, solo.objective_history)
+        assert (res.iters_run, res.converged, res.sinkhorn_converged) == (
+            solo.iters_run, solo.converged, solo.sinkhorn_converged
+        )
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("method,outer,metrics,solves", [
+    ("learned", 1, 1, 5),
+    ("learned", 3, 11, 15),
+    ("whiten", 1, 1, 5),
+])
+def test_run_task_shares_the_lambda_independent_work(
+    monkeypatch, method, outer, metrics, solves
+):
+    # One metric update (or baseline metric) serves the whole grid; every
+    # later sweep and every Sinkhorn solve still runs once per lambda.
+    rng = np.random.default_rng(13)
+    source = two_blob_cloud(rng)
+    train = two_blob_cloud(rng, shift=(0.5, -0.3))
+    test = two_blob_cloud(rng, shift=(0.5, -0.3))
+    counts = {}
+    for module, name in ((gml, "update_metric"), (gml, "baseline_metric"),
+                         (sk, "solve")):
+        _count_calls(monkeypatch, module, name, counts)
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=0.1, tol=1e-9, max_iter=5000),
+        outer_iters=outer,
+        objective_rtol=0.0,
+    )
+    adapt.run_task(source, train, test, method, GRID, cfg)
+    counted = "update_metric" if method == "learned" else "baseline_metric"
+    assert counts[counted] == metrics
+    assert counts["solve"] == solves
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +286,8 @@ def test_run_task_matches_manual_pipeline():
     q = uniform(train.size)
     best = None
     for lam in sorted(grid):
-        plan = adapt.fit_plan(source.features, train.features, p, q, "gram", lam, cfg).plan
+        (fit,) = adapt.fit_plan(source.features, train.features, p, q, "gram", [lam], cfg)
+        plan = fit.plan
         projected = adapt.barycentric_map(plan, train.features, p)
         pred = adapt.knn1_predict(projected, source.labels, train.features)
         acc = adapt.accuracy(pred, train.labels)

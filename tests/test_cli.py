@@ -109,6 +109,32 @@ def test_list_fields_must_be_lists(name, value):
         cli.load_config(None, {name: []})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("lambda_grid", [True]), ("lambda_grid", [0.1, "0.5"]),
+    ("skews", [True]), ("skews", [20, "50"]),
+    ("eps", True), ("eps", "1e-6"),
+    ("sinkhorn_tol", False), ("sinkhorn_tol", [1e-9]),
+    ("objective_rtol", True), ("objective_rtol", "0"),
+])
+def test_number_fields_reject_bools_and_strings(name, value):
+    # JSON true/false would otherwise pass as 1 and 0.
+    with pytest.raises(cli.ConfigError, match=f"^{name} .*must be"):
+        cli.load_config(None, {name: value})
+
+
+def test_bool_lambda_in_config_exits_one_without_outputs(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "source": "absent.csv", "target": "absent.csv",
+        "lambda_grid": [True], "out": str(tmp_path / "out"),
+    }))
+    assert cli.main(["experiment-skew", "--config", str(config)]) == 1
+    assert "config error: lambda_grid entries must be numbers, got True" in (
+        capsys.readouterr().err
+    )
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     config = tmp_path / "c.json"
@@ -257,7 +283,7 @@ def test_fit_writes_the_fit_plan_result(tmp_path, capsys, method):
     x, z = dt.load_matrix(src).features, dt.load_matrix(tgt).features
     p, q = np.full(7, 1 / 7), np.full(5, 1 / 5)
     cfg = cli._gml_config(cli.RunConfig(), 0.2)
-    expected = ad.fit_plan(x, z, p, q, method, 0.2, cfg)
+    (expected,) = ad.fit_plan(x, z, p, q, method, [0.2], cfg)
     plan = dt.load_matrix(str(out / "gamma.rawf64")).features
     metric = dt.load_matrix(str(out / "metric.rawf64")).features
     np.testing.assert_array_equal(plan, expected.plan)
