@@ -18,7 +18,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import gml
-from . import sinkhorn as sk
 
 METHODS = ("euclidean", "gram", "whiten", "learned")
 
@@ -147,14 +146,14 @@ def fit_plan(
     its initial cost matrix by the same amount) before the alternating
     fit. Each returned ``metric`` carries the normalization: its plan
     solves the problem at its lambda for ``cost_matrix(x, zt, metric)``,
-    whose objective is recorded. A baseline fit is one sweep.
+    whose objective is recorded.
 
     The lambda-independent part (the scale, a baseline's metric, cost and
     median, the learned fit's first sweep up to its Sinkhorn solve) is
-    computed once, before this returns. The returned iterator then fits
-    lazily and yields one ``gml.FitResult`` per entry of ``lambdas``, in
-    the order given; results may share arrays and are not to be modified
-    in place.
+    computed once, before this returns. Then ``gml.grid_fits`` fits lazily,
+    a baseline as one sweep of its fixed metric, and yields one
+    ``gml.FitResult`` per entry of ``lambdas``, in the order given; results
+    may share arrays and are not to be modified in place.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -165,20 +164,8 @@ def fit_plan(
     metric = gml.baseline_metric(method, x, zt, eps=cfg.eps)
     cost = gml.cost_matrix(x, zt, metric)
     med = _median_scale(cost)
-    cost, metric = cost / med, metric / med
-
-    def fits():
-        for lam in lambdas:
-            transport = sk.solve(cost, p, q, replace(cfg.sinkhorn, lam=lam))
-            yield gml.FitResult(
-                plan=transport.matrix,
-                metric=metric,
-                objective_history=[gml.objective(cost, transport.matrix, 0.0, lam)],
-                iters_run=1,
-                sinkhorn_converged=transport.converged,
-            )
-
-    return fits()
+    first = (metric / med, 0.0, cost / med)
+    return gml.grid_fits(first, None, p, q, replace(cfg, outer_iters=1), lambdas)
 
 
 def run_task(

@@ -73,10 +73,12 @@ class GmlConfig:
             isinstance(iters, numbers.Integral) and iters >= 1
         ):
             raise ValueError(f"outer_iters must be an integer >= 1, got {iters}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if not self.objective_rtol >= 0:
-            raise ValueError(f"objective_rtol must be >= 0, got {self.objective_rtol}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not 0 <= self.objective_rtol < np.inf:
+            raise ValueError(
+                f"objective_rtol must be finite and >= 0, got {self.objective_rtol}"
+            )
         if isinstance(self.d_choice, str) and self.d_choice not in D_CHOICES:
             raise ValueError(
                 f"d_choice must be one of {D_CHOICES} or an SPD matrix, "
@@ -332,13 +334,8 @@ def fit_grid(
     Every fit starts from the independence coupling p q^T, so the target
     D, the first scatter, the ridge, the first metric, its regularizer and
     its cost matrix do not depend on lambda. They are computed once, here,
-    before this returns; the first Sinkhorn solve and every later sweep
-    run per lambda, with no warm start, so each result is bitwise the one
-    ``fit`` gives at that lambda (``cfg.sinkhorn.lam`` is replaced).
-
-    Returns an iterator that fits lazily and yields one ``FitResult`` per
-    lambda, in the order given; results may share the lambda-independent
-    metric and are not to be modified in place.
+    before this returns; ``grid_fits`` runs the rest per lambda with no
+    warm start, so each result is bitwise ``fit``'s at that lambda.
     """
     x, z = _check_clouds(x, z)
     p = sk.validate_histogram(p, "p")
@@ -351,43 +348,55 @@ def fit_grid(
     d_mat = make_d(cfg.d_choice, x, z, eps=cfg.eps)
     raw = _scatter(x, z, np.outer(p, q))
     ridge = _ridge(raw, cfg.eps)
-    first = _metric_step(x, z, raw + ridge * np.eye(x.shape[0]), d_mat, ridge)
 
-    def fits():
-        for lam in lambdas:
-            scfg = replace(cfg.sinkhorn, lam=lam)
-            metric, reg, cost = first
-            history: list[float] = []
-            converged = False
-            all_sinkhorn_ok = True
-            for sweep in range(cfg.outer_iters):
-                if sweep:
-                    cg = compute_cgamma(x, z, plan, ridge)
-                    metric, reg, cost = _metric_step(x, z, cg, d_mat, ridge)
-                transport = sk.solve(cost, p, q, scfg)
-                plan = transport.matrix
-                all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
-                history.append(objective(cost, plan, reg, lam))
-                if len(history) >= 2 and cfg.objective_rtol > 0:
-                    decrease = history[-2] - history[-1]
-                    if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):
-                        converged = True
-                        break
-            yield FitResult(
-                plan=plan,
-                metric=metric,
-                objective_history=history,
-                converged=converged,
-                iters_run=len(history),
-                sinkhorn_converged=all_sinkhorn_ok,
-            )
+    def step(cg):
+        # Metric for the ridged scatter cg, its regularizer and its cost;
+        # trace(A^{-1} D) = trace(A cg), since A cg A = D.
+        metric = update_metric(cg, d_mat)
+        reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
+        return metric, reg, cost_matrix(x, z, metric)
 
-    return fits()
+    first = step(raw + ridge * np.eye(x.shape[0]))
+    return grid_fits(
+        first, lambda plan: step(compute_cgamma(x, z, plan, ridge)), p, q, cfg, lambdas
+    )
 
 
-def _metric_step(x, z, cg, d_mat, ridge):
-    # Metric for the ridged scatter cg, its regularizer and its cost matrix.
-    metric = update_metric(cg, d_mat)
-    # ridge * trace(A) + trace(A^{-1} D), with trace(A^{-1} D) = trace(A C).
-    reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
-    return metric, reg, cost_matrix(x, z, metric)
+def grid_fits(first, refit, p, q, cfg: GmlConfig, lambdas) -> Iterator[FitResult]:
+    """Run the alternating sweeps at each lambda; yield one ``FitResult`` each.
+
+    ``first`` is the lambda-independent ``(metric, regularizer, cost)`` of
+    the first sweep and is shared by every fit; each later sweep takes its
+    triple from ``refit(plan)`` for the plan before it. A fixed metric is
+    one sweep (``cfg.outer_iters == 1``), where ``refit`` is never called.
+    Each sweep solves the OT problem at ``lam`` (``cfg.sinkhorn.lam`` is
+    replaced) and records ``objective(cost, plan, regularizer, lam)``.
+    Fits run lazily, in the order of ``lambdas``; results may share the
+    first metric and are not to be modified in place.
+    """
+    for lam in lambdas:
+        scfg = replace(cfg.sinkhorn, lam=lam)
+        metric, reg, cost = first
+        history: list[float] = []
+        converged = False
+        all_sinkhorn_ok = True
+        for sweep in range(cfg.outer_iters):
+            if sweep:
+                metric, reg, cost = refit(plan)
+            transport = sk.solve(cost, p, q, scfg)
+            plan = transport.matrix
+            all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
+            history.append(objective(cost, plan, reg, lam))
+            if len(history) >= 2 and cfg.objective_rtol > 0:
+                decrease = history[-2] - history[-1]
+                if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):
+                    converged = True
+                    break
+        yield FitResult(
+            plan=plan,
+            metric=metric,
+            objective_history=history,
+            converged=converged,
+            iters_run=len(history),
+            sinkhorn_converged=all_sinkhorn_ok,
+        )

@@ -50,10 +50,10 @@ class SinkhornConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         # JSON true/false arrive as bool, which Python counts as an integer.
         if isinstance(self.max_iter, bool) or not (
             isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1
@@ -93,6 +93,8 @@ def validate_histogram(weights: np.ndarray, name: str = "histogram") -> np.ndarr
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0:
         raise ValueError(f"{name} is empty")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.any(w < 0):
         raise ValueError(f"{name} has negative entries")
     total = float(w.sum())

@@ -228,22 +228,26 @@ def _count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("method,outer,metrics,solves", [
-    ("learned", 1, 1, 5),
-    ("learned", 3, 11, 15),
-    ("whiten", 1, 1, 5),
-])
+@pytest.mark.parametrize("method,outer,metrics,solves,costs,scatters", [
+    ("learned", 1, 1, 5, 2, 0),
+    ("learned", 3, 11, 15, 12, 10),
+    ("whiten", 1, 1, 5, 1, 0),
+], ids=["learned-1-1-5", "learned-3-11-15", "whiten-1-1-5"])
 def test_run_task_shares_the_lambda_independent_work(
-    monkeypatch, method, outer, metrics, solves
+    monkeypatch, method, outer, metrics, solves, costs, scatters
 ):
-    # One metric update (or baseline metric) serves the whole grid; every
-    # later sweep and every Sinkhorn solve still runs once per lambda.
+    # One metric update (or baseline metric) and its cost matrix serve the
+    # whole grid; every later sweep and every Sinkhorn solve still runs
+    # once per lambda. The learned fit's extra cost matrix is the Euclidean
+    # one that sets its scale; its first scatter is the independence
+    # coupling's, built once without compute_cgamma.
     rng = np.random.default_rng(13)
     source = two_blob_cloud(rng)
     train = two_blob_cloud(rng, shift=(0.5, -0.3))
     test = two_blob_cloud(rng, shift=(0.5, -0.3))
     counts = {}
     for module, name in ((gml, "update_metric"), (gml, "baseline_metric"),
+                         (gml, "cost_matrix"), (gml, "compute_cgamma"),
                          (sk, "solve")):
         _count_calls(monkeypatch, module, name, counts)
     cfg = gml.GmlConfig(
@@ -255,6 +259,8 @@ def test_run_task_shares_the_lambda_independent_work(
     counted = "update_metric" if method == "learned" else "baseline_metric"
     assert counts[counted] == metrics
     assert counts["solve"] == solves
+    assert counts["cost_matrix"] == costs
+    assert counts.get("compute_cgamma", 0) == scatters
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,13 @@ def test_config_validation_errors():
         cli.load_config(None, {"d_choice": "spiral"})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"outer_iters": 0})
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for name in ("eps", "sinkhorn_tol", "sinkhorn_max_iter",
                  "objective_rtol", "outer_iters"):
-        with pytest.raises(cli.ConfigError):
-            cli.load_config(None, {name: nan})
-    for grid in ([nan], [0.1, nan]):
+        for bad in (nan, inf):
+            with pytest.raises(cli.ConfigError):
+                cli.load_config(None, {name: bad})
+    for grid in ([nan], [0.1, nan], [inf], [0.1, inf]):
         with pytest.raises(cli.ConfigError, match="lam must be positive"):
             cli.load_config(None, {"lambda_grid": grid})
     for name in ("sinkhorn_max_iter", "outer_iters"):
@@ -138,10 +139,15 @@ def test_bool_lambda_in_config_exits_one_without_outputs(tmp_path, capsys):
 def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     config = tmp_path / "c.json"
-    # Python's json reads NaN; neither a NaN lambda nor a non-integral
-    # count (which range() rejects) may reach the solver.
+    # Python's json reads NaN and Infinity; neither a non-finite setting
+    # nor a non-integral count (which range() rejects) may reach the solver.
+    inf = float("inf")
     for bad, key in (({"objective_rtol": -1}, "objective_rtol"),
                      ({"lambda_grid": [float("nan")], "methods": ["euclidean"]}, "lam"),
+                     ({"lambda_grid": [inf], "methods": ["euclidean"]}, "lam"),
+                     ({"lambda_grid": [inf], "methods": ["learned"]}, "lam"),
+                     ({"eps": inf}, "eps"),
+                     ({"sinkhorn_tol": inf, "methods": ["euclidean"]}, "tol"),
                      ({"sinkhorn_max_iter": 2.5, "methods": ["euclidean"]}, "max_iter"),
                      ({"outer_iters": 2.5}, "outer_iters")):
         config.write_text(json.dumps(

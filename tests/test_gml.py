@@ -273,8 +273,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, d_choice="banana")
     for name in ("outer_iters", "eps", "objective_rtol"):
-        with pytest.raises(ValueError):
-            gml.GmlConfig(sinkhorn=scfg, **{name: np.nan})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                gml.GmlConfig(sinkhorn=scfg, **{name: bad})
     with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, outer_iters=2.5)
 

@@ -6,8 +6,19 @@ each round is drawn as the benchmark's ``Runner._sample`` draws it: a
 uniform source sample and two disjoint target samples skewed onto the
 round's class. Both cases keep the benchmark's generator, grid and
 criterion-7 Sinkhorn settings as they are. At d=64 the learned metric
-wins clearly. At the paper's pixel dimension (d=784 > m+n) it trails,
-which stays visible as a strict xfail: a fix shows up as an XPASS.
+wins clearly. At the paper's pixel dimension (d=784 > m+n) it trails
+(70.1 against 73.25 %), which stays visible as a strict xfail: a fix
+shows up as an XPASS.
+
+The d=784 miss is an estimation limit of the full metric at this sample
+size, not a defect found in the code. There is much to learn: the oracle
+diagonal metric diag(1/sigma^2), from the generator's noise scales,
+scores 97.5 % on the same rounds. But the plan-weighted differences that
+the full metric is fitted from span at most m+n-1 = 399 of the 784
+directions, and a rotation-equivariant estimator can only reweight the
+sample scatter's eigenvalues, whose eigenvectors are mostly noise here.
+Rotating both pools by one orthogonal matrix leaves the learned and the
+Euclidean scores exactly as they are.
 """
 
 import importlib.util
@@ -60,7 +71,9 @@ def test_learned_beats_euclidean_by_five_points_at_d64():
 
 
 @pytest.mark.xfail(
-    strict=True, reason="at pixel scale with d > m+n the learned metric trails"
+    strict=True,
+    reason="d=784 > m+n: the full metric sees at most m+n-1 difference "
+    "directions and trails Euclidean; the oracle diagonal metric scores 97.5 %",
 )
 def test_learned_beats_euclidean_at_d784_pixel_scale():
     acc = _mean_test_accuracy(784, 200, outer_iters=1, rounds=4, seed=1, pixels=True)

@@ -23,6 +23,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         sk.SinkhornConfig(lam=1.0, max_iter=0)
     for bad in ({"lam": np.nan}, {"lam": 1.0, "tol": np.nan},
+                {"lam": np.inf}, {"lam": 1.0, "tol": np.inf},
                 {"lam": 1.0, "max_iter": np.nan}, {"lam": 1.0, "max_iter": 2.5}):
         with pytest.raises(ValueError):
             sk.SinkhornConfig(**bad)
@@ -35,6 +36,9 @@ def test_histogram_validation():
         sk.validate_histogram(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         sk.validate_histogram(np.array([]))
+    # NaN fails both the sign and the sum comparisons.
+    with pytest.raises(ValueError, match="non-finite"):
+        sk.validate_histogram(np.array([np.nan, 0.5, 0.5]))
 
 
 def test_input_shape_mismatch():
