@@ -15,7 +15,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import gml
 
@@ -94,7 +93,10 @@ def knn1_predict(
 
     ``points`` (d, k) and ``queries`` (d, l) hold points as columns, and
     ``labels`` has one entry per column of ``points``. Ties are broken
-    toward the lowest point index.
+    toward the lowest point index. Squared distances, less the per-query
+    constant ||q||^2, are one matrix product ||p||^2 - 2 q^T p after both
+    sets are shifted by the first training point, so that a large common
+    offset does not cancel and integer data keeps exact ties exact.
     """
     points = np.asarray(points, dtype=float)
     queries = np.asarray(queries, dtype=float)
@@ -108,7 +110,9 @@ def knn1_predict(
             f"query dimension {queries.shape[0]} does not match "
             f"training dimension {points.shape[0]}"
         )
-    dist = cdist(queries.T, points.T, metric="sqeuclidean")
+    origin = points[:, :1]
+    points, queries = points - origin, queries - origin
+    dist = (points * points).sum(axis=0) - 2.0 * (queries.T @ points)
     return labels[np.argmin(dist, axis=1)]
 
 

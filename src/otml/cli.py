@@ -150,6 +150,12 @@ class RunConfig:
         for w in self.skews:
             if not 0 < w < 100:
                 raise ConfigError(f"skew percent {w} outside (0, 100)")
+        # A repeated entry would only redo the same work and rows.
+        for name in ("methods", "lambda_grid", "seeds", "skews", "skew_classes"):
+            value = getattr(self, name) or []
+            for i, v in enumerate(value):
+                if v in value[:i]:
+                    raise ConfigError(f"{name} repeats {v!r}")
 
 
 # JSON true/false arrive as bool, which Python counts as an integer.
@@ -221,19 +227,13 @@ def _write_csv_atomic(path: str, header: "list[str]", rows: "list[list]"):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([_py_scalar(v) for v in row])
     _write_bytes_atomic(path, buf.getvalue().encode())
 
 
-def _cell(v):
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
-
-
-def _json_cell(v):
+# csv writes str(x), which for a Python float is its shortest repr; json
+# takes only Python scalars.
+def _py_scalar(v):
     if isinstance(v, np.floating):
         return float(v)
     if isinstance(v, np.integer):
@@ -363,7 +363,7 @@ def cmd_adapt(cfg: RunConfig) -> int:
             )
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv_atomic(os.path.join(cfg.out, "report.csv"), REPORT_HEADER, rows)
-    payload = [dict(zip(REPORT_HEADER, (_json_cell(v) for v in row))) for row in rows]
+    payload = [dict(zip(REPORT_HEADER, (_py_scalar(v) for v in row))) for row in rows]
     _write_bytes_atomic(
         os.path.join(cfg.out, "report.json"),
         (json.dumps(payload, indent=2) + "\n").encode(),

@@ -284,6 +284,8 @@ def load_matrix(
         fmt = _detect_format(path)
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    if fmt != "idx" and (downsample != 1 or labels_path is not None):
+        raise ValueError(f"{path}: downsample and labels_path apply to idx files only")
     if fmt == "csv":
         ds = _load_csv(path, labeled)
     elif fmt == "rawf64":

@@ -22,7 +22,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 # Sweeps contract at a rate like 1 - exp(-osc(cost)/lam) and so stall for
 # small lam; the Newton polish runs at sweep _POLISH_FIRST and at every
@@ -277,7 +276,8 @@ def entropy(plan: np.ndarray) -> float:
     plan = np.asarray(plan, dtype=float)
     if np.any(plan < 0):
         raise ValueError("plan has negative entries")
-    return float(xlogy(plan, plan).sum())
+    logs = np.log(plan, out=np.zeros_like(plan), where=plan > 0)
+    return float((plan * logs).sum())
 
 
 def transport_cost(plan: np.ndarray, cost: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from otml import adapt, gml
 from otml import data as dt
@@ -121,6 +122,37 @@ def test_knn1_matches_brute_force():
     for k in range(10):
         dists = ((points - queries[:, k : k + 1]) ** 2).sum(axis=0)
         assert pred[k] == labels[int(np.argmin(dists))]
+
+
+def cdist_argmin(points, queries):
+    # cdist's distances with argmin's lowest-index tie rule
+    return np.argmin(cdist(queries.T, points.T, metric="sqeuclidean"), axis=1)
+
+
+@pytest.mark.parametrize("offset", [128.0, 2.0**30])
+def test_knn1_matches_cdist_on_integer_grid_ties(offset):
+    # Small integer grids put many queries exactly halfway between points;
+    # the lowest index must win every such tie, at a pixel-like offset and
+    # at one whose squared norms a double cannot hold exactly.
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        d = int(rng.integers(1, 6))
+        points = offset + rng.integers(-3, 4, size=(d, int(rng.integers(2, 30))))
+        queries = offset + rng.integers(-3, 4, size=(d, 50))
+        labels = np.arange(points.shape[1])
+        np.testing.assert_array_equal(
+            adapt.knn1_predict(points, labels, queries), cdist_argmin(points, queries)
+        )
+
+
+def test_knn1_matches_cdist_at_pixel_scale_d784():
+    rng = np.random.default_rng(11)
+    points = 128.0 + 40.0 * rng.normal(size=(784, 200))
+    queries = 128.0 + 40.0 * rng.normal(size=(784, 200))
+    labels = np.arange(200)
+    np.testing.assert_array_equal(
+        adapt.knn1_predict(points, labels, queries), cdist_argmin(points, queries)
+    )
 
 
 def test_knn1_on_training_points_recovers_labels():

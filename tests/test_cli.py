@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +99,12 @@ def test_config_validation_errors():
     for bad in ("false", 0, 1, None):
         with pytest.raises(cli.ConfigError, match="strict must be true or false"):
             cli.load_config(None, {"strict": bad})
+    for name, value, first in (("methods", ["gram", "euclidean", "gram"], "'gram'"),
+                               ("lambda_grid", [0.5, 1, 1.0], "1.0"),
+                               ("seeds", [3, 3], "3"), ("skews", [20, 50, 20], "20"),
+                               ("skew_classes", [0, 1, 1], "1")):
+        with pytest.raises(cli.ConfigError, match=f"^{name} repeats {first}$"):
+            cli.load_config(None, {name: value})
 
 
 @pytest.mark.parametrize("name,value", [
@@ -369,6 +377,25 @@ def test_fit_header_only_csv_exits_two_without_outputs(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("ext", ["rawf64", "csv"])
+def test_fit_downsample_on_non_idx_input_exits_two(tmp_path, capsys, ext):
+    # Average-pooling applies to idx images only; elsewhere it is refused.
+    feats = np.random.default_rng(8).normal(size=(6, 10))
+    src = str(tmp_path / f"a.{ext}")
+    if ext == "csv":
+        write_matrix_csv(tmp_path / "a.csv", feats)
+    else:
+        dt.save_rawf64(src, feats)
+    out = tmp_path / "out"
+    rc = cli.main(["fit", "--source", src, "--target", src, "--method", "euclidean",
+                   "--lambda", "0.5", "--downsample", "4", "--out", str(out)])
+    assert rc == 2
+    assert f"data error: {src}: downsample and labels_path apply to idx files only" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_fit_strict_nonconvergence_exits_three(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     cfgfile = tmp_path / "strict.json"
@@ -468,6 +495,45 @@ def test_adapt_non_finite_csv_exits_two_without_outputs(tmp_path, capsys, method
     assert not os.path.exists(out)
 
 
+def test_adapt_label_path_on_csv_input_exits_two(tmp_path, capsys):
+    # A csv carries its labels in its last column; a label file is refused.
+    cloud = write_cloud_csv(tmp_path / "cloud.csv", np.random.default_rng(2))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"target_test_labels": cloud}))
+    out = tmp_path / "out"
+    rc = cli.main(["adapt", "--config", str(config), "--source", cloud,
+                   "--target-train", cloud, "--target-test", cloud,
+                   "--method", "euclidean", "--out", str(out)])
+    assert rc == 2
+    assert "idx files only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, fit
+    # and adapt with every method still run.
+    cloud = write_cloud_csv(tmp_path / "cloud.csv", np.random.default_rng(6))
+    methods = [arg for m in ad.METHODS for arg in ("--method", m)]
+    fit = ["fit", "--source", cloud, "--target", cloud, "--method", "learned",
+           "--lambda", "0.5", "--out", str(tmp_path / "fit")]
+    adapt = ["adapt", "--source", cloud, "--target-train", cloud,
+             "--target-test", cloud, *methods, "--seed", "0",
+             "--out", str(tmp_path / "adapt")]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from otml import cli\n"
+        f"sys.exit(cli.main({fit!r}) or cli.main({adapt!r}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "fit" / "gamma.rawf64").exists()
+    assert (tmp_path / "adapt" / "report.csv").read_text().count("\n") == 5
+
+
 def test_adapt_dimension_mismatch_exits_two(tmp_path):
     rng = np.random.default_rng(2)
     a = write_cloud_csv(tmp_path / "a.csv", rng, dim=2)
@@ -537,6 +603,15 @@ def test_experiment_skew_deterministic(skew_config, tmp_path):
         with open(os.path.join(out, "runs.csv"), "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
+
+
+def test_experiment_skew_repeated_method_exits_one(skew_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["experiment-skew", "--config", skew_config, "--out", str(out),
+                   "--method", "euclidean", "--method", "euclidean"])
+    assert rc == 1
+    assert "config error: methods repeats 'euclidean'\n" == capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_skew_unsatisfiable_skew_exits_two(skew_config, tmp_path):

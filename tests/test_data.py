@@ -265,6 +265,19 @@ def test_load_matrix_unknown_format(tmp_path):
         dt.load_matrix(str(path), fmt="hdf5")
 
 
+@pytest.mark.parametrize("name", ["x.csv", "x.rawf64"])
+@pytest.mark.parametrize("option", [{"downsample": 2}, {"labels_path": "labels-idx1"}])
+def test_load_matrix_rejects_idx_options_for_other_formats(tmp_path, name, option):
+    # Silently ignoring either option would hand back data it did not ask for.
+    path = str(tmp_path / name)
+    if name.endswith(".csv"):
+        np.savetxt(path, np.ones((3, 2)), delimiter=",")
+    else:
+        dt.save_rawf64(path, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="idx files only"):
+        dt.load_matrix(path, **option)
+
+
 BAD_FILES = {
     "nan.csv": (b"1.0,2.0\nnan,3.0\n", "non-finite"),
     "inf.csv": (b"1.0,inf\n", "non-finite"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from ot_oracle import MAX_ORACLE_CELLS, exact_ot_oracle, kernel_scaling_plan
 from otml import sinkhorn as sk
@@ -300,6 +300,21 @@ def test_entropy_of_product_coupling():
     assert sk.entropy(np.array([[0.5, 0.0], [0.0, 0.5]])) == pytest.approx(
         -np.log(2), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_entropy_matches_xlogy_with_zero_entries(seed):
+    rng = np.random.default_rng(seed)
+    plan = rng.random((30, 40)) ** 4
+    plan[rng.random(plan.shape) < 0.3] = 0.0
+    plan[0] = 0.0
+    plan /= plan.sum()
+    assert sk.entropy(plan) == pytest.approx(float(xlogy(plan, plan).sum()), rel=1e-14)
+
+
+def test_entropy_rejects_negative_entries():
+    with pytest.raises(ValueError, match="negative"):
+        sk.entropy(np.array([[0.5, -0.1], [0.3, 0.3]]))
 
 
 def test_transport_cost_is_frobenius_inner():
