@@ -23,8 +23,8 @@ summarize
     Aggregate report CSVs: group rows (over seeds and skew classes) and
     average the accuracy columns.
 
-Configuration is a JSON object whose keys are exactly the field names
-of the RunConfig dataclass below. Each flag sets one field and
+Configuration is a JSON object whose keys are RunConfig field names,
+only those the subcommand reads (COMMAND_KEYS). Each flag sets one field and
 overrides the file value; repeated ``--method``, ``--lambda`` and
 ``--seed`` flags make up the ``methods``, ``lambda_grid`` and ``seeds``
 lists. Numeric fields and the entries of ``lambda_grid`` and ``skews``
@@ -179,8 +179,21 @@ def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
     )
 
 
-def load_config(path: "str | None", overrides: dict) -> RunConfig:
-    """Merge a JSON config file (optional) with flag overrides."""
+# The RunConfig fields each subcommand reads; any other key is an error.
+_SOLVE_KEYS = set("methods d_choice lambda_grid outer_iters eps objective_rtol sinkhorn_tol "
+                  "sinkhorn_max_iter strict out format downsample source".split())
+COMMAND_KEYS = {
+    "fit": _SOLVE_KEYS | {"target"},
+    "adapt": _SOLVE_KEYS | set("seeds name source_labels target_train target_train_labels "
+                               "target_test target_test_labels".split()),
+    "experiment-skew": _SOLVE_KEYS | set("seeds source_labels target target_labels m n skews "
+                                         "skew_classes".split()),
+    "summarize": {"out"},
+}
+
+
+def load_config(path: "str | None", overrides: dict, command: "str | None" = None) -> RunConfig:
+    """Merge a JSON config file (optional) with flag overrides for ``command``."""
     values = {}
     if path is not None:
         try:
@@ -199,6 +212,8 @@ def load_config(path: "str | None", overrides: dict) -> RunConfig:
     for key, val in values.items():
         if key not in known or key == "inputs":
             raise ConfigError(f"unknown config key {key!r}")
+        if command is not None and key not in COMMAND_KEYS[command]:
+            raise ConfigError(f"{command} does not read config key {key!r}")
         merged[key] = val
     try:
         return RunConfig(**merged)
@@ -562,7 +577,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config, _overrides(args))
+        cfg = load_config(args.config, _overrides(args), args.command)
         if args.command == "summarize":
             cfg = replace(cfg, inputs=list(args.inputs))
         return _COMMANDS[args.command](cfg)

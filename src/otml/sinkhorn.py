@@ -4,18 +4,16 @@ The solver returns the coupling that minimizes
 
     <plan, cost> + lam * sum_ij plan_ij * ln(plan_ij)
 
-over nonnegative matrices with prescribed row and column sums. Iterations
-run in the log domain: the dual potentials f, g are updated
-through max-shifted log-sum-exp, which stays finite for small ``lam``
-where the naive kernel scaling underflows. One sweep is two log-sum-exp
-passes over an m x n work buffer, the first along rows (updates f) and
-the second along columns (updates g). After the g update the columns
-sum to q, and the row sums are exp(f/lam + r), where r is the row
-log-sum-exp that the next f update computes anyway, so the stopping test
-reads the marginal error off that pass in O(m). The plan itself is built
-only when that test passes, where its full L1 error decides, and at exit.
-Where sweeps stall (small ``lam``), damped Newton steps on the dual finish
-the solve at any problem size.
+over nonnegative matrices with prescribed row and column sums. The plan is
+u_i K_ij v_j with a fixed kernel K = exp((f + g - cost) / lam), so a sweep
+is two matrix-vector products, u = p / (K v) and v = q / (K^T u). Sweep 1
+is a log-domain (max-shifted log-sum-exp) step that centres K, so K stays
+finite for small ``lam``; so is any sweep where K v or K^T u underflows
+(subnormal masses). Scalings that leave a fixed range are absorbed into
+the dual potentials f, g, and K is rebuilt. The stop test reads the row
+error off the K v that the next sweep needs; the plan is built, and its
+full L1 error decides, only when that test passes, and at exit. Where
+sweeps stall (small ``lam``), damped Newton steps on the dual finish.
 """
 
 import numbers
@@ -23,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Sweeps contract at a rate like 1 - exp(-osc(cost)/lam) and so stall for
-# small lam; the Newton polish runs at sweep _POLISH_FIRST and at every
-# fivefold count after.
+# Scaling sweeps contract at a rate like 1 - exp(-osc(cost)/lam) and so
+# stall for small lam; the Newton polish, which works on the potentials,
+# runs at sweep _POLISH_FIRST and at every fivefold count after.
 _POLISH_FIRST = 200
+# Scalings that leave this range are absorbed into the potentials.
+_SCALING_MIN, _SCALING_MAX = 1e-30, 1e30
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def solve(
     q: np.ndarray,
     cfg: SinkhornConfig,
 ) -> TransportPlan:
-    """Solve entropic OT for a fixed cost matrix.
+    """Solve entropic OT for a fixed cost matrix by stabilized scaling sweeps.
 
     Parameters
     ----------
@@ -142,7 +142,7 @@ def solve(
     cost, p, q = _check_inputs(cost, p, q)
     rows = p > 0
     cols = q > 0
-    sub_plan, sub_f, sub_g, iters = _solve_log(
+    sub_plan, sub_f, sub_g, iters = _solve_scaling(
         cost[np.ix_(rows, cols)], p[rows], q[cols], cfg
     )
 
@@ -176,45 +176,44 @@ def _logsumexp(a, axis):
     return np.log(a.sum(axis=axis)) + shift.reshape(-1)
 
 
-def _solve_log(cost, p, q, cfg):
-    lam = cfg.lam
-    log_p = np.log(p)
-    log_q = np.log(q)
-    f = np.zeros(p.size)
-    g = np.zeros(q.size)
+def _solve_scaling(cost, p, q, cfg):
+    lam, tol = cfg.lam, cfg.tol
     scaled = cost / lam
-    work = np.empty_like(scaled)
-
-    def row_lse(g):
-        np.subtract(g / lam, scaled, out=work)
-        return _logsumexp(work, axis=1)
-
-    def plan_of(f, g):
-        return np.exp((f[:, None] + g[None, :]) / lam - scaled)
-
+    kernel = np.empty_like(scaled)  # rebuilt in place, which keeps the heap's peak down
+    tiny = np.finfo(float).tiny
+    g, v, kv = np.zeros(q.size), np.ones(q.size), np.zeros(p.size)
     polish_at = _POLISH_FIRST
-    lse_r = row_lse(g)
     for it in range(1, cfg.max_iter + 1):
-        f = lam * (log_p - lse_r)
-        np.subtract(f[:, None] / lam, scaled, out=work)
-        g = lam * (log_q - _logsumexp(work, axis=0))
-        # the columns now sum to q; the rows sum to exp(f/lam + lse_r)
-        lse_r = row_lse(g)
-        if np.abs(np.exp(f / lam + lse_r) - p).sum() < cfg.tol:
-            plan = plan_of(f, g)
-            if max(marginal_error(plan, p, q)) < cfg.tol:
+        u = p / np.fmax(kv, tiny)
+        if kv.min() >= tiny and (ktu := kernel.T @ u).min() >= tiny:
+            v = q / ktu
+            kv = kernel @ v
+        else:
+            # sweep 1, or K v or K^T u underflowed: a log-domain step centres K
+            f = lam * (np.log(p) - _logsumexp(g / lam + np.log(v) - scaled, axis=1))
+            g = lam * (np.log(q) - _logsumexp(f[:, None] / lam - scaled, axis=0))
+            np.exp((f[:, None] + g[None, :]) / lam - scaled, out=kernel)
+            u, v, kv = np.ones(p.size), np.ones(q.size), kernel.sum(axis=1)
+        # the columns sum to q; the rows sum to u * kv
+        if np.abs(u * kv - p).sum() < tol:
+            plan = u[:, None] * kernel * v[None, :]
+            if max(marginal_error(plan, p, q)) < tol:
                 break
         if it >= polish_at:
             polish_at *= 5
-            out = _newton_polish(scaled, p, q, f, g, lam, cfg.tol)
+            out = _newton_polish(scaled, p, q, f + lam * np.log(u), g + lam * np.log(v), lam, tol)
             if out is not None:
                 f, g, plan, err = out
-                if err < cfg.tol:
+                kernel, u, v, kv = plan, np.ones(p.size), np.ones(q.size), plan.sum(axis=1)
+                if err < tol:
                     break
-                lse_r = row_lse(g)
+        if min(u.min(), v.min()) < _SCALING_MIN or max(u.max(), v.max()) > _SCALING_MAX:
+            f, g = f + lam * np.log(u), g + lam * np.log(v)
+            np.exp((f[:, None] + g[None, :]) / lam - scaled, out=kernel)
+            u, v, kv = np.ones(p.size), np.ones(q.size), u * kv
     else:
-        plan = plan_of(f, g)
-    return plan, f, g, it
+        plan = u[:, None] * kernel * v[None, :]
+    return plan, f + lam * np.log(u), g + lam * np.log(v), it
 
 
 def _newton_polish(scaled, p, q, f, g, lam, tol):

@@ -4,6 +4,9 @@
 enumeration, an independent ground truth for the entropic solver at small
 ``lam``. ``kernel_scaling_plan`` is the textbook kernel-scaling iteration,
 a second route to the entropic plan on well-scaled instances.
+``log_domain_solve`` is the log-domain Sinkhorn iteration that the
+stabilized scaling sweeps of ``sinkhorn.solve`` replaced; it takes the same
+steps, so sweep counts and plans must match it.
 """
 
 import itertools
@@ -35,6 +38,54 @@ def kernel_scaling_plan(cost, p, q, lam, tol, max_iter=10000):
         if max(sk.marginal_error(plan, p, q)) < tol:
             break
     return plan
+
+
+def log_domain_solve(cost, p, q, cfg):
+    """Log-domain Sinkhorn on positive histograms: (plan, f, g, sweeps).
+
+    Each sweep is two max-shifted log-sum-exp passes over an m x n work
+    buffer, the first along rows (updates f), the second along columns
+    (updates g). The stopping test, the full-L1 re-check and the Newton
+    polish checkpoints are those of ``sinkhorn.solve``.
+    """
+    lam = cfg.lam
+    log_p = np.log(p)
+    log_q = np.log(q)
+    f = np.zeros(p.size)
+    g = np.zeros(q.size)
+    scaled = cost / lam
+    work = np.empty_like(scaled)
+
+    def row_lse(g):
+        np.subtract(g / lam, scaled, out=work)
+        return sk._logsumexp(work, axis=1)
+
+    def plan_of(f, g):
+        return np.exp((f[:, None] + g[None, :]) / lam - scaled)
+
+    polish_at = sk._POLISH_FIRST
+    lse_r = row_lse(g)
+    for it in range(1, cfg.max_iter + 1):
+        f = lam * (log_p - lse_r)
+        np.subtract(f[:, None] / lam, scaled, out=work)
+        g = lam * (log_q - sk._logsumexp(work, axis=0))
+        # the columns now sum to q; the rows sum to exp(f/lam + lse_r)
+        lse_r = row_lse(g)
+        if np.abs(np.exp(f / lam + lse_r) - p).sum() < cfg.tol:
+            plan = plan_of(f, g)
+            if max(sk.marginal_error(plan, p, q)) < cfg.tol:
+                break
+        if it >= polish_at:
+            polish_at *= 5
+            out = sk._newton_polish(scaled, p, q, f, g, lam, cfg.tol)
+            if out is not None:
+                f, g, plan, err = out
+                if err < cfg.tol:
+                    break
+                lse_r = row_lse(g)
+    else:
+        plan = plan_of(f, g)
+    return plan, f, g, it
 
 
 def exact_ot_oracle(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:

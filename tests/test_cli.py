@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -59,6 +60,35 @@ def test_load_config_rejects_unknown_key(tmp_path):
         cfgfile.write_text(json.dumps({key: False}))
         with pytest.raises(cli.ConfigError, match="unknown config key"):
             cli.load_config(str(cfgfile), {})
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("fit", "source_labels", "a.labels"),
+    ("fit", "m", 20),
+    ("fit", "skews", [50]),
+    ("fit", "seeds", [0]),
+    ("adapt", "m", 20),
+    ("adapt", "n", 20),
+    ("adapt", "skews", [50]),
+    ("adapt", "target", "b.csv"),
+    ("experiment-skew", "target_train", "b.csv"),
+    ("summarize", "methods", ["euclidean"]),
+])
+def test_subcommand_rejects_config_keys_it_does_not_read(tmp_path, capsys, command, key, value):
+    # Such a key used to be accepted and silently ignored.
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_subcommand_keys_are_config_fields():
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert set(cli.COMMAND_KEYS) == set(cli._COMMANDS)
+    for keys in cli.COMMAND_KEYS.values():
+        assert keys <= fields - {"inputs"}
 
 
 def test_load_config_rejects_inputs_key(tmp_path):

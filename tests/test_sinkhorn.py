@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import logsumexp, xlogy
 
-from ot_oracle import MAX_ORACLE_CELLS, exact_ot_oracle, kernel_scaling_plan
+from ot_oracle import MAX_ORACLE_CELLS, exact_ot_oracle, kernel_scaling_plan, log_domain_solve
 from otml import sinkhorn as sk
 
 
@@ -213,8 +213,9 @@ def test_large_cost_scale_stays_finite():
     pytest.param(320, 300, 0.005, 2000, True, id="past-polish-gate-stiff"),
 ])
 def test_reported_error_is_the_plans(m, n, lam, max_iter, converges):
-    # the sweep stops on an error read off the log-sum-exp pass; what is
-    # reported must still be the L1 error of the returned matrix
+    # the sweep stops on a row error read off the K v product that the next
+    # sweep needs anyway; what is reported must still be the L1 error of the
+    # returned matrix
     rng = np.random.default_rng(13)
     x = rng.standard_normal((m, 4))
     z = rng.standard_normal((n, 4)) + 0.5
@@ -229,6 +230,125 @@ def test_reported_error_is_the_plans(m, n, lam, max_iter, converges):
     assert tp.converged == converges
     if not converges:
         assert tp.iterations == max_iter
+
+
+GRID = (0.05, 0.2, 0.5, 1.0, 2.0)
+
+
+def cloud_problem(m, n, metric, tiny_mass=None):
+    """Costs between two Gaussian clouds, as a fit builds them.
+
+    ``euclidean`` costs are median-normalized. ``learned`` costs use a
+    random SPD Mahalanobis metric and median 6, the median of the first
+    learned cost of a d=64 fit. ``tiny_mass`` replaces p[0].
+    """
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((m, 4))
+    z = rng.standard_normal((n, 4)) + 0.5
+    diff = x[:, None, :] - z[None, :, :]
+    if metric == "euclidean":
+        cost = (diff ** 2).sum(axis=-1)
+        cost /= np.median(cost)
+    else:
+        b = rng.standard_normal((4, 4))
+        cost = np.einsum("ijk,kl,ijl->ij", diff, b @ b.T + 0.1 * np.eye(4), diff)
+        cost *= 6.0 / np.median(cost)
+    p = random_histogram(rng, m)
+    q = random_histogram(rng, n)
+    if tiny_mass is not None:
+        p[0] = 0.0
+        p *= (1.0 - tiny_mass) / p.sum()
+        p[0] = tiny_mass
+    return cost, p, q
+
+
+def zero_mass_problem():
+    cost, p, q = cloud_problem(30, 25, "euclidean")
+    p[[3, 7]] = 0.0
+    q[[0, 24]] = 0.0
+    return cost, p / p.sum(), q / q.sum()
+
+
+PARITY_CASES = [
+    pytest.param(*cloud_problem(m, n, metric), lam, id=f"{metric}-{m}x{n}-lam{lam}")
+    for metric in ("euclidean", "learned")
+    for m, n in ((40, 40), (50, 30))
+    for lam in GRID
+] + [
+    pytest.param(*zero_mass_problem(), lam, id=f"zero-mass-lam{lam}") for lam in GRID
+] + [
+    # masses below the smallest normal double: the kernel products of their
+    # row underflow, so those sweeps fall back to the log domain (at 1e-310
+    # from sweep 22 on at lam=0.05; at 5e-324 the scaling sweep divides by 0)
+    pytest.param(*cloud_problem(30, 25, "euclidean", tiny_mass=mass), lam,
+                 id=f"subnormal-mass-{mass}-lam{lam}")
+    for mass in (1e-310, 5e-324)
+    for lam in GRID
+] + [
+    # past-polish-gate-stiff of test_reported_error_is_the_plans
+    pytest.param(*cloud_problem(320, 300, "euclidean"), 0.005, id="stiff-320x300-lam0.005"),
+]
+
+
+@pytest.mark.parametrize("cost, p, q, lam", PARITY_CASES)
+def test_scaling_sweeps_match_the_log_domain_oracle(cost, p, q, lam):
+    cfg = sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000)
+    tp = sk.solve(cost, p, q, cfg)
+    rows, cols = p > 0, q > 0
+    plan, _, _, iters = log_domain_solve(cost[np.ix_(rows, cols)], p[rows], q[cols], cfg)
+    assert tp.iterations == iters
+    assert tp.converged == (max(sk.marginal_error(plan, p[rows], q[cols])) < cfg.tol)
+    np.testing.assert_allclose(tp.matrix[np.ix_(rows, cols)], plan, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(tp.matrix[~rows], 0.0)
+    np.testing.assert_array_equal(tp.matrix[:, ~cols], 0.0)
+
+
+def scale_1e3_problem(m, n, seed):
+    rng = np.random.default_rng(seed)
+    return 1e3 * rng.random((m, n)), random_histogram(rng, m), random_histogram(rng, n)
+
+
+@pytest.mark.parametrize("m, n, seed", [(5, 4, 0), (20, 15, 2), (40, 30, 3)])
+def test_scale_1e3_instances_stay_truthfully_unconverged(m, n, seed):
+    # osc(cost)/lam = 2e4: both routes stall at max_iter (a known limit of
+    # the solver); their errors are not compared, as rounding steers them
+    # apart once the polish has run
+    cost, p, q = scale_1e3_problem(m, n, seed)
+    cfg = sk.SinkhornConfig(lam=0.05, max_iter=10000)
+    tp = sk.solve(cost, p, q, cfg)
+    plan, _, _, iters = log_domain_solve(cost, p, q, cfg)
+    assert tp.iterations == iters == cfg.max_iter
+    assert not tp.converged and not max(sk.marginal_error(plan, p, q)) < cfg.tol
+    assert tp.marginal_error == max(sk.marginal_error(tp.matrix, p, q))
+    assert np.all(np.isfinite(tp.matrix)) and np.all(tp.matrix >= 0)
+
+
+def test_absorption_keeps_potentials_and_plan_in_step():
+    # Between the polish at sweep _POLISH_FIRST and sweep 999 the oracle's
+    # f_i + g_j rise by more than 745 lam in some cells: exp underflows
+    # those cells to 0 in a kernel built at the polish, yet by sweep 999 they
+    # carry mass. Absorbing the scalings whenever they leave
+    # [_SCALING_MIN, _SCALING_MAX] rebuilds the kernel in time; without it
+    # the returned potentials describe a plan ~1e26 off the returned one.
+    cost, p, q = scale_1e3_problem(40, 30, 3)
+    lam = 0.05
+    runs = {it: log_domain_solve(cost, p, q, sk.SinkhornConfig(lam=lam, max_iter=it))
+            for it in (1, 199, sk._POLISH_FIRST + 1, 999)}
+
+    def drift(a, b):
+        return (runs[b][1] - runs[a][1])[:, None] + (runs[b][2] - runs[a][2])[None, :]
+
+    # before the first polish the scalings must have been absorbed...
+    assert np.abs(drift(1, 199)).max() > 2 * lam * np.log(sk._SCALING_MAX)
+    assert drift(sk._POLISH_FIRST + 1, 999).max() > 745 * lam
+    # ...and the sweeps are still the oracle's, to the rounding of a
+    # cost/lam of 2e4
+    tp = sk.solve(cost, p, q, sk.SinkhornConfig(lam=lam, max_iter=199))
+    np.testing.assert_allclose(tp.matrix, runs[199][0], rtol=0, atol=1e-13)
+    tp = sk.solve(cost, p, q, sk.SinkhornConfig(lam=lam, max_iter=999))
+    assert not tp.converged
+    rebuilt = np.exp((tp.f[:, None] + tp.g[None, :] - cost) / lam)
+    np.testing.assert_allclose(rebuilt, tp.matrix, rtol=0, atol=1e-12)
 
 
 def test_first_polish_reaches_rounding_level_tolerance():
