@@ -27,9 +27,10 @@ Configuration is a JSON object whose keys are RunConfig field names,
 only those the subcommand reads (COMMAND_KEYS). Each flag sets one field and
 overrides the file value; repeated ``--method``, ``--lambda`` and
 ``--seed`` flags make up the ``methods``, ``lambda_grid`` and ``seeds``
-lists. Numeric fields and the entries of ``lambda_grid`` and ``skews``
-must be JSON numbers (true/false are rejected). Exit codes: 0 success,
-1 configuration error, 2 data error, 3 numerical failure (under
+lists. Numeric fields and the entries of ``lambda_grid`` must be JSON
+numbers, the entries of ``skews`` integers in (0, 100) (true/false are
+rejected), and ``out``, ``name`` and the input paths strings. Exit codes:
+0 success, 1 configuration error, 2 data error, 3 numerical failure (under
 ``strict`` also an unconverged solve, before any output).
 Results go to stdout, diagnostics to stderr. Output files are written
 atomically (temp file then rename).
@@ -55,6 +56,9 @@ from .spd import PositivityError
 
 DEFAULT_LAMBDA_GRID = (0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+# The RunConfig fields that name input files; null means not given.
+_PATH_KEYS = ("source", "source_labels", "target", "target_labels", "target_train",
+              "target_train_labels", "target_test", "target_test_labels")
 
 
 class ConfigError(ValueError):
@@ -122,10 +126,9 @@ class RunConfig:
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        for name in ("lambda_grid", "skews"):
-            for value in getattr(self, name):
-                if not _is_number(value):
-                    raise ConfigError(f"{name} entries must be numbers, got {value!r}")
+        for value in self.lambda_grid:
+            if not _is_number(value):
+                raise ConfigError(f"lambda_grid entries must be numbers, got {value!r}")
         # The solver configs own the range checks of their settings.
         try:
             for lam in self.lambda_grid:
@@ -147,9 +150,14 @@ class RunConfig:
                     )
         if self.format is not None and self.format not in dt.FORMATS:
             raise ConfigError(f"format must be one of {dt.FORMATS}")
+        # Skews seed their draws too, so 30 and 30.4 would share samples.
         for w in self.skews:
-            if not 0 < w < 100:
-                raise ConfigError(f"skew percent {w} outside (0, 100)")
+            if not (_is_int(w) and 0 < w < 100):
+                raise ConfigError(f"skews entries must be integers in (0, 100), got {w!r}")
+        for name in ("out", "name") + _PATH_KEYS:
+            value = getattr(self, name)
+            if not (isinstance(value, str) or value is None and name in _PATH_KEYS):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         # A repeated entry would only redo the same work and rows.
         for name in ("methods", "lambda_grid", "seeds", "skews", "skew_classes"):
             value = getattr(self, name) or []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -135,6 +136,18 @@ def test_config_validation_errors():
                                ("skew_classes", [0, 1, 1], "1")):
         with pytest.raises(cli.ConfigError, match=f"^{name} repeats {first}$"):
             cli.load_config(None, {name: value})
+    # a fractional skew would seed its draws like its integer part
+    for bad in ([30.4], [30.0], [20, 0], [100]):
+        with pytest.raises(cli.ConfigError, match=r"^skews entries must be integers in \(0, 100\)"):
+            cli.load_config(None, {"skews": bad})
+    for name in ("out", "name", "source", "source_labels", "target", "target_labels",
+                 "target_train", "target_train_labels", "target_test", "target_test_labels"):
+        for bad, shown in ((5, "5"), (True, "True"), (["a.csv"], "['a.csv']")):
+            with pytest.raises(cli.ConfigError, match=f"^{name} must be a string, got {re.escape(shown)}$"):
+                cli.load_config(None, {name: bad})
+    for name in ("out", "name"):
+        with pytest.raises(cli.ConfigError, match=f"^{name} must be a string, got None$"):
+            cli.load_config(None, {name: None})
 
 
 @pytest.mark.parametrize("name,value", [
@@ -172,6 +185,15 @@ def test_bool_lambda_in_config_exits_one_without_outputs(tmp_path, capsys):
         capsys.readouterr().err
     )
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("key, value", [("out", 5), ("out", True), ("source", ["a.csv"]),
+                                        ("source", 7)])
+def test_non_string_path_in_config_exits_one(tmp_path, capsys, key, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"source": "absent.csv", "target": "absent.csv", key: value}))
+    assert cli.main(["experiment-skew", "--config", str(config)]) == 1
+    assert f"config error: {key} must be a string, got {value!r}" in capsys.readouterr().err
 
 
 def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import logsumexp, xlogy
 
-from ot_oracle import MAX_ORACLE_CELLS, exact_ot_oracle, kernel_scaling_plan, log_domain_solve
+from ot_oracle import (
+    MAX_ORACLE_CELLS,
+    eigh_newton_polish,
+    exact_ot_oracle,
+    kernel_scaling_plan,
+    log_domain_solve,
+)
 from otml import sinkhorn as sk
 
 
@@ -309,18 +315,48 @@ def scale_1e3_problem(m, n, seed):
 
 
 @pytest.mark.parametrize("m, n, seed", [(5, 4, 0), (20, 15, 2), (40, 30, 3)])
-def test_scale_1e3_instances_stay_truthfully_unconverged(m, n, seed):
-    # osc(cost)/lam = 2e4: both routes stall at max_iter (a known limit of
-    # the solver); their errors are not compared, as rounding steers them
-    # apart once the polish has run
+def test_scale_1e3_instances_converge(m, n, seed):
+    # osc(cost)/lam = 2e4: sweeps alone stall, and the polish finishes the
+    # solve on both routes at the same checkpoint
     cost, p, q = scale_1e3_problem(m, n, seed)
     cfg = sk.SinkhornConfig(lam=0.05, max_iter=10000)
     tp = sk.solve(cost, p, q, cfg)
     plan, _, _, iters = log_domain_solve(cost, p, q, cfg)
-    assert tp.iterations == iters == cfg.max_iter
-    assert not tp.converged and not max(sk.marginal_error(plan, p, q)) < cfg.tol
+    assert tp.converged and max(sk.marginal_error(plan, p, q)) < cfg.tol
+    assert tp.iterations == iters
+    np.testing.assert_allclose(tp.matrix, plan, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("m, n, seed", [(15, 12, 5), (40, 30, 1)])
+def test_scale_1e3_stalls_stay_truthfully_unconverged(m, n, seed):
+    # instances where even the polish does not close the gap by max_iter;
+    # errors are not compared between routes, as rounding steers them apart
+    cost, p, q = scale_1e3_problem(m, n, seed)
+    cfg = sk.SinkhornConfig(lam=0.05, max_iter=10000)
+    tp = sk.solve(cost, p, q, cfg)
+    assert not tp.converged and tp.iterations == cfg.max_iter
     assert tp.marginal_error == max(sk.marginal_error(tp.matrix, p, q))
     assert np.all(np.isfinite(tp.matrix)) and np.all(tp.matrix >= 0)
+
+
+@pytest.mark.parametrize("metric, m, n, lam", [
+    (metric, m, n, lam)
+    for metric in ("euclidean", "learned")
+    for m, n in ((40, 40), (50, 30), (320, 300))
+    for lam in (0.05, 0.2)
+    # the other cases converge before the first polish
+    if metric == "learned" or (m + n < 600 and lam == 0.05)
+])
+def test_damped_polish_matches_the_eigh_oracle(metric, m, n, lam):
+    # on these well-conditioned plans the damped solve is the minimum-norm
+    # step of the eigendecomposition it replaced, up to rounding
+    cost, p, q = cloud_problem(m, n, metric)
+    capped = sk.SinkhornConfig(lam=lam, max_iter=sk._POLISH_FIRST - 1)
+    tp = sk.solve(cost, p, q, capped)
+    assert not tp.converged
+    args = (cost / lam, p, q, tp.f, tp.g, lam, capped.tol)
+    damped, ref = sk._newton_polish(*args), eigh_newton_polish(*args)
+    np.testing.assert_allclose(damped[2], ref[2], rtol=0, atol=1e-12 * ref[2].max())
 
 
 def test_absorption_keeps_potentials_and_plan_in_step():
