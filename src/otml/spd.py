@@ -5,7 +5,9 @@ the simplest route to a correct principal root. Inputs are symmetrized
 before decomposition so that accumulated round-off asymmetry cannot leak
 into eigenvalue signs, and results of the quadratic solve and the geometric
 mean are re-symmetrized before return so that drift does not build up over
-repeated alternating updates.
+repeated alternating updates. The quadratic solve and the geometric mean
+decompose their first argument once, and decompose a second matrix only
+when the second argument is not a scalar multiple of the identity.
 """
 
 import numpy as np
@@ -98,12 +100,17 @@ def spd_inv(mat: np.ndarray) -> np.ndarray:
 
 def _mean(a: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
     # R (S b S)^{1/2} R with R = a^k and S = a^-k, k = +-1/2, both roots
-    # taken from one eigendecomposition of a.
+    # taken from one eigendecomposition of a. For b = s I this is
+    # s^{1/2} a^k, and b needs no decomposition; s <= 0 gives the zero
+    # matrix that the clamp in _psd_sqrt gives.
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     w, v = eigh_spd(a)
+    s = b[0, 0]
+    if np.array_equal(b, s * np.eye(b.shape[0])):
+        return np.sqrt(max(s, 0.0)) * _eig_power(w, v, k)
     outer = _eig_power(w, v, k)
     inner = _eig_power(w, v, -k)
     return symmetrize(outer @ _psd_sqrt(inner @ symmetrize(b) @ inner) @ outer)
@@ -114,7 +121,9 @@ def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 
     The unique SPD solution is C^{-1/2} (C^{1/2} D C^{1/2})^{1/2} C^{-1/2},
     computed with two eigendecompositions: one of C for both of its roots,
-    one of the inner product.
+    one of the inner product. When D is exactly s * I this is
+    s^{1/2} C^{-1/2}, computed from the one eigendecomposition of C
+    (the zero matrix for s <= 0).
 
     Parameters
     ----------
@@ -135,7 +144,10 @@ def geometric_mean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Computed as P^{1/2} (P^{-1/2} Q P^{-1/2})^{1/2} P^{1/2}, the midpoint
     of the geodesic joining P and Q under the affine-invariant geometry.
     Coincides with the solution A of A @ P^{-1} @ A = Q, so
-    ``geometric_mean(inv(C), D) == riccati_solve(C, D)``.
+    ``geometric_mean(inv(C), D) == riccati_solve(C, D)``. Two
+    eigendecompositions, one of P and one of the inner product; when Q is
+    exactly s * I the mean is s^{1/2} P^{1/2}, from the one of P (the zero
+    matrix for s <= 0).
 
     Parameters
     ----------

@@ -272,7 +272,9 @@ def test_run_task_shares_the_lambda_independent_work(
     # whole grid; every later sweep and every Sinkhorn solve still runs
     # once per lambda. The learned fit's extra cost matrix is the Euclidean
     # one that sets its scale; its first scatter is the independence
-    # coupling's, built once without compute_cgamma.
+    # coupling's, built once without compute_cgamma. At the default
+    # D = I each metric (the learned update, or whiten's inverse) takes
+    # exactly one eigendecomposition, and nothing else takes any.
     rng = np.random.default_rng(13)
     source = two_blob_cloud(rng)
     train = two_blob_cloud(rng, shift=(0.5, -0.3))
@@ -280,7 +282,7 @@ def test_run_task_shares_the_lambda_independent_work(
     counts = {}
     for module, name in ((gml, "update_metric"), (gml, "baseline_metric"),
                          (gml, "cost_matrix"), (gml, "compute_cgamma"),
-                         (sk, "solve")):
+                         (sk, "solve"), (np.linalg, "eigh")):
         _count_calls(monkeypatch, module, name, counts)
     cfg = gml.GmlConfig(
         sinkhorn=sk.SinkhornConfig(lam=0.1, tol=1e-9, max_iter=5000),
@@ -293,6 +295,7 @@ def test_run_task_shares_the_lambda_independent_work(
     assert counts["solve"] == solves
     assert counts["cost_matrix"] == costs
     assert counts.get("compute_cgamma", 0) == scatters
+    assert counts["eigh"] == metrics
 
 
 # ---------------------------------------------------------------------------

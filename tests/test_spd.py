@@ -78,6 +78,28 @@ def test_riccati_identity_cases():
 def test_riccati_dimension_mismatch():
     with pytest.raises(ValueError):
         spd.riccati_solve(np.eye(2), np.eye(3))
+    # the shape check comes before the scalar-D shortcut
+    c = random_spd(np.random.default_rng(14), 3)
+    for fn in (spd.riccati_solve, spd.geometric_mean):
+        with pytest.raises(ValueError):
+            fn(c, 2.0 * np.eye(4))
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-8, 1.0, 3.0, 1e8])
+def test_mean_at_scalar_d_is_a_scaled_root(s):
+    # A C A = s I gives A = s^{1/2} C^{-1/2}; the mean of P and s I is
+    # s^{1/2} P^{1/2}. At s = 0 both are the zero matrix, as the clamped
+    # inner root gives it.
+    rng = np.random.default_rng(15)
+    c = random_spd(rng, 5)
+    for fn, root in ((spd.riccati_solve, np.linalg.inv(sqrtm(c))),
+                     (spd.geometric_mean, sqrtm(c))):
+        a = fn(c, s * np.eye(5))
+        np.testing.assert_array_equal(a, a.T)
+        if s == 0.0:
+            np.testing.assert_array_equal(a, np.zeros((5, 5)))
+        else:
+            np.testing.assert_allclose(a, np.sqrt(s) * root, rtol=1e-10)
 
 
 def test_geometric_mean_idempotent():
@@ -125,9 +147,8 @@ def test_geometric_mean_is_riccati_solution():
     )
 
 
-@pytest.mark.parametrize("fn", [spd.riccati_solve, spd.geometric_mean])
-def test_mean_takes_two_eigendecompositions(fn, monkeypatch):
-    # one for both roots of the first argument, one for the inner root
+@pytest.fixture
+def eigh_calls(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
 
@@ -136,9 +157,23 @@ def test_mean_takes_two_eigendecompositions(fn, monkeypatch):
         return eigh(mat)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+@pytest.mark.parametrize("fn", [spd.riccati_solve, spd.geometric_mean])
+def test_mean_takes_two_eigendecompositions(fn, eigh_calls):
+    # one for both roots of the first argument, one for the inner root
     rng = np.random.default_rng(13)
     fn(random_spd(rng, 5), random_spd(rng, 5))
-    assert len(calls) == 2
+    assert len(eigh_calls) == 2
+
+
+@pytest.mark.parametrize("fn", [spd.riccati_solve, spd.geometric_mean])
+def test_mean_takes_one_eigendecomposition_at_scalar_d(fn, eigh_calls):
+    # s I has no inner root to take: only the first argument is decomposed
+    rng = np.random.default_rng(13)
+    fn(random_spd(rng, 5), 2.5 * np.eye(5))
+    assert len(eigh_calls) == 1
 
 
 def test_riccati_tolerates_near_singular_product():
@@ -171,11 +206,13 @@ def test_riccati_residual_property(seed, d):
     rng = np.random.default_rng(seed)
     c = random_spd(rng, d, cond=1e3)
     dd = random_spd(rng, d, cond=1e3)
-    a = spd.riccati_solve(c, dd)
-    w = np.linalg.eigvalsh(a)
-    assert w[0] > 0
-    resid = np.linalg.norm(a @ c @ a - dd) / np.linalg.norm(dd)
-    assert resid < 1e-9
+    # D = s I takes the one-decomposition route; s spans 16 decades
+    for target in (dd, 10.0 ** rng.uniform(-8, 8) * np.eye(d)):
+        a = spd.riccati_solve(c, target)
+        w = np.linalg.eigvalsh(a)
+        assert w[0] > 0
+        resid = np.linalg.norm(a @ c @ a - target) / np.linalg.norm(target)
+        assert resid < 1e-9
 
 
 @settings(max_examples=50, deadline=None)
