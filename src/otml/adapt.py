@@ -145,31 +145,52 @@ def fit_plan(
 
     Costs are normalized so that one entropic-weight grid serves data of
     any feature scale: baseline methods divide their fixed cost matrix by
-    its median entry, and the metric-learning method rescales the input
-    data by the square root of the Euclidean cost median (which divides
-    its initial cost matrix by the same amount) before the alternating
-    fit. Each returned ``metric`` carries the normalization: its plan
-    solves the problem at its lambda for ``cost_matrix(x, zt, metric)``,
-    whose objective is recorded.
+    its median entry, and the metric-learning method divides the data's
+    span coordinates by the square root of the Euclidean cost median
+    (which divides its initial cost matrix by the same amount) before the
+    alternating fit. Each returned metric carries the normalization in its
+    factors: its plan solves the problem at its lambda for
+    ``cost_matrix(x, zt, result.metric)``, whose objective is recorded.
 
-    The lambda-independent part (the scale, a baseline's metric, cost and
-    median, the learned fit's first sweep up to its Sinkhorn solve) is
-    computed once, before this returns. Then ``gml.grid_fits`` fits lazily,
-    a baseline as one sweep of its fixed metric, and yields one
-    ``gml.FitResult`` per entry of ``lambdas``, in the order given; results
-    may share arrays and are not to be modified in place.
+    ``gram``, ``whiten`` and ``learned`` work on ``gml.span(x, zt)``, one
+    QR per call, and form no d x d matrix when d > m + n; ``euclidean``
+    works on the raw coordinates, where a QR would cost more than it saves.
+    Reading ``result.metric`` builds the (d, d) matrix from the factors.
+
+    The lambda-independent part (the span, the scale, a baseline's metric,
+    cost and median, the learned fit's first sweep up to its Sinkhorn
+    solve) is computed once, before this returns. Then ``gml.grid_fits``
+    fits lazily, a baseline as one sweep of its fixed metric, and yields
+    one ``gml.FitResult`` per entry of ``lambdas``, in the order given;
+    results may share arrays and are not to be modified in place.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "learned":
-        scale = np.sqrt(_median_scale(gml.cost_matrix(x, zt, np.eye(x.shape[0]))))
-        results = gml.fit_grid(x / scale, zt / scale, p, q, cfg, lambdas)
-        return (replace(r, metric=r.metric / scale**2) for r in results)
-    metric = gml.baseline_metric(method, x, zt, eps=cfg.eps)
-    cost = gml.cost_matrix(x, zt, metric)
+    if method == "euclidean":
+        dim = x.shape[0]
+        basis, metric, complement = np.zeros((dim, 0)), np.zeros((0, 0)), 1.0
+        cost = gml.cost_matrix(x, zt, np.eye(dim))
+    else:
+        sp = gml.span(x, zt)
+        if method == "learned":
+            euclidean = np.eye(sp.basis.shape[1])
+            scale = np.sqrt(_median_scale(gml.cost_matrix(sp.x, sp.z, euclidean)))
+            results = gml.fit_grid(sp.divided_by(scale), p, q, cfg, lambdas)
+            return (
+                replace(
+                    r,
+                    reduced_metric=r.reduced_metric / scale**2,
+                    complement=r.complement / scale**2,
+                )
+                for r in results
+            )
+        basis = sp.basis
+        metric, complement = gml.baseline_factors(method, sp, eps=cfg.eps)
+        cost = gml.cost_matrix(sp.x, sp.z, metric)
     med = _median_scale(cost)
     first = (metric / med, 0.0, cost / med)
-    return gml.grid_fits(first, None, p, q, replace(cfg, outer_iters=1), lambdas)
+    fixed = replace(cfg, outer_iters=1)
+    return gml.grid_fits(first, None, p, q, fixed, lambdas, basis, complement / med)
 
 
 def run_task(

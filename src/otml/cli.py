@@ -119,7 +119,7 @@ class RunConfig:
         for m in self.methods:
             if m not in ad.METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        # GmlConfig would take a matrix; JSON can only give a list here.
+        # JSON can give a list or a number here; stop before any data is read.
         if not isinstance(self.d_choice, str):
             raise ConfigError(f"d_choice must be one of {gml.D_CHOICES}")
         for name in ("eps", "sinkhorn_tol", "objective_rtol"):

@@ -10,6 +10,17 @@ geometric mean of C^{-1} and D), where C is the plan-weighted scatter of
 source-target differences; for a fixed metric the plan is an entropic OT
 problem handled by the Sinkhorn solver. The full objective is therefore
 non-increasing across sweeps, up to solver tolerance.
+
+Everything runs in orthonormal coordinates of the span of the points
+(``span``: one reduced QR per pair of clouds, r = min(d, m + n)
+coordinates). The scatter is its part on that span plus a ridge times the
+identity, and every target D is its part on the span plus a multiple D_c
+of the identity, so the metric is exactly
+``A = Q A_r Q^T + alpha (I - Q Q^T)``, the representer form of
+Mahalanobis learning (Jain, Kulis, Davis & Dhillon, JMLR 2012): A_r is the
+r x r solution and alpha = (D_c / ridge)^(1/2). No d x d matrix is formed
+on the way to a plan; ``FitResult.metric`` builds A from these factors
+when it is read.
 """
 
 import numbers
@@ -19,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import sinkhorn as sk
-from .spd import eigh_spd, riccati_solve, spd_inv, symmetrize, trace_inner
+from .spd import riccati_solve, spd_inv, symmetrize, trace_inner
 
 BASELINE_METRICS = ("euclidean", "gram", "whiten")
 # Each named regularization target is the matching fixed baseline metric.
@@ -43,17 +54,18 @@ class GmlConfig:
         Number of alternating sweeps (metric update + plan update).
     eps : float
         Relative ridge: ``eps * trace(M) / d * I`` is added to a matrix M
-        that needs a floor (absolute eps when M has zero trace). For the
-        metric, M is the independence-coupling scatter; that ridge, frozen
-        for the run, is added to the scatter C before each metric update.
-        This keeps C positive definite even when d exceeds the number of
-        samples, and because the ridge is frozen both alternating steps
-        minimize one objective (which includes ``ridge * trace(A)``), so
-        the recorded history is genuinely monotone. The Gram targets of
-        ``d_choice`` take the same rule.
-    d_choice : str or ndarray
+        that needs a floor (absolute eps when M has zero trace), with d
+        the full data dimension. For the metric, M is the
+        independence-coupling scatter; that ridge, frozen for the run, is
+        added to the scatter C before each metric update. This keeps C
+        positive definite even when d exceeds the number of samples, and
+        because the ridge is frozen both alternating steps minimize one
+        objective (which includes ``ridge * trace(A)``), so the recorded
+        history is genuinely monotone. The Gram targets of ``d_choice``
+        take the same rule.
+    d_choice : str
         Regularization target D: "identity", "gram_sum" (X X^T + Z Z^T,
-        ridged), "gram_sum_inverse", or an explicit SPD matrix.
+        ridged) or "gram_sum_inverse".
     objective_rtol : float
         Early stop once the objective decrease over one sweep drops below
         ``objective_rtol * max(1, |objective|)``. Zero disables early
@@ -63,7 +75,7 @@ class GmlConfig:
     sinkhorn: sk.SinkhornConfig
     outer_iters: int = 20
     eps: float = 1e-6
-    d_choice: "str | np.ndarray" = "identity"
+    d_choice: str = "identity"
     objective_rtol: float = 1e-6
 
     def __post_init__(self):
@@ -79,23 +91,48 @@ class GmlConfig:
             raise ValueError(
                 f"objective_rtol must be finite and >= 0, got {self.objective_rtol}"
             )
-        if isinstance(self.d_choice, str) and self.d_choice not in D_CHOICES:
-            raise ValueError(
-                f"d_choice must be one of {D_CHOICES} or an SPD matrix, "
-                f"got {self.d_choice!r}"
-            )
+        _check_d_choice(self.d_choice)
+
+
+def _check_d_choice(choice):
+    # A string test first: `in` on an array compares elementwise.
+    if not (isinstance(choice, str) and choice in D_CHOICES):
+        raise ValueError(
+            f"d_choice must be one of {D_CHOICES}, "
+            f"got {type(choice).__name__} {choice!r}"
+        )
+
+
+def _full_metric(basis, reduced, complement):
+    # Q A_r Q^T + alpha (I - Q Q^T). With a square basis the complement is
+    # empty, and leaving it out keeps alpha's rounding out of the result.
+    dim, rank = basis.shape
+    full = basis @ reduced @ basis.T
+    if rank < dim:
+        full += complement * (np.eye(dim) - basis @ basis.T)
+    return symmetrize(full)
 
 
 @dataclass
 class FitResult:
-    """Output of ``fit``.
+    """Output of ``fit``, with the metric in factored form.
+
+    The metric is ``A = Q A_r Q^T + alpha (I - Q Q^T)`` for Q = ``basis``,
+    A_r = ``reduced_metric`` and alpha = ``complement``: A_r acts on the
+    span of the points, alpha on everything orthogonal to it.
 
     Attributes
     ----------
     plan : ndarray of shape (m, n)
         Final transport plan.
-    metric : ndarray of shape (d, d)
-        Final SPD ground metric.
+    basis : ndarray of shape (d, r)
+        Orthonormal columns; r = 0 for the Euclidean baseline, which is
+        alpha on all of R^d, and r = d when d <= m + n.
+    reduced_metric : ndarray of shape (r, r)
+        The SPD metric in the coordinates of ``basis``.
+    complement : float
+        The metric on the orthogonal complement of ``basis`` (unused when
+        the basis is square).
     objective_history : list of float
         Joint objective after each full sweep; non-increasing up to
         solver tolerance.
@@ -109,11 +146,18 @@ class FitResult:
     """
 
     plan: np.ndarray
-    metric: np.ndarray
+    basis: np.ndarray
+    reduced_metric: np.ndarray
+    complement: float
     objective_history: list = field(default_factory=list)
     converged: bool = False
     iters_run: int = 0
     sinkhorn_converged: bool = True
+
+    @property
+    def metric(self) -> np.ndarray:
+        """The (d, d) SPD ground metric, built from the factors on each read."""
+        return _full_metric(self.basis, self.reduced_metric, self.complement)
 
 
 def _check_clouds(x, z):
@@ -128,6 +172,50 @@ def _check_clouds(x, z):
     return x, z
 
 
+@dataclass(frozen=True)
+class Span:
+    """Two point clouds in orthonormal coordinates of the span of their points.
+
+    Attributes
+    ----------
+    basis : ndarray of shape (d, r)
+        Q, orthonormal columns whose span holds every point; r = min(d, m + n).
+    x, z : ndarray of shape (r, m), (r, n)
+        Coordinates Q^T (X - c) and Q^T (Z - c), with c the first source
+        point. Costs and scatters only see differences, so they are
+        computed from these.
+    origin : ndarray of shape (r,)
+        Coordinates Q^T c, which the Gram targets need.
+    """
+
+    basis: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    origin: np.ndarray
+
+    def divided_by(self, scale: float) -> "Span":
+        """The same span with every coordinate divided by ``scale``."""
+        return Span(self.basis, self.x / scale, self.z / scale, self.origin / scale)
+
+
+def span(x: np.ndarray, z: np.ndarray) -> Span:
+    """Orthonormal coordinates of two clouds, by one reduced QR.
+
+    span{X, Z} = span{c} + span{x_i - c, z_j - c} with c the first source
+    point, so the QR of [c, x_2 - c, ..., x_m - c, z_1 - c, ..., z_n - c]
+    gives the basis, and its R factor the coordinates of c and of every
+    centred point. Centring first keeps a large common offset (pixel data)
+    out of the differences.
+    """
+    x, z = _check_clouds(x, z)
+    c = x[:, :1]
+    basis, coords = np.linalg.qr(np.hstack([c, x[:, 1:] - c, z - c]))
+    m = x.shape[1]
+    xr = coords[:, :m].copy()
+    xr[:, 0] = 0.0
+    return Span(basis, xr, coords[:, m:], coords[:, 0])
+
+
 def _scatter(x, z, plan):
     # Plan-weighted scatter sum_ij plan_ij (x_i - z_j)(x_i - z_j)^T through
     # its expansion: X diag(r) X^T + Z diag(c) Z^T - X plan Z^T - (...)^T,
@@ -138,10 +226,11 @@ def _scatter(x, z, plan):
     return symmetrize((x * r) @ x.T + (z * c) @ z.T - cross - cross.T)
 
 
-def _ridge(raw, eps):
-    # Scale-relative diagonal ridge for the scatter and the Gram matrix;
-    # falls back to the absolute value when the matrix vanishes.
-    scale = float(np.trace(raw)) / raw.shape[0]
+def _ridge(raw, eps, dim):
+    # Scale-relative diagonal ridge for the scatter and the Gram matrix,
+    # trace / dim for the full data dimension dim (raw may be its part on
+    # a span); falls back to the absolute value when the matrix vanishes.
+    scale = float(np.trace(raw)) / dim
     return eps * (scale if scale > 0 else 1.0)
 
 
@@ -232,56 +321,62 @@ def objective(cost: np.ndarray, plan: np.ndarray, reg: float, lam: float) -> flo
     return sk.transport_cost(plan, cost) + reg + lam * sk.entropy(plan)
 
 
-def make_d(
-    choice: "str | np.ndarray",
-    x: np.ndarray,
-    z: np.ndarray,
-    eps: float = 1e-6,
-) -> np.ndarray:
-    """Build the metric-regularization target D.
+def make_d(choice: str, x: np.ndarray, z: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Build the (d, d) metric-regularization target D.
 
     Parameters
     ----------
-    choice : str or ndarray
-        "identity" for I, "gram_sum" for the ridged X X^T + Z Z^T,
-        "gram_sum_inverse" for its inverse, or an explicit matrix which
-        is validated as SPD and passed through.
+    choice : str
+        "identity" for I, "gram_sum" for the ridged X X^T + Z Z^T, or
+        "gram_sum_inverse" for its inverse.
     x, z : ndarray of shape (d, m), (d, n)
         Point clouds (columns are points).
     eps : float
         Relative ridge on the Gram sum, as in ``baseline_metric``.
     """
-    x, z = _check_clouds(x, z)
-    if isinstance(choice, np.ndarray):
-        custom = symmetrize(choice)
-        eigh_spd(custom)  # validate
-        return custom
-    if choice not in D_CHOICES:
-        raise ValueError(
-            f"d_choice must be one of {D_CHOICES} or an SPD matrix, got {choice!r}"
-        )
+    _check_d_choice(choice)
     return baseline_metric(_D_BASELINES[choice], x, z, eps)
+
+
+def baseline_factors(kind: str, sp: Span, eps: float = 1e-6) -> "tuple[np.ndarray, float]":
+    """A baseline metric on a span: its (r, r) part and its complement value.
+
+    "euclidean" is (I, 1). "gram" is the pooled Gram matrix
+    G = [X, Z] [X, Z]^T lifted by rho * I, rho = eps * trace(G) / d (the
+    scatter's relative ridge rule, with the full d): G_r + rho I, with G_r
+    = U U^T for the span coordinates U = Q^T [X, Z] of the points, and
+    rho on the complement, where G vanishes. "whiten" is its inverse,
+    ((G_r + rho I)^{-1}, 1 / rho). The lift is relative so that the
+    inverse exists at any data scale, also when d exceeds the number of
+    points.
+    """
+    if kind not in BASELINE_METRICS:
+        raise ValueError(f"kind must be one of {BASELINE_METRICS}, got {kind!r}")
+    rank = sp.basis.shape[1]
+    if kind == "euclidean":
+        return np.eye(rank), 1.0
+    points = np.hstack([sp.x, sp.z]) + sp.origin[:, None]
+    raw = symmetrize(points @ points.T)
+    rho = _ridge(raw, eps, sp.basis.shape[0])
+    gram = raw + rho * np.eye(rank)
+    return (gram, rho) if kind == "gram" else (spd_inv(gram), 1.0 / rho)
 
 
 def baseline_metric(
     kind: str, x: np.ndarray, z: np.ndarray, eps: float = 1e-6
 ) -> np.ndarray:
-    """Fixed (not learned) ground metrics used as baselines.
+    """Fixed (not learned) ground metrics used as baselines, as (d, d) matrices.
 
     "euclidean" is the identity, "gram" the pooled Gram matrix
-    G = [X, Z] [X, Z]^T lifted by ``eps * trace(G) / d * I`` (the scatter's
-    relative ridge rule), and "whiten" its inverse, which decorrelates the
-    pooled data. The lift is relative so that the inverse exists at any
-    data scale, also when d exceeds the number of points.
+    G = [X, Z] [X, Z]^T lifted by ``eps * trace(G) / d * I`` and "whiten"
+    its inverse, which decorrelates the pooled data; both are built from
+    ``baseline_factors`` on the span of the points.
     """
     x, z = _check_clouds(x, z)
-    if kind not in BASELINE_METRICS:
-        raise ValueError(f"kind must be one of {BASELINE_METRICS}, got {kind!r}")
     if kind == "euclidean":
         return np.eye(x.shape[0])
-    raw = symmetrize(x @ x.T + z @ z.T)
-    gram = raw + _ridge(raw, eps) * np.eye(x.shape[0])
-    return gram if kind == "gram" else spd_inv(gram)
+    sp = span(x, z)
+    return _full_metric(sp.basis, *baseline_factors(kind, sp, eps))
 
 
 def fit(
@@ -302,7 +397,8 @@ def fit(
     non-increasing up to the inner solver tolerance. The metric is never
     inverted: A C A = D gives trace(A^{-1} D) = trace(A C).
 
-    This is the one-lambda call of ``fit_grid`` at ``cfg.sinkhorn.lam``.
+    This is the one-lambda call of ``fit_grid`` at ``cfg.sinkhorn.lam``
+    on ``span(x, z)``.
 
     Parameters
     ----------
@@ -317,13 +413,12 @@ def fit(
     -------
     FitResult
     """
-    (result,) = fit_grid(x, z, p, q, cfg, [cfg.sinkhorn.lam])
+    (result,) = fit_grid(span(x, z), p, q, cfg, [cfg.sinkhorn.lam])
     return result
 
 
 def fit_grid(
-    x: np.ndarray,
-    z: np.ndarray,
+    sp: Span,
     p: np.ndarray,
     q: np.ndarray,
     cfg: GmlConfig,
@@ -336,43 +431,62 @@ def fit_grid(
     its cost matrix do not depend on lambda. They are computed once, here,
     before this returns; ``grid_fits`` runs the rest per lambda with no
     warm start, so each result is bitwise ``fit``'s at that lambda.
+
+    All of it runs on the r x r span coordinates of ``sp``. On the
+    complement of the span the scatter is the ridge and D is D_c times the
+    identity (1, rho or 1 / rho for the three targets), so the metric
+    there is alpha = (D_c / ridge)^(1/2) and adds the constant
+    (d - r)(ridge alpha + D_c / alpha) = 2 (d - r)(ridge D_c)^(1/2) to the
+    regularizer, which the recorded objective keeps.
     """
-    x, z = _check_clouds(x, z)
     p = sk.validate_histogram(p, "p")
     q = sk.validate_histogram(q, "q")
-    if (p.size, q.size) != (x.shape[1], z.shape[1]):
+    if (p.size, q.size) != (sp.x.shape[1], sp.z.shape[1]):
         raise ValueError(
             f"histogram sizes ({p.size}, {q.size}) do not match cloud sizes "
-            f"({x.shape[1]}, {z.shape[1]})"
+            f"({sp.x.shape[1]}, {sp.z.shape[1]})"
         )
-    d_mat = make_d(cfg.d_choice, x, z, eps=cfg.eps)
-    raw = _scatter(x, z, np.outer(p, q))
-    ridge = _ridge(raw, cfg.eps)
+    dim, rank = sp.basis.shape
+    d_mat, d_rest = baseline_factors(_D_BASELINES[cfg.d_choice], sp, cfg.eps)
+    raw = _scatter(sp.x, sp.z, np.outer(p, q))
+    ridge = _ridge(raw, cfg.eps, dim)
+    rest = 2.0 * (dim - rank) * float(np.sqrt(ridge * d_rest))
 
     def step(cg):
         # Metric for the ridged scatter cg, its regularizer and its cost;
         # trace(A^{-1} D) = trace(A cg), since A cg A = D.
         metric = update_metric(cg, d_mat)
-        reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg)
-        return metric, reg, cost_matrix(x, z, metric)
+        reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg) + rest
+        return metric, reg, cost_matrix(sp.x, sp.z, metric)
 
-    first = step(raw + ridge * np.eye(x.shape[0]))
+    first = step(raw + ridge * np.eye(rank))
     return grid_fits(
-        first, lambda plan: step(compute_cgamma(x, z, plan, ridge)), p, q, cfg, lambdas
+        first,
+        lambda plan: step(compute_cgamma(sp.x, sp.z, plan, ridge)),
+        p,
+        q,
+        cfg,
+        lambdas,
+        sp.basis,
+        float(np.sqrt(d_rest / ridge)),
     )
 
 
-def grid_fits(first, refit, p, q, cfg: GmlConfig, lambdas) -> Iterator[FitResult]:
+def grid_fits(
+    first, refit, p, q, cfg: GmlConfig, lambdas, basis, complement
+) -> Iterator[FitResult]:
     """Run the alternating sweeps at each lambda; yield one ``FitResult`` each.
 
-    ``first`` is the lambda-independent ``(metric, regularizer, cost)`` of
-    the first sweep and is shared by every fit; each later sweep takes its
-    triple from ``refit(plan)`` for the plan before it. A fixed metric is
-    one sweep (``cfg.outer_iters == 1``), where ``refit`` is never called.
-    Each sweep solves the OT problem at ``lam`` (``cfg.sinkhorn.lam`` is
-    replaced) and records ``objective(cost, plan, regularizer, lam)``.
-    Fits run lazily, in the order of ``lambdas``; results may share the
-    first metric and are not to be modified in place.
+    ``first`` is the lambda-independent ``(reduced metric, regularizer,
+    cost)`` of the first sweep and is shared by every fit; each later
+    sweep takes its triple from ``refit(plan)`` for the plan before it. A
+    fixed metric is one sweep (``cfg.outer_iters == 1``), where ``refit``
+    is never called. ``basis`` and ``complement`` complete every reduced
+    metric to its ``FitResult``. Each sweep solves the OT problem at
+    ``lam`` (``cfg.sinkhorn.lam`` is replaced) and records
+    ``objective(cost, plan, regularizer, lam)``. Fits run lazily, in the
+    order of ``lambdas``; results may share the first metric and are not
+    to be modified in place.
     """
     for lam in lambdas:
         scfg = replace(cfg.sinkhorn, lam=lam)
@@ -394,7 +508,9 @@ def grid_fits(first, refit, p, q, cfg: GmlConfig, lambdas) -> Iterator[FitResult
                     break
         yield FitResult(
             plan=plan,
-            metric=metric,
+            basis=basis,
+            reduced_metric=metric,
+            complement=complement,
             objective_history=history,
             converged=converged,
             iters_run=len(history),

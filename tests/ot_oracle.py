@@ -9,13 +9,16 @@ stabilized scaling sweeps of ``sinkhorn.solve`` replaced; it takes the same
 steps, so sweep counts and plans must match it. ``eigh_newton_polish`` is
 the Newton polish that the damped solve of ``sinkhorn._newton_polish``
 replaced; on plans whose Schur complement is well conditioned it takes the
-same steps.
+same steps. ``dense_fit`` and ``dense_baseline_metric`` are the learned
+fit and the Gram baselines with every matrix d x d, as they were before
+``gml`` moved to the span of the points; the span fits must match them.
 """
 
 import itertools
 
 import numpy as np
 
+from otml import gml, spd
 from otml import sinkhorn as sk
 
 # Instances the enumeration oracle accepts: square uniform problems up to
@@ -241,3 +244,55 @@ def _best_vertex_plan(cost, p, q):
     for i, j, t in moves:
         plan[i, j] += t
     return plan
+
+
+def dense_scatter(x, z, plan):
+    """Plan-weighted d x d scatter of the differences x_i - z_j."""
+    r = plan.sum(axis=1)
+    c = plan.sum(axis=0)
+    cross = x @ plan @ z.T
+    return spd.symmetrize((x * r) @ x.T + (z * c) @ z.T - cross - cross.T)
+
+
+def dense_ridge(raw, eps):
+    """eps * trace(raw) / d, or eps when the trace vanishes."""
+    scale = float(np.trace(raw)) / raw.shape[0]
+    return eps * (scale if scale > 0 else 1.0)
+
+
+def dense_baseline_metric(kind, x, z, eps=1e-6):
+    """The d x d identity, ridged pooled Gram matrix, or its inverse."""
+    if kind == "euclidean":
+        return np.eye(x.shape[0])
+    raw = spd.symmetrize(x @ x.T + z @ z.T)
+    gram = raw + dense_ridge(raw, eps) * np.eye(x.shape[0])
+    return gram if kind == "gram" else spd.spd_inv(gram)
+
+
+def dense_fit(x, z, p, q, cfg):
+    """The learned fit at ``cfg.sinkhorn.lam`` on d x d matrices.
+
+    Returns (plan, metric, objective history) after ``cfg.outer_iters``
+    sweeps; there is no early stop, so compare at ``objective_rtol=0``.
+    Each sweep is scatter -> ``riccati_solve`` -> ``cost_matrix`` on the
+    raw coordinates, with the ridge of the independence coupling.
+    """
+    d_kind = {"identity": "euclidean", "gram_sum": "gram", "gram_sum_inverse": "whiten"}
+    d_mat = dense_baseline_metric(d_kind[cfg.d_choice], x, z, cfg.eps)
+    raw = dense_scatter(x, z, np.outer(p, q))
+    ridge = dense_ridge(raw, cfg.eps)
+    lift = ridge * np.eye(x.shape[0])
+
+    def step(cg):
+        metric = spd.riccati_solve(cg, d_mat)
+        reg = ridge * float(np.trace(metric)) + spd.trace_inner(metric, cg)
+        return metric, reg, gml.cost_matrix(x, z, metric)
+
+    metric, reg, cost = step(raw + lift)
+    history = []
+    for sweep in range(cfg.outer_iters):
+        if sweep:
+            metric, reg, cost = step(dense_scatter(x, z, plan) + lift)
+        plan = sk.solve(cost, p, q, cfg.sinkhorn).matrix
+        history.append(gml.objective(cost, plan, reg, cfg.sinkhorn.lam))
+    return plan, metric, history

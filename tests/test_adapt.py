@@ -280,7 +280,7 @@ def test_run_task_shares_the_lambda_independent_work(
     train = two_blob_cloud(rng, shift=(0.5, -0.3))
     test = two_blob_cloud(rng, shift=(0.5, -0.3))
     counts = {}
-    for module, name in ((gml, "update_metric"), (gml, "baseline_metric"),
+    for module, name in ((gml, "update_metric"), (gml, "baseline_factors"),
                          (gml, "cost_matrix"), (gml, "compute_cgamma"),
                          (sk, "solve"), (np.linalg, "eigh")):
         _count_calls(monkeypatch, module, name, counts)
@@ -290,12 +290,41 @@ def test_run_task_shares_the_lambda_independent_work(
         objective_rtol=0.0,
     )
     adapt.run_task(source, train, test, method, GRID, cfg)
-    counted = "update_metric" if method == "learned" else "baseline_metric"
+    counted = "update_metric" if method == "learned" else "baseline_factors"
     assert counts[counted] == metrics
     assert counts["solve"] == solves
     assert counts["cost_matrix"] == costs
     assert counts.get("compute_cgamma", 0) == scatters
     assert counts["eigh"] == metrics
+
+
+@pytest.mark.parametrize("method", ["learned", "gram", "whiten"])
+def test_run_task_on_wide_data_decomposes_nothing_beyond_m_plus_n(monkeypatch, method):
+    # d = 2048 > m + n = 120, the shape of office features (800-d SURF,
+    # 4096-d DeCAF, about 100 points per domain): every fit runs on the
+    # span of the points, so no eigendecomposition is larger than
+    # (m + n) x (m + n). A 2048 x 2048 one would take seconds.
+    rng = np.random.default_rng(17)
+    dim, size = 2048, 60
+    labels = np.repeat([0, 1], size // 2)
+    means = rng.normal(size=(dim, 2))
+
+    def cloud(shift):
+        return dt.RawDataset(means[:, labels] + rng.normal(size=(dim, size)) + shift, labels)
+
+    source, train, test = cloud(0.0), cloud(0.3), cloud(0.3)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(mat, *args, **kwargs):
+        shapes.append(np.shape(mat))
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    report = adapt.run_task(source, train, test, method, GRID, base_cfg(outer=2))
+    assert report.sinkhorn_converged
+    assert bool(shapes) == (method != "gram")
+    assert all(max(shape) <= 2 * size for shape in shapes), shapes
 
 
 # ---------------------------------------------------------------------------

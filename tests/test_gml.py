@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ot_oracle import dense_baseline_metric, dense_fit
+
 from otml import gml
 from otml import sinkhorn as sk
 from otml import spd
@@ -209,17 +211,9 @@ def test_make_d_choices():
     np.testing.assert_allclose(gram, ridged_gram(x, z), rtol=1e-13, atol=1e-13)
     inv = gml.make_d("gram_sum_inverse", x, z)
     np.testing.assert_allclose(inv @ gram, np.eye(3), atol=1e-8)
-
-
-def test_make_d_explicit_matrix_passthrough():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(3, 4))
-    custom = random_spd(rng, 3)
-    np.testing.assert_allclose(gml.make_d(custom, x, x), custom, atol=1e-14)
-    with pytest.raises(spd.PositivityError):
-        gml.make_d(np.diag([1.0, -1.0, 1.0]), x, x)
-    with pytest.raises(ValueError):
-        gml.make_d("mystery", x, x)
+    for bad in ("mystery", np.eye(3)):
+        with pytest.raises(ValueError, match="d_choice must be one of"):
+            gml.make_d(bad, x, z)
 
 
 def test_baseline_metric_kinds():
@@ -262,6 +256,72 @@ def test_learned_fit_with_gram_target_at_pixel_scale():
     assert len(hist) == 2 and np.all(np.isfinite(hist)) and hist[1] <= hist[0]
 
 
+# Largest relative gaps the span fit may show against the d x d oracle:
+# (plan entries over the largest entry, objective history, metric in the
+# Frobenius norm, a baseline's cost entries over the largest entry, the
+# baseline metric in the Frobenius norm). Above
+# m + n the oracle's own scatter of raw pixel coordinates cancels about
+# 1e-13 of each entry against the 128 offset, and the metric magnifies
+# that by alpha^2 on the complement (alpha^2 ~ 1e8 here): its metric is
+# the less accurate one, off by up to 5e-6 (1.6e-4 at other seeds) with
+# the gram_sum target, while the span metric matches a centred oracle to
+# 1e-9. Below m + n the two routes differ by rounding only.
+SPAN_TOLERANCES = {
+    "wide": {"plan": 1e-6, "history": 1e-7, "metric": 1e-4, "cost": 1e-9, "baseline": 1e-7},
+    "narrow": {"plan": 1e-8, "history": 1e-10, "metric": 1e-10, "cost": 1e-10, "baseline": 1e-10},
+}
+
+
+def pixel_pair(dim, m=20, n=20, seed=0):
+    # Pixel-offset clouds divided by the root median Euclidean cost, as
+    # adapt.fit_plan scales them, so that lam = 0.5 suits every size.
+    rng = np.random.default_rng(seed)
+    x = 128 + 4 * rng.normal(size=(dim, m))
+    z = 128 + 4 * rng.normal(size=(dim, n)) + 2 * rng.normal(size=(dim, 1))
+    scale = np.sqrt(np.median(gml.cost_matrix(x, z, np.eye(dim))))
+    return x / scale, z / scale
+
+
+def rel_gap(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("d_choice", gml.D_CHOICES)
+@pytest.mark.parametrize("size,dim", [("wide", 120), ("narrow", 6)])
+def test_span_fit_matches_dense_oracle(size, dim, d_choice):
+    # One path at every d: with d = 120 > m + n = 40 the fit runs on 40
+    # span coordinates plus the complement constant, with d = 6 on a
+    # rotated square basis; both must reproduce the d x d fit.
+    tol = SPAN_TOLERANCES[size]
+    x, z = pixel_pair(dim)
+    p = q = uniform(20)
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=0.5, tol=1e-10, max_iter=10000),
+        outer_iters=4, d_choice=d_choice, objective_rtol=0.0,
+    )
+    res = gml.fit(x, z, p, q, cfg)
+    plan, metric, history = dense_fit(x, z, p, q, cfg)
+    assert res.basis.shape == (dim, min(dim, 40))
+    assert res.iters_run == len(history) == 4
+    assert np.abs(res.plan - plan).max() <= tol["plan"] * plan.max()
+    np.testing.assert_allclose(res.objective_history, history, rtol=tol["history"])
+    assert rel_gap(res.metric, metric) <= tol["metric"]
+    if d_choice == "identity":
+        # The translation-invariant case, with the oracle on centred data.
+        c = x[:, :1]
+        _, centred, _ = dense_fit(x - c, z - c, p, q, cfg)
+        assert rel_gap(res.metric, centred) <= 1e-8
+    kind = {"gram_sum": "gram", "gram_sum_inverse": "whiten"}.get(d_choice)
+    if kind is not None:
+        sp = gml.span(x, z)
+        reduced, _ = gml.baseline_factors(kind, sp)
+        dense = dense_baseline_metric(kind, x, z)
+        want = gml.cost_matrix(x, z, dense)
+        got = gml.cost_matrix(sp.x, sp.z, reduced)
+        assert np.abs(got - want).max() <= tol["cost"] * want.max()
+        assert rel_gap(gml.baseline_metric(kind, x, z), dense) <= tol["baseline"]
+
+
 def test_config_validation():
     scfg = sk.SinkhornConfig(lam=1.0)
     with pytest.raises(ValueError):
@@ -272,6 +332,9 @@ def test_config_validation():
         gml.GmlConfig(sinkhorn=scfg, objective_rtol=-1.0)
     with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, d_choice="banana")
+    # An explicit matrix has no span form; the error names the choices.
+    with pytest.raises(ValueError, match="gram_sum_inverse"):
+        gml.GmlConfig(sinkhorn=scfg, d_choice=np.eye(3))
     for name in ("outer_iters", "eps", "objective_rtol"):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):

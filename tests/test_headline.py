@@ -19,6 +19,12 @@ directions, and a rotation-equivariant estimator can only reweight the
 sample scatter's eigenvalues, whose eigenvectors are mostly noise here.
 Rotating both pools by one orthogonal matrix leaves the learned and the
 Euclidean scores exactly as they are.
+
+The fit shows this structurally: it runs on the span of the points
+(r = m+n = 400 coordinates), and the learned metric is exactly
+alpha * I on the (d - r) = 384-dimensional complement of that span,
+where the scatter is its ridge alone. On those directions it is a
+scaled Euclidean metric by construction, whatever the data.
 """
 
 import importlib.util
@@ -39,9 +45,8 @@ wl = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(wl)
 
 
-def _mean_test_accuracy(dim, size, outer_iters, rounds, seed, pixels):
-    """Mean test accuracy (percent) of learned and euclidean over the rounds."""
-    cfg = gml.GmlConfig(
+def _config(outer_iters):
+    return gml.GmlConfig(
         sinkhorn=sk.SinkhornConfig(
             lam=1.0, tol=wl.SINKHORN_TOL, max_iter=wl.SINKHORN_MAX_ITER
         ),
@@ -49,19 +54,49 @@ def _mean_test_accuracy(dim, size, outer_iters, rounds, seed, pixels):
         d_choice=wl.D_CHOICE,
         objective_rtol=wl.OBJECTIVE_RTOL,
     )
+
+
+def _rounds(dim, size, rounds, seed, pixels):
+    """(source, target-train, target-test) of each round, as the benchmark draws them."""
     src, tgt = wl.make_pools(seed, dim, 3 * size, pixels)
     source, target = dt.RawDataset(*src), dt.RawDataset(*tgt)
-    acc = {"learned": [], "euclidean": []}
     for r in range(rounds):
         mix = np.random.SeedSequence([wl.draw_seed(seed, r), wl.SKEW_PERCENT])
         s_src, s_tgt = (int(v) for v in mix.generate_state(2))
         spec = dt.SkewSpec(r % wl.CLASSES, float(wl.SKEW_PERCENT), size)
         x = dt.uniform_sample(source, size, s_src)
         zt, ze = dt.disjoint_split(target, spec, spec, s_tgt)
+        yield x, zt, ze
+
+
+def _mean_test_accuracy(dim, size, outer_iters, rounds, seed, pixels):
+    """Mean test accuracy (percent) of learned and euclidean over the rounds."""
+    cfg = _config(outer_iters)
+    acc = {"learned": [], "euclidean": []}
+    for r, (x, zt, ze) in enumerate(_rounds(dim, size, rounds, seed, pixels)):
         for method in acc:
             rep = adapt.run_task(x, zt, ze, method, wl.GRID, cfg, seed=r)
             acc[method].append(rep.test_accuracy)
     return {m: 100.0 * statistics.fmean(v) for m, v in acc.items()}
+
+
+def test_metric_updates_meet_criterion_1_at_d784(monkeypatch):
+    # Criterion 1's bound, ||A C A - D|| / ||D|| < 1e-8, on every metric
+    # update of a learned task at the paper's pixel dimension. The updates
+    # solve on the r = 399 span coordinates; the 784 x 784 dense solve
+    # missed the bound here (1.43e-8).
+    residuals = []
+    update = gml.update_metric
+
+    def checked(cg, d):
+        a = update(cg, d)
+        residuals.append(np.linalg.norm(a @ cg @ a - d) / np.linalg.norm(d))
+        return a
+
+    monkeypatch.setattr(gml, "update_metric", checked)
+    ((x, zt, ze),) = _rounds(784, 200, 1, seed=1, pixels=True)
+    adapt.run_task(x, zt, ze, "learned", wl.GRID, _config(1))
+    assert residuals and max(residuals) < 1e-8, max(residuals)
 
 
 def test_learned_beats_euclidean_by_five_points_at_d64():
