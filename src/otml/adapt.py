@@ -152,10 +152,11 @@ def fit_plan(
     factors: its plan solves the problem at its lambda for
     ``cost_matrix(x, zt, result.metric)``, whose objective is recorded.
 
-    ``gram``, ``whiten`` and ``learned`` work on ``gml.span(x, zt)``, one
-    QR per call, and form no d x d matrix when d > m + n; ``euclidean``
-    works on the raw coordinates, where a QR would cost more than it saves.
-    Reading ``result.metric`` builds the (d, d) matrix from the factors.
+    No method forms a d x d matrix: ``gram``, ``whiten`` and ``learned``
+    work on ``gml.span(x, zt)``, one QR per call, and ``euclidean`` on the
+    raw coordinates (an empty basis), where a QR would cost more than it
+    saves. Euclidean costs take no metric. Only reading ``result.metric``
+    builds the (d, d) matrix from the factors.
 
     The lambda-independent part (the span, the scale, a baseline's metric,
     cost and median, the learned fit's first sweep up to its Sinkhorn
@@ -169,12 +170,11 @@ def fit_plan(
     if method == "euclidean":
         dim = x.shape[0]
         basis, metric, complement = np.zeros((dim, 0)), np.zeros((0, 0)), 1.0
-        cost = gml.cost_matrix(x, zt, np.eye(dim))
+        cost = gml.cost_matrix(x, zt)
     else:
         sp = gml.span(x, zt)
         if method == "learned":
-            euclidean = np.eye(sp.basis.shape[1])
-            scale = np.sqrt(_median_scale(gml.cost_matrix(sp.x, sp.z, euclidean)))
+            scale = np.sqrt(_median_scale(gml.cost_matrix(sp.x, sp.z)))
             results = gml.fit_grid(sp.divided_by(scale), p, q, cfg, lambdas)
             return (
                 replace(
@@ -189,8 +189,7 @@ def fit_plan(
         cost = gml.cost_matrix(sp.x, sp.z, metric)
     med = _median_scale(cost)
     first = (metric / med, 0.0, cost / med)
-    fixed = replace(cfg, outer_iters=1)
-    return gml.grid_fits(first, None, p, q, fixed, lambdas, basis, complement / med)
+    return gml.grid_fits(first, None, p, q, cfg, lambdas, basis, complement / med)
 
 
 def run_task(

@@ -119,9 +119,6 @@ class RunConfig:
         for m in self.methods:
             if m not in ad.METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        # JSON can give a list or a number here; stop before any data is read.
-        if not isinstance(self.d_choice, str):
-            raise ConfigError(f"d_choice must be one of {gml.D_CHOICES}")
         for name in ("eps", "sinkhorn_tol", "objective_rtol"):
             value = getattr(self, name)
             if not _is_number(value):
@@ -412,6 +409,12 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
     tgt_pool = _load_labeled(cfg.target, cfg, cfg.target_labels)
     if src_pool.features.shape[0] != tgt_pool.features.shape[0]:
         raise DataError("source and target pools have different dimensions")
+    # The class list and the per-class counts are sized by class_count.
+    try:
+        for pool in (src_pool, tgt_pool):
+            dt._require_labels(pool)
+    except ValueError as e:
+        raise DataError(str(e))
     classes = cfg.skew_classes
     if classes is None:
         classes = list(range(tgt_pool.class_count))

@@ -125,6 +125,14 @@ def _load_csv(path: str, labeled: bool) -> RawDataset:
     return RawDataset(table.T)
 
 
+def _read_payload(fh, size: int, what: str) -> bytes:
+    # The header's size is checked against the file before anything is
+    # read, so a truncated file cannot make the read allocate that size.
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"{fh.name}: truncated {what}")
+    return fh.read(size)
+
+
 def _load_rawf64(path: str) -> RawDataset:
     with open(path, "rb") as fh:
         head = fh.read(16)
@@ -133,16 +141,12 @@ def _load_rawf64(path: str) -> RawDataset:
         d, n = struct.unpack("<QQ", head)
         if d == 0 or n == 0 or d * n > 1 << 32:
             raise ValueError(f"{path}: implausible rawf64 dimensions {d}x{n}")
-        body = fh.read(8 * d * n)
-        if len(body) != 8 * d * n:
-            raise ValueError(f"{path}: truncated rawf64 payload")
+        body = _read_payload(fh, 8 * d * n, "rawf64 payload")
         feats = np.frombuffer(body, dtype="<f8").reshape(d, n, order="F")
         flag = fh.read(1)
         labels = None
         if flag and flag[0]:
-            lab = fh.read(4 * n)
-            if len(lab) != 4 * n:
-                raise ValueError(f"{path}: truncated rawf64 label block")
+            lab = _read_payload(fh, 4 * n, "rawf64 label block")
             labels = np.frombuffer(lab, dtype="<u4").astype(int)
     return RawDataset(feats.copy(), labels)
 
@@ -180,9 +184,7 @@ def _read_idx_labels(path: str) -> np.ndarray:
         magic, count = struct.unpack(">II", head)
         if magic != IDX_LABEL_MAGIC:
             raise ValueError(f"{path}: bad idx label magic {magic:#010x}")
-        body = fh.read(count)
-        if len(body) != count:
-            raise ValueError(f"{path}: truncated idx label payload")
+        body = _read_payload(fh, count, "idx label payload")
     return np.frombuffer(body, dtype=np.uint8).astype(int)
 
 
@@ -202,9 +204,7 @@ def _load_idx(path: str, labels_path: "str | None", downsample: int) -> RawDatas
         magic, count, rows, cols = struct.unpack(">IIII", head)
         if magic != IDX_IMAGE_MAGIC:
             raise ValueError(f"{path}: bad idx image magic {magic:#010x}")
-        body = fh.read(count * rows * cols)
-        if len(body) != count * rows * cols:
-            raise ValueError(f"{path}: truncated idx image payload")
+        body = _read_payload(fh, count * rows * cols, "idx image payload")
     imgs = np.frombuffer(body, dtype=np.uint8).reshape(count, rows, cols)
     imgs = imgs.astype(float) / 255.0
     if downsample > 1:
@@ -300,10 +300,18 @@ def load_matrix(
 
 
 def _require_labels(ds: RawDataset):
+    # Samplers size their work by class_count, so every class below it
+    # must occur: a stray large label would otherwise size it.
     if ds.labels is None:
         raise ValueError("sampling requires a labeled dataset")
     if ds.class_count < 2:
         raise ValueError("sampling requires at least 2 classes")
+    present = np.unique(ds.labels).size
+    if present != ds.class_count:
+        raise ValueError(
+            f"labels cover {present} of classes 0..{ds.class_count - 1}; "
+            "a sampling pool needs every class"
+        )
 
 
 def _uniform_counts(n: int, k: int) -> np.ndarray:
@@ -400,11 +408,8 @@ def split_even(ds: RawDataset, seed: int) -> "tuple[RawDataset, RawDataset]":
     rng = np.random.default_rng(seed)
     first, second = [], []
     for j in range(ds.class_count):
-        pool = np.flatnonzero(ds.labels == j)
-        if pool.size == 0:
-            continue
-        perm = rng.permutation(pool)
-        half = (pool.size + 1) // 2
+        perm = rng.permutation(np.flatnonzero(ds.labels == j))
+        half = (perm.size + 1) // 2
         first.append(perm[:half])
         second.append(perm[half:])
     return _subset(ds, np.concatenate(first)), _subset(ds, np.concatenate(second))

@@ -91,26 +91,12 @@ class GmlConfig:
             raise ValueError(
                 f"objective_rtol must be finite and >= 0, got {self.objective_rtol}"
             )
-        _check_d_choice(self.d_choice)
-
-
-def _check_d_choice(choice):
-    # A string test first: `in` on an array compares elementwise.
-    if not (isinstance(choice, str) and choice in D_CHOICES):
-        raise ValueError(
-            f"d_choice must be one of {D_CHOICES}, "
-            f"got {type(choice).__name__} {choice!r}"
-        )
-
-
-def _full_metric(basis, reduced, complement):
-    # Q A_r Q^T + alpha (I - Q Q^T). With a square basis the complement is
-    # empty, and leaving it out keeps alpha's rounding out of the result.
-    dim, rank = basis.shape
-    full = basis @ reduced @ basis.T
-    if rank < dim:
-        full += complement * (np.eye(dim) - basis @ basis.T)
-    return symmetrize(full)
+        # A string test first: `in` on an array compares elementwise.
+        if not (isinstance(self.d_choice, str) and self.d_choice in D_CHOICES):
+            raise ValueError(
+                f"d_choice must be one of {D_CHOICES}, "
+                f"got {type(self.d_choice).__name__} {self.d_choice!r}"
+            )
 
 
 @dataclass
@@ -156,8 +142,18 @@ class FitResult:
 
     @property
     def metric(self) -> np.ndarray:
-        """The (d, d) SPD ground metric, built from the factors on each read."""
-        return _full_metric(self.basis, self.reduced_metric, self.complement)
+        """The (d, d) SPD ground metric, built from the factors on each read.
+
+        This is the one place a d x d matrix is formed. With a square
+        basis the complement is empty, and leaving it out keeps alpha's
+        rounding out of the result.
+        """
+        basis = self.basis
+        dim, rank = basis.shape
+        full = basis @ self.reduced_metric @ basis.T
+        if rank < dim:
+            full += self.complement * (np.eye(dim) - basis @ basis.T)
+        return symmetrize(full)
 
 
 def _check_clouds(x, z):
@@ -275,7 +271,9 @@ def update_metric(cg: np.ndarray, d: np.ndarray) -> np.ndarray:
     return riccati_solve(cg, d)
 
 
-def cost_matrix(x: np.ndarray, z: np.ndarray, metric: np.ndarray) -> np.ndarray:
+def cost_matrix(
+    x: np.ndarray, z: np.ndarray, metric: "np.ndarray | None" = None
+) -> np.ndarray:
     """Pairwise squared Mahalanobis costs (x_i - z_j)^T A (x_i - z_j).
 
     Computed from the quadratic expansion
@@ -286,8 +284,11 @@ def cost_matrix(x: np.ndarray, z: np.ndarray, metric: np.ndarray) -> np.ndarray:
     ----------
     x : ndarray of shape (d, m)
     z : ndarray of shape (d, n)
-    metric : ndarray of shape (d, d)
-        SPD ground metric A.
+    metric : ndarray of shape (d, d), optional
+        SPD ground metric A. Omitted, A is the identity: the expansion
+        takes C-contiguous copies of the data in place of A X and A Z,
+        the layout ``np.eye(d) @ x`` has, so the costs are bitwise those
+        of an explicit identity.
 
     Returns
     -------
@@ -295,13 +296,17 @@ def cost_matrix(x: np.ndarray, z: np.ndarray, metric: np.ndarray) -> np.ndarray:
         Nonnegative cost matrix.
     """
     x, z = _check_clouds(x, z)
-    a = np.asarray(metric, dtype=float)
-    if a.shape != (x.shape[0], x.shape[0]):
-        raise ValueError(
-            f"metric shape {a.shape} does not match data dimension {x.shape[0]}"
-        )
-    ax = a @ x
-    az = a @ z
+    if metric is None:
+        ax = np.ascontiguousarray(x)
+        az = np.ascontiguousarray(z)
+    else:
+        a = np.asarray(metric, dtype=float)
+        if a.shape != (x.shape[0], x.shape[0]):
+            raise ValueError(
+                f"metric shape {a.shape} does not match data dimension {x.shape[0]}"
+            )
+        ax = a @ x
+        az = a @ z
     xa = np.einsum("ij,ij->j", x, ax)
     za = np.einsum("ij,ij->j", z, az)
     cost = xa[:, None] + za[None, :] - 2.0 * (x.T @ az)
@@ -319,23 +324,6 @@ def objective(cost: np.ndarray, plan: np.ndarray, reg: float, lam: float) -> flo
     functional.
     """
     return sk.transport_cost(plan, cost) + reg + lam * sk.entropy(plan)
-
-
-def make_d(choice: str, x: np.ndarray, z: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Build the (d, d) metric-regularization target D.
-
-    Parameters
-    ----------
-    choice : str
-        "identity" for I, "gram_sum" for the ridged X X^T + Z Z^T, or
-        "gram_sum_inverse" for its inverse.
-    x, z : ndarray of shape (d, m), (d, n)
-        Point clouds (columns are points).
-    eps : float
-        Relative ridge on the Gram sum, as in ``baseline_metric``.
-    """
-    _check_d_choice(choice)
-    return baseline_metric(_D_BASELINES[choice], x, z, eps)
 
 
 def baseline_factors(kind: str, sp: Span, eps: float = 1e-6) -> "tuple[np.ndarray, float]":
@@ -360,23 +348,6 @@ def baseline_factors(kind: str, sp: Span, eps: float = 1e-6) -> "tuple[np.ndarra
     rho = _ridge(raw, eps, sp.basis.shape[0])
     gram = raw + rho * np.eye(rank)
     return (gram, rho) if kind == "gram" else (spd_inv(gram), 1.0 / rho)
-
-
-def baseline_metric(
-    kind: str, x: np.ndarray, z: np.ndarray, eps: float = 1e-6
-) -> np.ndarray:
-    """Fixed (not learned) ground metrics used as baselines, as (d, d) matrices.
-
-    "euclidean" is the identity, "gram" the pooled Gram matrix
-    G = [X, Z] [X, Z]^T lifted by ``eps * trace(G) / d * I`` and "whiten"
-    its inverse, which decorrelates the pooled data; both are built from
-    ``baseline_factors`` on the span of the points.
-    """
-    x, z = _check_clouds(x, z)
-    if kind == "euclidean":
-        return np.eye(x.shape[0])
-    sp = span(x, z)
-    return _full_metric(sp.basis, *baseline_factors(kind, sp, eps))
 
 
 def fit(
@@ -479,9 +450,9 @@ def grid_fits(
 
     ``first`` is the lambda-independent ``(reduced metric, regularizer,
     cost)`` of the first sweep and is shared by every fit; each later
-    sweep takes its triple from ``refit(plan)`` for the plan before it. A
-    fixed metric is one sweep (``cfg.outer_iters == 1``), where ``refit``
-    is never called. ``basis`` and ``complement`` complete every reduced
+    sweep takes its triple from ``refit(plan)`` for the plan before it, up
+    to ``cfg.outer_iters`` sweeps. ``refit=None`` is a fixed metric: one
+    sweep per lambda. ``basis`` and ``complement`` complete every reduced
     metric to its ``FitResult``. Each sweep solves the OT problem at
     ``lam`` (``cfg.sinkhorn.lam`` is replaced) and records
     ``objective(cost, plan, regularizer, lam)``. Fits run lazily, in the
@@ -494,7 +465,7 @@ def grid_fits(
         history: list[float] = []
         converged = False
         all_sinkhorn_ok = True
-        for sweep in range(cfg.outer_iters):
+        for sweep in range(1 if refit is None else cfg.outer_iters):
             if sweep:
                 metric, reg, cost = refit(plan)
             transport = sk.solve(cost, p, q, scfg)

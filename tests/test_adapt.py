@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +230,29 @@ def test_fit_plan_euclidean_invariant_to_feature_scale():
 GRID = [0.05, 0.2, 0.5, 1.0, 2.0]
 
 
+def test_fit_plan_euclidean_cost_is_bitwise_the_identity_metrics(tmp_path):
+    # A loaded csv holds its points as a transposed view. The Euclidean
+    # cost takes no metric, and must still round exactly as the cost under
+    # an explicit identity, whose products are C-contiguous. (Integer
+    # pixels would hide a difference: their sums are exact.)
+    rng = np.random.default_rng(19)
+    dim, m, n = 64, 30, 25
+    plans = {}
+    for name, size in (("x", m), ("z", n)):
+        path = tmp_path / f"{name}.csv"
+        np.savetxt(path, rng.uniform(0, 255, size=(size, dim)), delimiter=",")
+        plans[name] = dt.load_matrix(str(path)).features
+    x, z = plans["x"], plans["z"]
+    assert not x.flags.c_contiguous
+    p, q = uniform(m), uniform(n)
+    cfg = base_cfg()
+    cost = gml.cost_matrix(x, z, np.eye(dim))
+    cost /= np.median(cost)
+    for lam, fit in zip(GRID, adapt.fit_plan(x, z, p, q, "euclidean", GRID, cfg)):
+        want = sk.solve(cost, p, q, replace(cfg.sinkhorn, lam=lam))
+        assert np.array_equal(fit.plan, want.matrix)
+
+
 @pytest.mark.parametrize("outer", [1, 3])
 @pytest.mark.parametrize("method", adapt.METHODS)
 def test_fit_plan_grid_matches_one_lambda_fits(method, outer):
@@ -298,12 +324,14 @@ def test_run_task_shares_the_lambda_independent_work(
     assert counts["eigh"] == metrics
 
 
-@pytest.mark.parametrize("method", ["learned", "gram", "whiten"])
+@pytest.mark.parametrize("method", ["learned", "gram", "whiten", "euclidean"])
 def test_run_task_on_wide_data_decomposes_nothing_beyond_m_plus_n(monkeypatch, method):
     # d = 2048 > m + n = 120, the shape of office features (800-d SURF,
     # 4096-d DeCAF, about 100 points per domain): every fit runs on the
-    # span of the points, so no eigendecomposition is larger than
-    # (m + n) x (m + n). A 2048 x 2048 one would take seconds.
+    # span of the points (euclidean on the raw points), so no
+    # eigendecomposition is larger than (m + n) x (m + n), and no d x d
+    # array is allocated: a 2048 x 2048 eigh would take seconds, and one
+    # float64 array 32 MiB, four times the traced peak allowed here.
     rng = np.random.default_rng(17)
     dim, size = 2048, 60
     labels = np.repeat([0, 1], size // 2)
@@ -321,10 +349,16 @@ def test_run_task_on_wide_data_decomposes_nothing_beyond_m_plus_n(monkeypatch, m
         return eigh(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
-    report = adapt.run_task(source, train, test, method, GRID, base_cfg(outer=2))
+    tracemalloc.start()
+    try:
+        report = adapt.run_task(source, train, test, method, GRID, base_cfg(outer=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.sinkhorn_converged
-    assert bool(shapes) == (method != "gram")
+    assert bool(shapes) == (method in ("whiten", "learned"))
     assert all(max(shape) <= 2 * size for shape in shapes), shapes
+    assert peak < dim * dim * 8 / 4, peak
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,10 @@ def test_config_validation_errors():
         cli.load_config(None, {"methods": ["cosine"]})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"lambda_grid": []})
-    with pytest.raises(cli.ConfigError):
-        cli.load_config(None, {"d_choice": "spiral"})
+    # JSON can give a non-string d_choice; GmlConfig's check names the choices.
+    for bad in ("spiral", [1, 2], 3, None):
+        with pytest.raises(cli.ConfigError, match="d_choice must be one of"):
+            cli.load_config(None, {"d_choice": bad})
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"outer_iters": 0})
     nan, inf = float("nan"), float("inf")
@@ -663,6 +665,27 @@ def test_experiment_skew_repeated_method_exits_one(skew_config, tmp_path, capsys
                    "--method", "euclidean", "--method", "euclidean"])
     assert rc == 1
     assert "config error: methods repeats 'euclidean'\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("skew_classes", [None, [1]])
+def test_experiment_skew_stray_large_label_exits_two(tmp_path, capsys, skew_classes):
+    # The class list and the per-class counts are sized by the largest
+    # label + 1; a pool with one label of 2^60 is a data error, before
+    # anything that size is allocated.
+    rng = np.random.default_rng(5)
+    src = write_cloud_csv(tmp_path / "src.csv", rng, per_class=10)
+    tgt = tmp_path / "tgt.csv"
+    write_cloud_csv(tgt, rng, per_class=10)
+    tgt.write_text(tgt.read_text() + f"4.0,4.0,{1 << 60}\n")
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({
+        "source": src, "target": str(tgt), "m": 4, "n": 4, "skews": [50],
+        "skew_classes": skew_classes, "seeds": [0], "methods": ["euclidean"],
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["experiment-skew", "--config", str(config), "--out", str(out)]) == 2
+    assert "data error" in capsys.readouterr().err
     assert not out.exists()
 
 

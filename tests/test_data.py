@@ -125,6 +125,13 @@ def test_rawf64_truncation_errors(tmp_path):
     with pytest.raises(ValueError, match="label"):
         dt.load_matrix(str(nolab))
 
+    # 2^32 values (32 GiB) pass the plausibility cap; the claim is checked
+    # against the file size before anything that large is allocated.
+    claims = tmp_path / "claims.rawf64"
+    claims.write_bytes(struct.pack("<QQ", 1 << 16, 1 << 16) + b"\x00" * 64)
+    with pytest.raises(ValueError, match="truncated"):
+        dt.load_matrix(str(claims))
+
 
 def test_rawf64_implausible_dimensions(tmp_path):
     bad = tmp_path / "bad.rawf64"
@@ -185,6 +192,18 @@ def test_idx_truncated_payload(tmp_path):
     path.write_bytes(struct.pack(">IIII", dt.IDX_IMAGE_MAGIC, 2, 4, 4) + b"\x00" * 5)
     with pytest.raises(ValueError, match="truncated"):
         dt.load_matrix(str(path))
+    # An 80-byte file claiming 2^20 images of 1024 x 1024 (1 TiB), and a
+    # label file claiming 2^32 - 1 labels: checked against the file size,
+    # not allocated.
+    huge = tmp_path / "huge.idx"
+    huge.write_bytes(struct.pack(">IIII", dt.IDX_IMAGE_MAGIC, 1 << 20, 1024, 1024) + b"\x00" * 64)
+    with pytest.raises(ValueError, match="truncated"):
+        dt.load_matrix(str(huge))
+    labels = tmp_path / "many-labels.idx"
+    labels.write_bytes(struct.pack(">II", dt.IDX_LABEL_MAGIC, (1 << 32) - 1) + b"\x00" * 8)
+    dt.write_idx_images(str(path), np.zeros((1, 2, 2), dtype=np.uint8))
+    with pytest.raises(ValueError, match="truncated idx label"):
+        dt.load_matrix(str(path), labels_path=str(labels))
 
 
 def test_idx_label_count_mismatch(tmp_path):
@@ -345,6 +364,21 @@ def test_uniform_sample_requires_labels():
     ds = dt.RawDataset(np.zeros((2, 4)))
     with pytest.raises(ValueError, match="label"):
         dt.uniform_sample(ds, 2, seed=0)
+
+
+def test_samplers_require_every_class_below_class_count():
+    # Work is sized by class_count, the largest label + 1; one stray label
+    # of 2^60 must not size it (an allocation that large is refused).
+    ds = make_ds(per_class=5, k=3)
+    labels = ds.labels.copy()
+    labels[0] = 1 << 60
+    stray = dt.RawDataset(ds.features, labels)
+    spec = dt.SkewSpec(1, 50.0, 4)
+    for draw in (lambda: dt.uniform_sample(stray, 6, seed=0),
+                 lambda: dt.disjoint_split(stray, spec, spec, seed=0),
+                 lambda: dt.split_even(stray, seed=0)):
+        with pytest.raises(ValueError, match="every class"):
+            draw()
 
 
 @pytest.mark.parametrize(

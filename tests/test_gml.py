@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ot_oracle import dense_baseline_metric, dense_fit
+from ot_oracle import dense_baseline_metric, dense_fit, dense_ridge
 
 from otml import gml
 from otml import sinkhorn as sk
@@ -202,45 +202,71 @@ def test_fit_never_inverts_the_metric(monkeypatch):
     assert np.all(np.isfinite(res.objective_history))
 
 
-def test_make_d_choices():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(3, 8))
-    z = rng.normal(size=(3, 8))
-    np.testing.assert_array_equal(gml.make_d("identity", x, z), np.eye(3))
-    gram = gml.make_d("gram_sum", x, z)
-    np.testing.assert_allclose(gram, ridged_gram(x, z), rtol=1e-13, atol=1e-13)
-    inv = gml.make_d("gram_sum_inverse", x, z)
-    np.testing.assert_allclose(inv @ gram, np.eye(3), atol=1e-8)
-    for bad in ("mystery", np.eye(3)):
-        with pytest.raises(ValueError, match="d_choice must be one of"):
-            gml.make_d(bad, x, z)
+def span_and_oracle(kind, x, z, eps=1e-6):
+    # A baseline's span factors (reduced, complement value) next to the
+    # d x d oracle seen the same way: Q^T G Q, and G on a unit vector
+    # orthogonal to the span, where it is the ridge rho (1 / rho for
+    # whiten). A square basis has no complement; there the oracle's ridge
+    # rule gives the value.
+    sp = gml.span(x, z)
+    factors = gml.baseline_factors(kind, sp, eps)
+    dense = dense_baseline_metric(kind, x, z, eps)
+    basis = sp.basis
+    dim, rank = basis.shape
+    if rank < dim:
+        u = np.random.default_rng(0).normal(size=dim)
+        u -= basis @ (basis.T @ u)
+        u /= np.linalg.norm(u)
+        outside = float(u @ dense @ u)
+    else:
+        rho = dense_ridge(spd.symmetrize(x @ x.T + z @ z.T), eps)
+        outside = {"euclidean": 1.0, "gram": rho, "whiten": 1.0 / rho}[kind]
+    return factors, (basis.T @ dense @ basis, outside)
 
 
 def test_baseline_metric_kinds():
+    # Below m + n (square basis) and above it, with the default and a
+    # large relative ridge, each baseline's factors are the oracle's
+    # identity, ridged Gram matrix or its inverse on the span basis and on
+    # its complement. The oracle's d x d inverse is good to about its
+    # condition number (up to 1e7 here) times the rounding unit.
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(4, 10))
-    z = rng.normal(size=(4, 10))
-    np.testing.assert_array_equal(gml.baseline_metric("euclidean", x, z), np.eye(4))
-    gram = gml.baseline_metric("gram", x, z)
-    np.testing.assert_allclose(gram, ridged_gram(x, z), rtol=1e-13, atol=1e-13)
-    eps_gram = gml.baseline_metric("gram", x, z, eps=0.5)
-    np.testing.assert_allclose(eps_gram, ridged_gram(x, z, 0.5), rtol=1e-13)
-    whiten = gml.baseline_metric("whiten", x, z)
-    np.testing.assert_allclose(whiten @ gram, np.eye(4), atol=1e-8)
+    for dim, size in ((3, 8), (4, 10), (30, 6)):
+        x = rng.normal(size=(dim, size))
+        z = rng.normal(size=(dim, size))
+        sp = gml.span(x, z)
+        euclidean, one = gml.baseline_factors("euclidean", sp)
+        np.testing.assert_array_equal(euclidean, np.eye(sp.basis.shape[1]))
+        assert one == 1.0
+        for kind in gml.BASELINE_METRICS:
+            tol = 1e-8 if kind == "whiten" else 1e-13
+            for eps in (1e-6, 0.5):
+                (reduced, rest), (want, outside) = span_and_oracle(kind, x, z, eps)
+                assert reduced.shape == (min(dim, 2 * size),) * 2
+                np.testing.assert_allclose(
+                    reduced, want, rtol=tol, atol=tol * np.abs(want).max()
+                )
+                # The oracle's value off the span rounds to about 1e-10.
+                assert rest == pytest.approx(outside, rel=1e-8, abs=0)
+        gram, rho = gml.baseline_factors("gram", sp)
+        whiten, inv_rho = gml.baseline_factors("whiten", sp)
+        np.testing.assert_allclose(whiten @ gram, np.eye(gram.shape[0]), atol=1e-8)
+        assert inv_rho * rho == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ValueError):
-        gml.baseline_metric("mahalanobis", x, z)
+        gml.baseline_factors("mahalanobis", sp)
 
 
 def test_gram_floor_is_relative_at_pixel_scale():
     # An absolute 1e-6 lift vanishes next to eigenvalues ~1e8, and the
     # inverse then fails the positivity check.
     x, z = pixel_clouds()
-    whiten = gml.baseline_metric("whiten", x, z)
-    for mat in (whiten, gml.make_d("gram_sum_inverse", x, z)):
-        np.testing.assert_array_equal(mat, mat.T)
-        vals, _ = spd.eigh_spd(mat)
-        assert vals.min() > 0
-    np.testing.assert_allclose(whiten @ ridged_gram(x, z), np.eye(200), atol=1e-6)
+    (whiten, inv_rho), _ = span_and_oracle("whiten", x, z)
+    np.testing.assert_array_equal(whiten, whiten.T)
+    vals, _ = spd.eigh_spd(whiten)
+    assert vals.min() > 0 and inv_rho > 0
+    _, (gram, gram_outside) = span_and_oracle("gram", x, z)
+    np.testing.assert_allclose(whiten @ gram, np.eye(80), atol=1e-6)
+    assert inv_rho * gram_outside == pytest.approx(1.0, rel=1e-6)
 
 
 def test_learned_fit_with_gram_target_at_pixel_scale():
@@ -314,12 +340,12 @@ def test_span_fit_matches_dense_oracle(size, dim, d_choice):
     kind = {"gram_sum": "gram", "gram_sum_inverse": "whiten"}.get(d_choice)
     if kind is not None:
         sp = gml.span(x, z)
-        reduced, _ = gml.baseline_factors(kind, sp)
-        dense = dense_baseline_metric(kind, x, z)
-        want = gml.cost_matrix(x, z, dense)
+        (reduced, rest), (on_span, outside) = span_and_oracle(kind, x, z)
+        want = gml.cost_matrix(x, z, dense_baseline_metric(kind, x, z))
         got = gml.cost_matrix(sp.x, sp.z, reduced)
         assert np.abs(got - want).max() <= tol["cost"] * want.max()
-        assert rel_gap(gml.baseline_metric(kind, x, z), dense) <= tol["baseline"]
+        assert rel_gap(reduced, on_span) <= tol["baseline"]
+        assert rest == pytest.approx(outside, rel=tol["baseline"], abs=0)
 
 
 def test_config_validation():
