@@ -70,9 +70,8 @@ def barycentric_map(plan: np.ndarray, z: np.ndarray, p: np.ndarray) -> np.ndarra
             f"and target size {z.shape[1]}"
         )
     zero = p <= 0
-    weights = np.zeros_like(plan)
-    weights[~zero] = plan[~zero] / p[~zero, None]
-    mapped = z @ weights.T
+    # Zero-mass rows are divided by 1 here and overwritten below.
+    mapped = z @ (plan / np.where(zero, 1.0, p)[:, None]).T
     if np.any(zero):
         warnings.warn(
             f"{int(zero.sum())} source row(s) have zero mass; mapped to the "

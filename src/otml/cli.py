@@ -24,12 +24,14 @@ summarize
     average the accuracy columns.
 
 Configuration is a JSON object whose keys are RunConfig field names,
-only those the subcommand reads (COMMAND_KEYS). Each flag sets one field and
-overrides the file value; repeated ``--method``, ``--lambda`` and
-``--seed`` flags make up the ``methods``, ``lambda_grid`` and ``seeds``
-lists. Numeric fields and the entries of ``lambda_grid`` must be JSON
-numbers, the entries of ``skews`` integers in (0, 100) (true/false are
-rejected), and ``out``, ``name`` and the input paths strings. Exit codes:
+only those the subcommand reads (COMMAND_KEYS); a subcommand has the
+flags of those keys only. Each flag sets one field and overrides the file
+value; repeated ``--method``, ``--lambda`` and ``--seed`` flags make up
+the ``methods``, ``lambda_grid`` and ``seeds`` lists. Numeric fields and
+the entries of ``lambda_grid`` must be JSON numbers, the entries of
+``skews`` integers in (0, 100) (true/false are rejected), and ``out``,
+``name`` and the input paths strings. ``out`` must be a directory or
+creatable as one; that is checked before any input is read. Exit codes:
 0 success, 1 configuration error, 2 data error, 3 numerical failure (under
 ``strict`` also an unconverged solve, before any output).
 Results go to stdout, diagnostics to stderr. Output files are written
@@ -44,7 +46,7 @@ import numbers
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,7 +107,6 @@ class RunConfig:
     n: int = 500
     skews: "list[int]" = field(default_factory=lambda: [10, 20, 30, 40, 50])
     skew_classes: "list[int] | None" = None
-    inputs: "list[str]" = field(default_factory=list)
 
     def __post_init__(self):
         for name in ("methods", "lambda_grid", "seeds", "skews", "skew_classes"):
@@ -215,7 +216,7 @@ def load_config(path: "str | None", overrides: dict, command: "str | None" = Non
     known = {f.name for f in fields(RunConfig)}
     merged = {}
     for key, val in values.items():
-        if key not in known or key == "inputs":
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         if command is not None and key not in COMMAND_KEYS[command]:
             raise ConfigError(f"{command} does not read config key {key!r}")
@@ -230,43 +231,25 @@ def load_config(path: "str | None", overrides: dict, command: "str | None" = Non
 # output helpers
 
 
-def _write_bytes_atomic(path: str, payload: bytes):
-    tmp = f"{path}.tmp{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+# Every file the CLI writes goes through this name, which
+# benchmark/tracing.py (EXTRA_SPANS) wraps to time and count the writes.
+_write_bytes_atomic = dt.write_atomic
 
 
+# Rows hold Python ints, floats and strs only; csv writes a float as its
+# shortest repr.
 def _write_csv_atomic(path: str, header: "list[str]", rows: "list[list]"):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_py_scalar(v) for v in row])
+    writer.writerows(rows)
     _write_bytes_atomic(path, buf.getvalue().encode())
-
-
-# csv writes str(x), which for a Python float is its shortest repr; json
-# takes only Python scalars.
-def _py_scalar(v):
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    return v
 
 
 def _print_table(header: "list[str]", rows: "list[list]"):
     cells = [[str(h) for h in header]]
     for row in rows:
-        cells.append(
-            [f"{v:.4f}" if isinstance(v, (float, np.floating)) else str(v) for v in row]
-        )
+        cells.append([f"{v:.4f}" if isinstance(v, float) else str(v) for v in row])
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     for r in cells:
         print("  ".join(s.rjust(w) for s, w in zip(r, widths)))
@@ -302,6 +285,19 @@ def _check_converged(cfg: RunConfig, converged: bool, method: str):
     # Under strict, an unconverged solve ends the run before any output.
     if cfg.strict and not converged:
         raise NumericalError(f"transport solve did not converge ({method})")
+
+
+def _method_reports(cfg: RunConfig, progress: str, source, ttrain, ttest, seed: int = 0):
+    """Run every configured method on one task; yield each method's report.
+
+    ``progress`` prefixes the ``method=...`` line printed to stderr first.
+    """
+    gcfg = _gml_config(cfg, cfg.lambda_grid[0])
+    for method in cfg.methods:
+        print(f"{progress}method={method}", file=sys.stderr)
+        rep = ad.run_task(source, ttrain, ttest, method, list(cfg.lambda_grid), gcfg, seed=seed)
+        _check_converged(cfg, rep.sinkhorn_converged, method)
+        yield rep
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +360,13 @@ def cmd_adapt(cfg: RunConfig) -> int:
     dims = {ds.features.shape[0] for ds in (source, ttrain, ttest)}
     if len(dims) != 1:
         raise DataError(f"feature dimensions differ across inputs: {sorted(dims)}")
-    gcfg = _gml_config(cfg, cfg.lambda_grid[0])
     rows = []
-    for method in cfg.methods:
-        print(f"adapt: method={method}", file=sys.stderr)
-        rep = ad.run_task(source, ttrain, ttest, method, list(cfg.lambda_grid), gcfg)
-        _check_converged(cfg, rep.sinkhorn_converged, method)
-        for seed in cfg.seeds:
-            rows.append(
-                [
-                    cfg.name,
-                    method,
-                    seed,
-                    rep.lambda_chosen,
-                    rep.train_accuracy,
-                    rep.test_accuracy,
-                ]
-            )
+    for rep in _method_reports(cfg, "adapt: ", source, ttrain, ttest):
+        scores = [rep.lambda_chosen, rep.train_accuracy, rep.test_accuracy]
+        rows += [[cfg.name, rep.method, seed, *scores] for seed in cfg.seeds]
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv_atomic(os.path.join(cfg.out, "report.csv"), REPORT_HEADER, rows)
-    payload = [dict(zip(REPORT_HEADER, (_py_scalar(v) for v in row))) for row in rows]
+    payload = [dict(zip(REPORT_HEADER, row)) for row in rows]
     _write_bytes_atomic(
         os.path.join(cfg.out, "report.json"),
         (json.dumps(payload, indent=2) + "\n").encode(),
@@ -421,7 +404,6 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
     for c in classes:
         if not 0 <= c < tgt_pool.class_count:
             raise DataError(f"skew class {c} out of range")
-    gcfg = _gml_config(cfg, cfg.lambda_grid[0])
     rows = []
     for w in cfg.skews:
         for c in classes:
@@ -434,33 +416,10 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
                     ztrain, ztest = dt.disjoint_split(tgt_pool, spec, spec, s_tgt)
                 except ValueError as e:
                     raise DataError(str(e))
-                for method in cfg.methods:
-                    print(
-                        f"experiment-skew: w={w} class={c} seed={seed} "
-                        f"method={method}",
-                        file=sys.stderr,
-                    )
-                    rep = ad.run_task(
-                        x_cloud,
-                        ztrain,
-                        ztest,
-                        method,
-                        list(cfg.lambda_grid),
-                        gcfg,
-                        seed=seed,
-                    )
-                    _check_converged(cfg, rep.sinkhorn_converged, method)
-                    rows.append(
-                        [
-                            w,
-                            c,
-                            seed,
-                            method,
-                            rep.lambda_chosen,
-                            rep.train_accuracy,
-                            rep.test_accuracy,
-                        ]
-                    )
+                progress = f"experiment-skew: w={w} class={c} seed={seed} "
+                for rep in _method_reports(cfg, progress, x_cloud, ztrain, ztest, seed):
+                    rows.append([w, c, seed, rep.method, rep.lambda_chosen,
+                                 rep.train_accuracy, rep.test_accuracy])
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv_atomic(os.path.join(cfg.out, "runs.csv"), RUNS_HEADER, rows)
 
@@ -477,13 +436,13 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_summarize(cfg: RunConfig) -> int:
+def cmd_summarize(cfg: RunConfig, inputs: "list[str]") -> int:
     """Average accuracy columns of report CSVs over seeds (and skew classes)."""
-    if not cfg.inputs:
+    if not inputs:
         raise ConfigError("summarize needs at least one input csv")
     rows = []
     header = None
-    for path in cfg.inputs:
+    for path in inputs:
         try:
             with open(path, newline="") as fh:
                 reader = csv.DictReader(fh)
@@ -496,6 +455,8 @@ def cmd_summarize(cfg: RunConfig) -> int:
                 rows.extend(reader)
         except OSError as e:
             raise DataError(str(e))
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise DataError(f"{path}: not a readable csv: {e}")
     if "test_accuracy" not in header:
         raise DataError("inputs lack a test_accuracy column")
     keys = [k for k in ("task", "skew_percent", "method") if k in header]
@@ -540,29 +501,37 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# The config keys that have a flag: key -> (flag, add_argument options).
+_FLAGS = {
+    "methods": ("--method", {"action": "append"}),
+    "lambda_grid": ("--lambda", {"action": "append", "type": float}),
+    "outer_iters": ("--outer-iters", {"type": int}),
+    "eps": ("--eps", {"type": float}),
+    "seeds": ("--seed", {"action": "append", "type": int}),
+    "out": ("--out", {}),
+    "name": ("--name", {}),
+    "format": ("--format", {}),
+    "downsample": ("--downsample", {"type": int}),
+    "source": ("--source", {}),
+    "target": ("--target", {}),
+    "target_train": ("--target-train", {}),
+    "target_test": ("--target-test", {}),
+    "m": ("--m", {"type": int}),
+    "n": ("--n", {"type": int}),
+}
+
+
 def _build_parser() -> _Parser:
+    # A subcommand gets the flags of the keys it reads; any other flag is
+    # an unrecognized argument, which _Parser makes a config error.
     parser = _Parser(prog="otml", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fit", "adapt", "experiment-skew", "summarize"):
+    for name, keys in COMMAND_KEYS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--method", dest="methods", action="append", default=None)
-        sp.add_argument(
-            "--lambda", dest="lambda_grid", action="append", type=float, default=None
-        )
-        sp.add_argument("--outer-iters", type=int, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--seed", dest="seeds", action="append", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--name", default=None)
-        sp.add_argument("--format", default=None)
-        sp.add_argument("--downsample", type=int, default=None)
-        sp.add_argument("--source", default=None)
-        sp.add_argument("--target", default=None)
-        sp.add_argument("--target-train", dest="target_train", default=None)
-        sp.add_argument("--target-test", dest="target_test", default=None)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None)
+        for key, (flag, options) in _FLAGS.items():
+            if key in keys:
+                sp.add_argument(flag, dest=key, default=None, **options)
         if name == "summarize":
             sp.add_argument("inputs", nargs="*", default=[])
     return parser
@@ -585,13 +554,25 @@ _COMMANDS = {
 }
 
 
+def _check_out(out: str):
+    # Checked before any input is read, so that an unusable output
+    # directory does not surface only after all the work.
+    if not out:
+        raise ConfigError("out must be a non-empty path")
+    probe = out
+    while probe and not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe or "."):
+        raise ConfigError(f"out {out!r} cannot be a directory: {probe or '.'!r} is not one")
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config, _overrides(args), args.command)
-        if args.command == "summarize":
-            cfg = replace(cfg, inputs=list(args.inputs))
-        return _COMMANDS[args.command](cfg)
+        _check_out(cfg.out)
+        command = _COMMANDS[args.command]
+        return command(cfg, args.inputs) if args.command == "summarize" else command(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -169,11 +169,26 @@ def rawf64_bytes(features: np.ndarray, labels: "np.ndarray | None" = None) -> by
     return b"".join(parts)
 
 
+def write_atomic(path: str, payload: bytes):
+    """Write ``payload`` to ``path`` through a temp file and a rename.
+
+    A reader sees the old file or the whole new one, never a partial
+    write; on failure the temp file is removed and the old file stays.
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_rawf64(path: str, features: np.ndarray, labels: "np.ndarray | None" = None):
     """Serialize a feature matrix (points as columns) to the rawf64 layout."""
-    payload = rawf64_bytes(features, labels)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    write_atomic(path, rawf64_bytes(features, labels))
 
 
 def _read_idx_labels(path: str) -> np.ndarray:
@@ -240,9 +255,7 @@ def write_idx_images(path: str, images: np.ndarray):
             raise ValueError("pixel values outside [0, 255]")
         images = np.round(images).astype(np.uint8)
     count, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        fh.write(images.tobytes())
+    write_atomic(path, struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols) + images.tobytes())
 
 
 def write_idx_labels(path: str, labels: np.ndarray):
@@ -250,9 +263,9 @@ def write_idx_labels(path: str, labels: np.ndarray):
     labels = np.asarray(labels).ravel()
     if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise ValueError("labels outside u8 range")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
-        fh.write(labels.astype(np.uint8).tobytes())
+    write_atomic(
+        path, struct.pack(">II", IDX_LABEL_MAGIC, labels.size) + labels.astype(np.uint8).tobytes()
+    )
 
 
 def load_matrix(

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -89,7 +90,7 @@ def test_subcommand_keys_are_config_fields():
     fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
     assert set(cli.COMMAND_KEYS) == set(cli._COMMANDS)
     for keys in cli.COMMAND_KEYS.values():
-        assert keys <= fields - {"inputs"}
+        assert keys <= fields
 
 
 def test_load_config_rejects_inputs_key(tmp_path):
@@ -223,6 +224,69 @@ def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
 def test_bad_flag_exits_one(capsys):
     assert cli.main(["fit", "--lambda", "abc"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_each_subcommand_has_flags_for_its_keys_only():
+    (subparsers,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(cli.COMMAND_KEYS)
+    for name, parser in subparsers.choices.items():
+        flagged = {a.dest for a in parser._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        assert flagged <= cli.COMMAND_KEYS[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "--method", "euclidean"],
+    ["summarize", "--seed", "3"],
+    ["fit", "--seed", "3"],
+    ["fit", "--m", "20"],
+    ["adapt", "--target", "b.csv"],
+    ["experiment-skew", "--target-train", "b.csv"],
+])
+def test_flag_of_an_unread_key_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
+def test_cli_writes_through_the_data_writer():
+    # benchmark/tracing.py times and counts the CLI's writes by this name.
+    assert cli._write_bytes_atomic is dt.write_atomic
+
+
+UNUSABLE_OUTS = {
+    "file": lambda tmp: str(tmp / "occupied"),
+    "under-a-file": lambda tmp: str(tmp / "occupied" / "sub"),
+    "empty": lambda tmp: "",
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE_OUTS))
+@pytest.mark.parametrize("command", ["fit", "experiment-skew"])
+def test_unusable_out_exits_one_before_any_work(fit_inputs, skew_config, tmp_path,
+                                                monkeypatch, capsys, command, case):
+    # Found only at the end, such an out used to cost the whole run and
+    # end in a traceback.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(ad, "fit_plan", no_work)
+    monkeypatch.setattr(ad, "run_task", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "occupied").write_text("keep")
+    before = sorted(os.listdir(tmp_path))
+    src, tgt = fit_inputs
+    if command == "fit":
+        argv = ["fit", "--source", src, "--target", tgt, "--method", "euclidean",
+                "--lambda", "0.5"]
+    else:
+        argv = ["experiment-skew", "--config", skew_config]
+    assert cli.main([*argv, "--out", UNUSABLE_OUTS[case](tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: out ")
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "occupied").read_text() == "keep"
 
 
 @pytest.mark.parametrize("flag,values", [("--method", ("euclidean", "gram")),
@@ -647,6 +711,20 @@ def test_experiment_skew_smoke(skew_config, tmp_path):
         assert float(mean) == pytest.approx(np.mean(vals), abs=1e-12)
 
 
+def test_progress_lines_name_each_run(skew_config, tmp_path, capsys):
+    cloud = write_cloud_csv(tmp_path / "cloud.csv", np.random.default_rng(1))
+    assert cli.main(["adapt", "--source", cloud, "--target-train", cloud,
+                     "--target-test", cloud, "--method", "euclidean", "--method", "gram",
+                     "--lambda", "1.0", "--out", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().err == "adapt: method=euclidean\nadapt: method=gram\n"
+    assert cli.main(["experiment-skew", "--config", skew_config,
+                     "--out", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"experiment-skew: w={w} class=1 seed={seed} method=euclidean\n"
+        for w in (30, 50) for seed in (0, 1)
+    )
+
+
 def test_experiment_skew_deterministic(skew_config, tmp_path):
     blobs = []
     for sub in ("a", "b"):
@@ -753,6 +831,22 @@ def test_summarize_short_row_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["summarize", "--out", str(out), str(report)]) == 2
     assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["p.rawf64", "long-field.csv"])
+def test_summarize_unreadable_csv_exits_two(tmp_path, capsys, name):
+    # Undecodable bytes and a field past csv's size limit used to end in
+    # a traceback.
+    path = tmp_path / name
+    if name.endswith(".rawf64"):
+        dt.save_rawf64(str(path), np.random.default_rng(0).normal(size=(3, 8)))
+    else:
+        path.write_text("task,test_accuracy\n" + "t" * 200_000 + ",0.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["summarize", "--out", str(out), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ")
     assert not out.exists()
 
 

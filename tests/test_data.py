@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -266,6 +267,35 @@ def test_write_idx_rejects_out_of_range():
         dt.write_idx_images("unused", np.full((1, 2, 2), 300.0))
     with pytest.raises(ValueError):
         dt.write_idx_labels("unused", np.array([0, 999]))
+
+
+WRITERS = {
+    "write_atomic": lambda path: dt.write_atomic(path, b"new"),
+    "save_rawf64": lambda path: dt.save_rawf64(path, np.ones((2, 3)), np.array([0, 1, 0])),
+    "write_idx_images": lambda path: dt.write_idx_images(path, np.ones((2, 3, 3))),
+    "write_idx_labels": lambda path: dt.write_idx_labels(path, np.array([0, 1, 2])),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_writers_replace_the_file_whole_or_not_at_all(tmp_path, monkeypatch, writer):
+    # Every writer goes through a temp file and a rename: a failed rename
+    # leaves the old file as it was and no temp file behind.
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            WRITERS[writer](str(path))
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.bin"]
+    WRITERS[writer](str(path))
+    assert path.read_bytes() != b"old"
+    assert os.listdir(tmp_path) == ["out.bin"]
 
 
 # ---------------------------------------------------------------------------
