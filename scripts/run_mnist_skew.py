@@ -22,6 +22,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from otml import cli
+from otml import data as dt
 
 FILES = {
     "source": "train-images-idx3-ubyte",
@@ -77,8 +78,7 @@ def main(argv=None):
         config["skew_classes"] = args.skew_classes
     os.makedirs(args.out, exist_ok=True)
     cfg_path = os.path.join(args.out, "config.json")
-    with open(cfg_path, "w") as fh:
-        json.dump(config, fh, indent=2)
+    dt.write_atomic(cfg_path, json.dumps(config, indent=2).encode())
     return cli.main(["experiment-skew", "--config", cfg_path])
 
 

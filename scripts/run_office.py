@@ -15,7 +15,6 @@ one row per task plus an Average row.
 """
 
 import argparse
-import csv
 import itertools
 import os
 import statistics
@@ -23,7 +22,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from otml import adapt, gml
+from otml import adapt, cli, gml
 from otml import data as dt
 from otml import sinkhorn as sk
 
@@ -88,10 +87,7 @@ def main():
 
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "office_table.csv")
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    cli._write_csv_atomic(table_path, header, rows)
     print(f"wrote {table_path}")
     for row in rows:
         print(" ".join(f"{cell:>8}" for cell in row))

@@ -184,7 +184,7 @@ def fit_plan(
                 for r in results
             )
         basis = sp.basis
-        metric, complement = gml.baseline_factors(method, sp, eps=cfg.eps)
+        metric, complement = gml.baseline_factors(method, sp)
         cost = gml.cost_matrix(sp.x, sp.z, metric)
     med = _median_scale(cost)
     first = (metric / med, 0.0, cost / med)

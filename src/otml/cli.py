@@ -80,15 +80,14 @@ class RunConfig:
     """Everything a subcommand needs; mirrors the JSON schema."""
 
     methods: "list[str]" = field(default_factory=lambda: list(ad.METHODS))
-    d_choice: str = "identity"
+    d_choice: str = gml.GmlConfig.d_choice
     lambda_grid: "list[float]" = field(
         default_factory=lambda: list(DEFAULT_LAMBDA_GRID)
     )
-    outer_iters: int = 20
-    eps: float = 1e-6
-    objective_rtol: float = 1e-6
-    sinkhorn_tol: float = 1e-9
-    sinkhorn_max_iter: int = 10000
+    outer_iters: int = gml.GmlConfig.outer_iters
+    objective_rtol: float = gml.GmlConfig.objective_rtol
+    sinkhorn_tol: float = sk.SinkhornConfig.tol
+    sinkhorn_max_iter: int = sk.SinkhornConfig.max_iter
     strict: bool = False
     seeds: "list[int]" = field(default_factory=lambda: list(DEFAULT_SEEDS))
     out: str = "out"
@@ -120,7 +119,7 @@ class RunConfig:
         for m in self.methods:
             if m not in ad.METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        for name in ("eps", "sinkhorn_tol", "objective_rtol"):
+        for name in ("sinkhorn_tol", "objective_rtol"):
             value = getattr(self, name)
             if not _is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -179,14 +178,13 @@ def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
             lam=lam, max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol
         ),
         outer_iters=cfg.outer_iters,
-        eps=cfg.eps,
         d_choice=cfg.d_choice,
         objective_rtol=cfg.objective_rtol,
     )
 
 
 # The RunConfig fields each subcommand reads; any other key is an error.
-_SOLVE_KEYS = set("methods d_choice lambda_grid outer_iters eps objective_rtol sinkhorn_tol "
+_SOLVE_KEYS = set("methods d_choice lambda_grid outer_iters objective_rtol sinkhorn_tol "
                   "sinkhorn_max_iter strict out format downsample source".split())
 COMMAND_KEYS = {
     "fit": _SOLVE_KEYS | {"target"},
@@ -244,6 +242,14 @@ def _write_csv_atomic(path: str, header: "list[str]", rows: "list[list]"):
     writer.writerow(header)
     writer.writerows(rows)
     _write_bytes_atomic(path, buf.getvalue().encode())
+
+
+def _group(rows, columns) -> dict:
+    """Rows by the tuple of their ``columns`` cells, in order of first appearance."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[c] for c in columns), []).append(row)
+    return groups
 
 
 def _print_table(header: "list[str]", rows: "list[list]"):
@@ -424,13 +430,11 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
     _write_csv_atomic(os.path.join(cfg.out, "runs.csv"), RUNS_HEADER, rows)
 
     table_header = ["skew_percent"] + list(cfg.methods)
-    table_rows = []
-    for w in cfg.skews:
-        row = [w]
-        for method in cfg.methods:
-            vals = [r[6] for r in rows if r[0] == w and r[3] == method]
-            row.append(statistics.fmean(vals))
-        table_rows.append(row)
+    groups = _group(rows, (0, 3))  # (skew_percent, method)
+    table_rows = [
+        [w] + [statistics.fmean(r[6] for r in groups[w, method]) for method in cfg.methods]
+        for w in cfg.skews
+    ]
     _write_csv_atomic(os.path.join(cfg.out, "table.csv"), table_header, table_rows)
     _print_table(table_header, table_rows)
     return 0
@@ -444,48 +448,39 @@ def cmd_summarize(cfg: RunConfig, inputs: "list[str]") -> int:
     header = None
     for path in inputs:
         try:
-            with open(path, newline="") as fh:
+            # utf-8-sig drops a byte-order mark, which would rename the first column.
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.DictReader(fh)
                 if reader.fieldnames is None:
                     raise DataError(f"{path}: empty csv")
                 if header is None:
                     header = reader.fieldnames
+                    if "test_accuracy" not in header:
+                        raise DataError("inputs lack a test_accuracy column")
+                    scores = [k for k in ("train_accuracy", "test_accuracy") if k in header]
                 elif reader.fieldnames != header:
                     raise DataError(f"{path}: header differs from first input")
-                rows.extend(reader)
+                for row in reader:
+                    where = f"{path}: line {reader.line_num}"
+                    if None in row:  # DictReader files surplus cells under the key None
+                        raise DataError(f"{where}: more cells than the header")
+                    try:
+                        row.update((k, float(row[k])) for k in scores)
+                    except (TypeError, ValueError) as e:  # a short row's cells read None
+                        raise DataError(f"{where}: non-numeric accuracy value: {e}")
+                    if not np.isfinite([row[k] for k in scores]).all():
+                        raise DataError(f"{where}: non-finite accuracy value")
+                    rows.append(row)
         except OSError as e:
             raise DataError(str(e))
         except (UnicodeDecodeError, csv.Error) as e:
             raise DataError(f"{path}: not a readable csv: {e}")
-    if "test_accuracy" not in header:
-        raise DataError("inputs lack a test_accuracy column")
     keys = [k for k in ("task", "skew_percent", "method") if k in header]
-    groups = {}
-    order = []
-    for row in rows:
-        key = tuple(row[k] for k in keys)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    out_header = keys + ["runs", "mean_test_accuracy"]
-    has_train = "train_accuracy" in header
-    if has_train:
-        out_header.insert(len(keys) + 1, "mean_train_accuracy")
-    out_rows = []
-    for key in order:
-        grp = groups[key]
-        try:
-            test_mean = statistics.fmean(float(r["test_accuracy"]) for r in grp)
-            row = list(key) + [len(grp), test_mean]
-            if has_train:
-                row.insert(
-                    len(keys) + 1,
-                    statistics.fmean(float(r["train_accuracy"]) for r in grp),
-                )
-        except (TypeError, ValueError) as e:  # a short row's cells read None
-            raise DataError(f"non-numeric accuracy value: {e}")
-        out_rows.append(row)
+    out_header = keys + ["runs"] + [f"mean_{k}" for k in scores]
+    out_rows = [
+        list(key) + [len(grp)] + [statistics.fmean(r[k] for r in grp) for k in scores]
+        for key, grp in _group(rows, keys).items()
+    ]
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv_atomic(os.path.join(cfg.out, "summary.csv"), out_header, out_rows)
     _print_table(out_header, out_rows)
@@ -506,7 +501,6 @@ _FLAGS = {
     "methods": ("--method", {"action": "append"}),
     "lambda_grid": ("--lambda", {"action": "append", "type": float}),
     "outer_iters": ("--outer-iters", {"type": int}),
-    "eps": ("--eps", {"type": float}),
     "seeds": ("--seed", {"action": "append", "type": int}),
     "out": ("--out", {}),
     "name": ("--name", {}),

@@ -341,8 +341,6 @@ def _skewed_counts(n: int, k: int, skew_class: int, percent: float) -> np.ndarra
             f"skew_percent {percent} would under-represent class {skew_class} "
             f"relative to a uniform draw over {k} classes"
         )
-    if skew_n > n:
-        raise ValueError("skew share exceeds the sample size")
     rest = n - skew_n
     base, rem = divmod(rest, k - 1)
     counts = np.full(k, base, dtype=int)

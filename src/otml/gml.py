@@ -40,6 +40,16 @@ _D_BASELINES = {
     "gram_sum_inverse": "whiten",
 }
 D_CHOICES = tuple(_D_BASELINES)
+# Relative ridge: ``EPS * trace(M) / d * I`` is added to a matrix M that
+# needs a floor (``EPS * I`` when M has zero trace), with d the full data
+# dimension. For the metric, M is the independence-coupling scatter; that
+# ridge, frozen for the run, is added to the scatter C before each metric
+# update. This keeps C positive definite even when d exceeds the number of
+# samples, and because the ridge is frozen both alternating steps minimize
+# one objective (which includes ``ridge * trace(A)``), so the recorded
+# history is genuinely monotone. The Gram targets of ``d_choice`` and the
+# gram/whiten baselines take the same rule.
+EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,17 +62,6 @@ class GmlConfig:
         Inner OT solver settings (includes the entropic weight).
     outer_iters : int
         Number of alternating sweeps (metric update + plan update).
-    eps : float
-        Relative ridge: ``eps * trace(M) / d * I`` is added to a matrix M
-        that needs a floor (absolute eps when M has zero trace), with d
-        the full data dimension. For the metric, M is the
-        independence-coupling scatter; that ridge, frozen for the run, is
-        added to the scatter C before each metric update. This keeps C
-        positive definite even when d exceeds the number of samples, and
-        because the ridge is frozen both alternating steps minimize one
-        objective (which includes ``ridge * trace(A)``), so the recorded
-        history is genuinely monotone. The Gram targets of ``d_choice``
-        take the same rule.
     d_choice : str
         Regularization target D: "identity", "gram_sum" (X X^T + Z Z^T,
         ridged) or "gram_sum_inverse".
@@ -74,7 +73,6 @@ class GmlConfig:
 
     sinkhorn: sk.SinkhornConfig
     outer_iters: int = 20
-    eps: float = 1e-6
     d_choice: str = "identity"
     objective_rtol: float = 1e-6
 
@@ -85,8 +83,6 @@ class GmlConfig:
             isinstance(iters, numbers.Integral) and iters >= 1
         ):
             raise ValueError(f"outer_iters must be an integer >= 1, got {iters}")
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.objective_rtol < np.inf:
             raise ValueError(
                 f"objective_rtol must be finite and >= 0, got {self.objective_rtol}"
@@ -222,12 +218,12 @@ def _scatter(x, z, plan):
     return symmetrize((x * r) @ x.T + (z * c) @ z.T - cross - cross.T)
 
 
-def _ridge(raw, eps, dim):
+def _ridge(raw, dim):
     # Scale-relative diagonal ridge for the scatter and the Gram matrix,
     # trace / dim for the full data dimension dim (raw may be its part on
-    # a span); falls back to the absolute value when the matrix vanishes.
+    # a span); falls back to the absolute EPS when the matrix vanishes.
     scale = float(np.trace(raw)) / dim
-    return eps * (scale if scale > 0 else 1.0)
+    return EPS * (scale if scale > 0 else 1.0)
 
 
 def compute_cgamma(
@@ -326,11 +322,11 @@ def objective(cost: np.ndarray, plan: np.ndarray, reg: float, lam: float) -> flo
     return sk.transport_cost(plan, cost) + reg + lam * sk.entropy(plan)
 
 
-def baseline_factors(kind: str, sp: Span, eps: float = 1e-6) -> "tuple[np.ndarray, float]":
+def baseline_factors(kind: str, sp: Span) -> "tuple[np.ndarray, float]":
     """A baseline metric on a span: its (r, r) part and its complement value.
 
     "euclidean" is (I, 1). "gram" is the pooled Gram matrix
-    G = [X, Z] [X, Z]^T lifted by rho * I, rho = eps * trace(G) / d (the
+    G = [X, Z] [X, Z]^T lifted by rho * I, rho = EPS * trace(G) / d (the
     scatter's relative ridge rule, with the full d): G_r + rho I, with G_r
     = U U^T for the span coordinates U = Q^T [X, Z] of the points, and
     rho on the complement, where G vanishes. "whiten" is its inverse,
@@ -345,7 +341,7 @@ def baseline_factors(kind: str, sp: Span, eps: float = 1e-6) -> "tuple[np.ndarra
         return np.eye(rank), 1.0
     points = np.hstack([sp.x, sp.z]) + sp.origin[:, None]
     raw = symmetrize(points @ points.T)
-    rho = _ridge(raw, eps, sp.basis.shape[0])
+    rho = _ridge(raw, sp.basis.shape[0])
     gram = raw + rho * np.eye(rank)
     return (gram, rho) if kind == "gram" else (spd_inv(gram), 1.0 / rho)
 
@@ -418,9 +414,9 @@ def fit_grid(
             f"({sp.x.shape[1]}, {sp.z.shape[1]})"
         )
     dim, rank = sp.basis.shape
-    d_mat, d_rest = baseline_factors(_D_BASELINES[cfg.d_choice], sp, cfg.eps)
+    d_mat, d_rest = baseline_factors(_D_BASELINES[cfg.d_choice], sp)
     raw = _scatter(sp.x, sp.z, np.outer(p, q))
-    ridge = _ridge(raw, cfg.eps, dim)
+    ridge = _ridge(raw, dim)
     rest = 2.0 * (dim - rank) * float(np.sqrt(ridge * d_rest))
 
     def step(cg):

@@ -254,18 +254,18 @@ def dense_scatter(x, z, plan):
     return spd.symmetrize((x * r) @ x.T + (z * c) @ z.T - cross - cross.T)
 
 
-def dense_ridge(raw, eps):
-    """eps * trace(raw) / d, or eps when the trace vanishes."""
+def dense_ridge(raw):
+    """gml.EPS * trace(raw) / d, or gml.EPS when the trace vanishes."""
     scale = float(np.trace(raw)) / raw.shape[0]
-    return eps * (scale if scale > 0 else 1.0)
+    return gml.EPS * (scale if scale > 0 else 1.0)
 
 
-def dense_baseline_metric(kind, x, z, eps=1e-6):
+def dense_baseline_metric(kind, x, z):
     """The d x d identity, ridged pooled Gram matrix, or its inverse."""
     if kind == "euclidean":
         return np.eye(x.shape[0])
     raw = spd.symmetrize(x @ x.T + z @ z.T)
-    gram = raw + dense_ridge(raw, eps) * np.eye(x.shape[0])
+    gram = raw + dense_ridge(raw) * np.eye(x.shape[0])
     return gram if kind == "gram" else spd.spd_inv(gram)
 
 
@@ -278,9 +278,9 @@ def dense_fit(x, z, p, q, cfg):
     raw coordinates, with the ridge of the independence coupling.
     """
     d_kind = {"identity": "euclidean", "gram_sum": "gram", "gram_sum_inverse": "whiten"}
-    d_mat = dense_baseline_metric(d_kind[cfg.d_choice], x, z, cfg.eps)
+    d_mat = dense_baseline_metric(d_kind[cfg.d_choice], x, z)
     raw = dense_scatter(x, z, np.outer(p, q))
-    ridge = dense_ridge(raw, cfg.eps)
+    ridge = dense_ridge(raw)
     lift = ridge * np.eye(x.shape[0])
 
     def step(cg):

@@ -315,7 +315,6 @@ def _skew_cfg():
     return gml.GmlConfig(
         sinkhorn=sk.SinkhornConfig(lam=1.0, tol=1e-7, max_iter=2000),
         outer_iters=8,
-        eps=1e-6,
         d_choice="identity",
         objective_rtol=1e-5,
     )

@@ -100,6 +100,39 @@ def test_load_config_rejects_inputs_key(tmp_path):
         cli.load_config(str(cfgfile), {})
 
 
+def test_load_config_rejects_unreadable_and_non_object_files(tmp_path):
+    with pytest.raises(cli.ConfigError, match="^cannot read config"):
+        cli.load_config(str(tmp_path / "absent.json"), {})
+    cfgfile = tmp_path / "c.json"
+    for text, message in (("{", "is not valid JSON"),
+                          ("[1]", "^config root must be a JSON object$")):
+        cfgfile.write_text(text)
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(str(cfgfile), {})
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+def test_run_config_defaults_are_the_solver_configs(lam):
+    assert cli._gml_config(cli.RunConfig(), lam) == gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=lam)
+    )
+
+
+def test_eps_is_not_a_config_key(tmp_path, capsys):
+    # The ridge is gml.EPS; neither a flag nor a config key sets it.
+    src = write_matrix_csv(tmp_path / "src.csv", np.random.default_rng(0).normal(size=(2, 5)))
+    out = tmp_path / "out"
+    argv = ["fit", "--source", src, "--target", src, "--method", "euclidean",
+            "--lambda", "0.5", "--out", str(out)]
+    assert cli.main(argv + ["--eps", "1e-3"]) == 1
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --eps 1e-3\n"
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"eps": 1e-6}))
+    assert cli.main(argv + ["--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config key 'eps'\n"
+    assert not out.exists()
+
+
 def test_config_validation_errors():
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"methods": ["cosine"]})
@@ -112,8 +145,7 @@ def test_config_validation_errors():
     with pytest.raises(cli.ConfigError):
         cli.load_config(None, {"outer_iters": 0})
     nan, inf = float("nan"), float("inf")
-    for name in ("eps", "sinkhorn_tol", "sinkhorn_max_iter",
-                 "objective_rtol", "outer_iters"):
+    for name in ("sinkhorn_tol", "sinkhorn_max_iter", "objective_rtol", "outer_iters"):
         for bad in (nan, inf):
             with pytest.raises(cli.ConfigError):
                 cli.load_config(None, {name: bad})
@@ -167,12 +199,12 @@ def test_list_fields_must_be_lists(name, value):
 @pytest.mark.parametrize("name,value", [
     ("lambda_grid", [True]), ("lambda_grid", [0.1, "0.5"]),
     ("skews", [True]), ("skews", [20, "50"]),
-    ("eps", True), ("eps", "1e-6"),
+    ("outer_iters", "3"), ("m", "20"),
     ("sinkhorn_tol", False), ("sinkhorn_tol", [1e-9]),
     ("objective_rtol", True), ("objective_rtol", "0"),
 ])
 def test_number_fields_reject_bools_and_strings(name, value):
-    # JSON true/false would otherwise pass as 1 and 0.
+    # JSON true/false would otherwise pass as 1 and 0; a string is no number.
     with pytest.raises(cli.ConfigError, match=f"^{name} .*must be"):
         cli.load_config(None, {name: value})
 
@@ -209,7 +241,6 @@ def test_negative_objective_rtol_is_config_error(fit_inputs, tmp_path, capsys):
                      ({"lambda_grid": [float("nan")], "methods": ["euclidean"]}, "lam"),
                      ({"lambda_grid": [inf], "methods": ["euclidean"]}, "lam"),
                      ({"lambda_grid": [inf], "methods": ["learned"]}, "lam"),
-                     ({"eps": inf}, "eps"),
                      ({"sinkhorn_tol": inf, "methods": ["euclidean"]}, "tol"),
                      ({"sinkhorn_max_iter": 2.5, "methods": ["euclidean"]}, "max_iter"),
                      ({"outer_iters": 2.5}, "outer_iters")):
@@ -779,6 +810,41 @@ def test_experiment_skew_unsatisfiable_skew_exits_two(skew_config, tmp_path):
     assert rc == 2
 
 
+def write_three_class_skew_config(tmp_path, **overrides):
+    rng = np.random.default_rng(4)
+    cfgfile = tmp_path / "exp.json"
+    cfgfile.write_text(json.dumps({
+        "source": write_pool_rawf64(tmp_path / "src.rawf64", rng, k=3),
+        "target": write_pool_rawf64(tmp_path / "tgt.rawf64", rng, k=3, shift=0.4),
+        "m": 6, "n": 6, "skews": [50], "seeds": [0], "methods": ["euclidean"],
+        "lambda_grid": [1.0], **overrides,
+    }))
+    return str(cfgfile)
+
+
+def test_experiment_skew_without_skew_classes_sweeps_every_class(tmp_path):
+    out = tmp_path / "out"
+    config = write_three_class_skew_config(tmp_path)
+    assert cli.main(["experiment-skew", "--config", config, "--out", str(out)]) == 0
+    rows = (out / "runs.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"skew_classes": [1, 3]}, "skew class 3 out of range"),
+    ({"target": "wide"}, "source and target pools have different dimensions"),
+])
+def test_experiment_skew_bad_pools_exit_two(tmp_path, capsys, overrides, message):
+    if overrides.get("target") == "wide":
+        rng = np.random.default_rng(4)
+        overrides["target"] = write_pool_rawf64(tmp_path / "wide.rawf64", rng, k=3, dim=4)
+    out = tmp_path / "out"
+    config = write_three_class_skew_config(tmp_path, **overrides)
+    assert cli.main(["experiment-skew", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # summarize
 
@@ -866,3 +932,33 @@ def test_summarize_accepts_runs_csv(tmp_path):
     first = lines[1].split(",")
     assert first[:2] == ["10", "euclidean"]
     assert float(first[-1]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_summarize_reads_past_a_byte_order_mark(tmp_path):
+    # Read as plain utf-8, the first column is "\ufefftask": the tasks merge.
+    report = tmp_path / "report.csv"
+    report.write_bytes(b"\xef\xbb\xbftask,method,test_accuracy\nt,e,0.5\nu,e,0.75\n")
+    out = tmp_path / "out"
+    assert cli.main(["summarize", "--out", str(out), str(report)]) == 0
+    assert (out / "summary.csv").read_text().splitlines() == [
+        "task,method,runs,mean_test_accuracy", "t,e,1,0.5", "u,e,1,0.75",
+    ]
+
+
+@pytest.mark.parametrize("header, row, message", [
+    ("task,method,test_accuracy", "t,e,0.5,extra", "more cells than the header"),
+    ("task,method,test_accuracy", "t,e,nan", "non-finite accuracy value"),
+    ("task,method,test_accuracy", "t,e,-inf", "non-finite accuracy value"),
+    ("task,method,train_accuracy,test_accuracy", "t,e,inf,0.5", "non-finite accuracy value"),
+], ids=["long-row", "nan", "minus-inf", "train-inf"])
+def test_summarize_rejects_long_rows_and_non_finite_accuracies(
+    tmp_path, capsys, header, row, message
+):
+    report = tmp_path / "report.csv"
+    cells = header.count(",") + 1
+    report.write_text(f"{header}\n" + ",".join(["t", "e"] + ["0.5"] * (cells - 2))
+                      + f"\n{row}\n")
+    out = tmp_path / "out"
+    assert cli.main(["summarize", "--out", str(out), str(report)]) == 2
+    assert capsys.readouterr().err == f"data error: {report}: line 3: {message}\n"
+    assert not out.exists()

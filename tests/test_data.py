@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otml import adapt, gml
 from otml import data as dt
@@ -409,6 +411,34 @@ def test_samplers_require_every_class_below_class_count():
                  lambda: dt.split_even(stray, seed=0)):
         with pytest.raises(ValueError, match="every class"):
             draw()
+
+
+def test_samplers_reject_a_pool_with_one_class():
+    one = dt.RawDataset(np.zeros((2, 6)), np.zeros(6, dtype=int))
+    spec = dt.SkewSpec(0, 50.0, 2)
+    for draw in (lambda: dt.uniform_sample(one, 2, seed=0),
+                 lambda: dt.disjoint_split(one, spec, spec, seed=0),
+                 lambda: dt.split_even(one, seed=0)):
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            draw()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 1000), k=st.integers(2, 20), data=st.data(),
+       percent=st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+def test_skewed_counts_split_the_sample_size(n, k, percent, data):
+    # SkewSpec keeps percent in (0, 100), so the skewed class's share
+    # floor(percent * n / 100 + 0.5) never exceeds n.
+    skew_class = data.draw(st.integers(0, k - 1))
+    spec = dt.SkewSpec(skew_class, percent, n)
+    try:
+        counts = dt._skewed_counts(n, k, spec.skew_class, spec.skew_percent)
+    except ValueError as e:
+        assert "under-represent" in str(e)
+        return
+    assert counts.sum() == n
+    assert 0 <= counts.min() and counts.max() <= n
+    assert counts[skew_class] == int(np.floor(percent * n / 100.0 + 0.5))
 
 
 @pytest.mark.parametrize(

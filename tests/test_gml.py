@@ -41,10 +41,10 @@ def naive_scatter(x, z, plan, eps):
     return out + eps * np.eye(dim)
 
 
-def ridged_gram(x, z, eps=1e-6):
-    # The pooled Gram matrix lifted by the relative rule eps * mean(diag).
+def ridged_gram(x, z):
+    # The pooled Gram matrix lifted by the relative rule EPS * mean(diag).
     raw = x @ x.T + z @ z.T
-    return raw + eps * np.trace(raw) / raw.shape[0] * np.eye(raw.shape[0])
+    return raw + gml.EPS * np.trace(raw) / raw.shape[0] * np.eye(raw.shape[0])
 
 
 def pixel_clouds(dim=200, m=40, n=40, seed=0):
@@ -180,7 +180,7 @@ def test_fit_objective_is_the_explicit_formula(d_choice):
     res = gml.fit(x, z, p, q, cfg)
     a, plan = res.metric, res.plan
     d = np.eye(4) if d_choice == "identity" else ridged_gram(x, z)
-    ridge = 1e-6 * np.trace(naive_scatter(x, z, np.outer(p, q), 0.0)) / 4
+    ridge = gml.EPS * np.trace(naive_scatter(x, z, np.outer(p, q), 0.0)) / 4
     want = (
         float((plan * naive_cost(x, z, a)).sum())
         + ridge * np.trace(a)
@@ -202,15 +202,15 @@ def test_fit_never_inverts_the_metric(monkeypatch):
     assert np.all(np.isfinite(res.objective_history))
 
 
-def span_and_oracle(kind, x, z, eps=1e-6):
+def span_and_oracle(kind, x, z):
     # A baseline's span factors (reduced, complement value) next to the
     # d x d oracle seen the same way: Q^T G Q, and G on a unit vector
     # orthogonal to the span, where it is the ridge rho (1 / rho for
     # whiten). A square basis has no complement; there the oracle's ridge
     # rule gives the value.
     sp = gml.span(x, z)
-    factors = gml.baseline_factors(kind, sp, eps)
-    dense = dense_baseline_metric(kind, x, z, eps)
+    factors = gml.baseline_factors(kind, sp)
+    dense = dense_baseline_metric(kind, x, z)
     basis = sp.basis
     dim, rank = basis.shape
     if rank < dim:
@@ -219,16 +219,15 @@ def span_and_oracle(kind, x, z, eps=1e-6):
         u /= np.linalg.norm(u)
         outside = float(u @ dense @ u)
     else:
-        rho = dense_ridge(spd.symmetrize(x @ x.T + z @ z.T), eps)
+        rho = dense_ridge(spd.symmetrize(x @ x.T + z @ z.T))
         outside = {"euclidean": 1.0, "gram": rho, "whiten": 1.0 / rho}[kind]
     return factors, (basis.T @ dense @ basis, outside)
 
 
 def test_baseline_metric_kinds():
-    # Below m + n (square basis) and above it, with the default and a
-    # large relative ridge, each baseline's factors are the oracle's
-    # identity, ridged Gram matrix or its inverse on the span basis and on
-    # its complement. The oracle's d x d inverse is good to about its
+    # Below m + n (square basis) and above it, each baseline's factors are
+    # the oracle's identity, ridged Gram matrix or its inverse on the span
+    # basis and on its complement. The oracle's d x d inverse is good to about its
     # condition number (up to 1e7 here) times the rounding unit.
     rng = np.random.default_rng(11)
     for dim, size in ((3, 8), (4, 10), (30, 6)):
@@ -240,14 +239,13 @@ def test_baseline_metric_kinds():
         assert one == 1.0
         for kind in gml.BASELINE_METRICS:
             tol = 1e-8 if kind == "whiten" else 1e-13
-            for eps in (1e-6, 0.5):
-                (reduced, rest), (want, outside) = span_and_oracle(kind, x, z, eps)
-                assert reduced.shape == (min(dim, 2 * size),) * 2
-                np.testing.assert_allclose(
-                    reduced, want, rtol=tol, atol=tol * np.abs(want).max()
-                )
-                # The oracle's value off the span rounds to about 1e-10.
-                assert rest == pytest.approx(outside, rel=1e-8, abs=0)
+            (reduced, rest), (want, outside) = span_and_oracle(kind, x, z)
+            assert reduced.shape == (min(dim, 2 * size),) * 2
+            np.testing.assert_allclose(
+                reduced, want, rtol=tol, atol=tol * np.abs(want).max()
+            )
+            # The oracle's value off the span rounds to about 1e-10.
+            assert rest == pytest.approx(outside, rel=1e-8, abs=0)
         gram, rho = gml.baseline_factors("gram", sp)
         whiten, inv_rho = gml.baseline_factors("whiten", sp)
         np.testing.assert_allclose(whiten @ gram, np.eye(gram.shape[0]), atol=1e-8)
@@ -353,15 +351,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, outer_iters=0)
     with pytest.raises(ValueError):
-        gml.GmlConfig(sinkhorn=scfg, eps=0.0)
-    with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, objective_rtol=-1.0)
     with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, d_choice="banana")
     # An explicit matrix has no span form; the error names the choices.
     with pytest.raises(ValueError, match="gram_sum_inverse"):
         gml.GmlConfig(sinkhorn=scfg, d_choice=np.eye(3))
-    for name in ("outer_iters", "eps", "objective_rtol"):
+    for name in ("outer_iters", "objective_rtol"):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 gml.GmlConfig(sinkhorn=scfg, **{name: bad})
