@@ -10,7 +10,6 @@ entropic weights is one ``fit_plan`` call, which computes the part of
 the fit that does not depend on the weight once per grid.
 """
 
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -39,80 +38,56 @@ class AdaptationReport:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def barycentric_map(plan: np.ndarray, z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Project each source point to its plan-weighted target average.
+def _nearest(scores: np.ndarray) -> np.ndarray:
+    # Each query's nearest source (a column's argmin); ties go to the lowest index.
+    return np.argmin(scores, axis=0)
 
-    Row i of the plan, normalized by the source mass p_i, is a conditional
-    distribution over target points; the projection of source point i is
-    the corresponding weighted average of target columns. Rows with zero
-    source mass carry no information and fall back to the plan's global
-    target mean (a warning is emitted).
 
-    Parameters
-    ----------
-    plan : ndarray of shape (m, n)
-    z : ndarray of shape (d, n)
-        Target points as columns.
-    p : ndarray of shape (m,)
-        Source histogram.
+class _Transfer:
+    """1-NN from target points to the barycentric projections of the sources.
 
-    Returns
-    -------
-    ndarray of shape (d, m)
-        Projected source points as columns.
+    Source i maps to P_i = Z w_i, w_i = plan_i / p_i, on the n target-train
+    points Z (Courty, Flamary, Tuia & Rakotomamonjy, TPAMI 2017). With
+    c = z_1 and s_i = sum(w_i), P_i - c = Y [w_i; s_i - 1] for Y = [Z - c, c];
+    keeping s_i - 1 keeps this exact, as rows sum to p only up to the
+    solver's tolerance and pixel data has a large |c|. Queries are c plus
+    a column of Y (target-train) or plus q - c (test), so the (m, k)
+    scores |P_i - c|^2 - 2 <P_i - c, query - c> that ``_nearest`` reads
+    are squared distances less a constant per query, and
+    |P_i - c|^2 = [w_i; s_i - 1] . (P_i - c)^T Y. When n + 1 < 2d, Y^T Y
+    is formed once and (P - c)^T Y = [W, s - 1] Y^T Y needs no product
+    in R^d per plan; otherwise forming the d x m matrix P - c costs less.
     """
-    plan = np.asarray(plan, dtype=float)
-    z = np.asarray(z, dtype=float)
-    p = np.asarray(p, dtype=float).ravel()
-    if plan.shape[0] != p.size or plan.shape[1] != z.shape[1]:
-        raise ValueError(
-            f"plan shape {plan.shape} does not match source size {p.size} "
-            f"and target size {z.shape[1]}"
-        )
-    zero = p <= 0
-    # Zero-mass rows are divided by 1 here and overwritten below.
-    mapped = z @ (plan / np.where(zero, 1.0, p)[:, None]).T
-    if np.any(zero):
-        warnings.warn(
-            f"{int(zero.sum())} source row(s) have zero mass; mapped to the "
-            "plan-weighted target mean",
-            RuntimeWarning,
-        )
-        col_mass = plan.sum(axis=0)
-        total = col_mass.sum()
-        mean = z @ (col_mass / total) if total > 0 else z.mean(axis=1)
-        mapped[:, zero] = mean[:, None]
-    return mapped
 
+    def __init__(self, zt: np.ndarray):
+        self.c = zt[:, :1]
+        self.y = np.hstack([zt - self.c, self.c])
+        self.gram = self.y.T @ self.y if self.y.shape[1] < 2 * zt.shape[0] else None
 
-def knn1_predict(
-    points: np.ndarray, labels: np.ndarray, queries: np.ndarray
-) -> np.ndarray:
-    """Label each query with the label of its Euclidean-nearest point.
+    def train_scores(self, plan: np.ndarray, p: np.ndarray):
+        """Scores of the target-train points, and the sources for ``test_scores``."""
+        n = plan.shape[1]
+        w = plan / p[:, None]
+        s = w.sum(axis=1) - 1.0
+        if self.gram is None:
+            projected = self.y[:, :n] @ w.T
+            projected += self.c * s
+            cross = projected.T @ self.y
+        else:
+            projected = (w, s)
+            cross = w @ self.gram[:n] + np.outer(s, self.gram[n])
+        norms = np.einsum("ij,ij->i", cross[:, :n], w) + cross[:, n] * s
+        return norms[:, None] - 2.0 * cross[:, :n], (norms, projected)
 
-    ``points`` (d, k) and ``queries`` (d, l) hold points as columns, and
-    ``labels`` has one entry per column of ``points``. Ties are broken
-    toward the lowest point index. Squared distances, less the per-query
-    constant ||q||^2, are one matrix product ||p||^2 - 2 q^T p after both
-    sets are shifted by the first training point, so that a large common
-    offset does not cancel and integer data keeps exact ties exact.
-    """
-    points = np.asarray(points, dtype=float)
-    queries = np.asarray(queries, dtype=float)
-    labels = np.asarray(labels).ravel()
-    if points.shape[1] == 0:
-        raise ValueError("training set is empty")
-    if labels.size != points.shape[1]:
-        raise ValueError(f"{labels.size} labels for {points.shape[1]} points")
-    if queries.shape[0] != points.shape[0]:
-        raise ValueError(
-            f"query dimension {queries.shape[0]} does not match "
-            f"training dimension {points.shape[0]}"
-        )
-    origin = points[:, :1]
-    points, queries = points - origin, queries - origin
-    dist = (points * points).sum(axis=0) - 2.0 * (queries.T @ points)
-    return labels[np.argmin(dist, axis=1)]
+    def test_scores(self, sources, queries: np.ndarray) -> np.ndarray:
+        """Scores of the points ``queries`` (d, k)."""
+        norms, projected = sources
+        queries = queries - self.c
+        if self.gram is None:
+            return norms[:, None] - 2.0 * (projected.T @ queries)
+        w, s = projected
+        inner = self.y.T @ queries
+        return norms[:, None] - 2.0 * (w @ inner[:-1] + np.outer(s, inner[-1]))
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -152,10 +127,11 @@ def fit_plan(
     ``cost_matrix(x, zt, result.metric)``, whose objective is recorded.
 
     No method forms a d x d matrix: ``gram``, ``whiten`` and ``learned``
-    work on ``gml.span(x, zt)``, one QR per call, and ``euclidean`` on the
-    raw coordinates (an empty basis), where a QR would cost more than it
-    saves. Euclidean costs take no metric. Only reading ``result.metric``
-    builds the (d, d) matrix from the factors.
+    work on ``gml.span(x, zt)``, the R of one QR per call, and
+    ``euclidean`` on the raw coordinates (no span points), where a QR
+    would cost more than it saves. Euclidean costs take no metric. Only
+    reading ``result.basis`` forms Q, and ``result.metric`` the (d, d)
+    matrix, from the factors.
 
     The lambda-independent part (the span, the scale, a baseline's metric,
     cost and median, the learned fit's first sweep up to its Sinkhorn
@@ -167,28 +143,25 @@ def fit_plan(
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "euclidean":
-        dim = x.shape[0]
-        basis, metric, complement = np.zeros((dim, 0)), np.zeros((0, 0)), 1.0
+        points, metric, complement = np.zeros((x.shape[0], 0)), np.zeros((0, 0)), 1.0
         cost = gml.cost_matrix(x, zt)
     else:
         sp = gml.span(x, zt)
         if method == "learned":
             scale = np.sqrt(_median_scale(gml.cost_matrix(sp.x, sp.z)))
-            results = gml.fit_grid(sp.divided_by(scale), p, q, cfg, lambdas)
+            scaled = replace(sp, x=sp.x / scale, z=sp.z / scale, origin=sp.origin / scale)
+            results = gml.fit_grid(scaled, p, q, cfg, lambdas)
             return (
-                replace(
-                    r,
-                    reduced_metric=r.reduced_metric / scale**2,
-                    complement=r.complement / scale**2,
-                )
+                replace(r, reduced_metric=r.reduced_metric / scale**2,
+                        complement=r.complement / scale**2)
                 for r in results
             )
-        basis = sp.basis
+        points = sp.points
         metric, complement = gml.baseline_factors(method, sp)
         cost = gml.cost_matrix(sp.x, sp.z, metric)
     med = _median_scale(cost)
     first = (metric / med, 0.0, cost / med)
-    return gml.grid_fits(first, None, p, q, cfg, lambdas, basis, complement / med)
+    return gml.grid_fits(first, None, p, q, cfg, lambdas, points, complement / med)
 
 
 def run_task(
@@ -203,12 +176,12 @@ def run_task(
     """Tune the entropic weight on the target-train split, test on the rest.
 
     For each candidate weight the plan is fitted between the source and
-    target-train clouds under uniform marginals, the labeled sources are
-    barycentrically projected, and the target-train points are classified
-    by 1-NN over the projections; target-train labels are used only for
-    this selection. The weight with the best training accuracy wins (ties
-    go to the smaller weight) and its plan is reused to classify the
-    target-test split.
+    target-train clouds under uniform marginals, and the target-train
+    points are classified by 1-NN over the barycentric projections of the
+    labeled sources (``_Transfer``, in inner products with the target-train
+    cloud); target-train labels are used only for this selection. The
+    weight with the best training accuracy wins (ties go to the smaller
+    weight) and its plan is reused to classify the target-test split.
 
     Parameters
     ----------
@@ -225,24 +198,29 @@ def run_task(
         raise ValueError("lambda grid is empty")
     x = source.features
     zt = target_train.features
+    if target_test.features.shape[0] != zt.shape[0]:
+        raise ValueError(
+            f"target-test points are {target_test.features.shape[0]}-d, "
+            f"target-train points {zt.shape[0]}-d"
+        )
     m, n = x.shape[1], zt.shape[1]
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
 
+    transfer = _Transfer(zt)
     best = None  # (accuracy, lambda, projected sources)
     converged = True
     grid = sorted(lambdas)
     for lam, result in zip(grid, fit_plan(x, zt, p, q, method, grid, cfg)):
         converged = converged and result.sinkhorn_converged
-        projected = barycentric_map(result.plan, zt, p)
-        pred = knn1_predict(projected, source.labels, zt)
-        acc = accuracy(pred, target_train.labels)
+        scores, projected = transfer.train_scores(result.plan, p)
+        acc = accuracy(source.labels[_nearest(scores)], target_train.labels)
         if best is None or acc > best[0]:
             best = (acc, lam, projected)
 
     train_acc, lam_best, projected = best
-    test_pred = knn1_predict(projected, source.labels, target_test.features)
-    test_acc = accuracy(test_pred, target_test.labels)
+    scores = transfer.test_scores(projected, target_test.features)
+    test_acc = accuracy(source.labels[_nearest(scores)], target_test.labels)
     return AdaptationReport(
         method=method,
         lambda_chosen=lam_best,

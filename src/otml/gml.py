@@ -12,7 +12,7 @@ problem handled by the Sinkhorn solver. The full objective is therefore
 non-increasing across sweeps, up to solver tolerance.
 
 Everything runs in orthonormal coordinates of the span of the points
-(``span``: one reduced QR per pair of clouds, r = min(d, m + n)
+(``span``: the R of one QR per pair of clouds, r = min(d, m + n)
 coordinates). The scatter is its part on that span plus a ridge times the
 identity, and every target D is its part on the span plus a multiple D_c
 of the identity, so the metric is exactly
@@ -24,8 +24,9 @@ when it is read.
 """
 
 import numbers
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -107,17 +108,18 @@ class FitResult:
     ----------
     plan : ndarray of shape (m, n)
         Final transport plan.
-    basis : ndarray of shape (d, r)
-        Orthonormal columns; r = 0 for the Euclidean baseline, which is
-        alpha on all of R^d, and r = d when d <= m + n.
+    points : ndarray of shape (d, k)
+        ``Span.points``, whose reduced QR gives the basis; k = 0 for the
+        Euclidean baseline, which is alpha on all of R^d.
     reduced_metric : ndarray of shape (r, r)
         The SPD metric in the coordinates of ``basis``.
     complement : float
         The metric on the orthogonal complement of ``basis`` (unused when
         the basis is square).
-    objective_history : list of float
-        Joint objective after each full sweep; non-increasing up to
-        solver tolerance.
+    objectives : list of float, or a callable
+        The objective after each sweep; a one-sweep fit, whose stop needs
+        none, holds the call that computes its one objective on a read of
+        ``objective_history``.
     converged : bool
         True when the early-stop rule fired before the sweep cap.
     iters_run : int
@@ -128,13 +130,24 @@ class FitResult:
     """
 
     plan: np.ndarray
-    basis: np.ndarray
+    points: np.ndarray
     reduced_metric: np.ndarray
     complement: float
-    objective_history: list = field(default_factory=list)
+    objectives: "list[float] | Callable[[], float]" = field(default_factory=list)
     converged: bool = False
     iters_run: int = 0
     sinkhorn_converged: bool = True
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Q, the (d, r) orthonormal basis, r = min(d, k), formed on each read."""
+        return np.linalg.qr(self.points)[0]
+
+    @property
+    def objective_history(self) -> "list[float]":
+        """Joint objective after each sweep; non-increasing up to solver tolerance."""
+        history = self.objectives
+        return [history()] if callable(history) else history
 
     @property
     def metric(self) -> np.ndarray:
@@ -170,42 +183,39 @@ class Span:
 
     Attributes
     ----------
-    basis : ndarray of shape (d, r)
-        Q, orthonormal columns whose span holds every point; r = min(d, m + n).
+    points : ndarray of shape (d, m + n)
+        [c, x_2 - c, ..., x_m - c, z_1 - c, ..., z_n - c], c the first source
+        point; the Q of its reduced QR is the basis of the span.
     x, z : ndarray of shape (r, m), (r, n)
-        Coordinates Q^T (X - c) and Q^T (Z - c), with c the first source
-        point. Costs and scatters only see differences, so they are
-        computed from these.
+        Coordinates Q^T (X - c) and Q^T (Z - c), r = min(d, m + n). Costs
+        and scatters only see differences, so they are computed from these.
     origin : ndarray of shape (r,)
         Coordinates Q^T c, which the Gram targets need.
     """
 
-    basis: np.ndarray
+    points: np.ndarray
     x: np.ndarray
     z: np.ndarray
     origin: np.ndarray
 
-    def divided_by(self, scale: float) -> "Span":
-        """The same span with every coordinate divided by ``scale``."""
-        return Span(self.basis, self.x / scale, self.z / scale, self.origin / scale)
-
 
 def span(x: np.ndarray, z: np.ndarray) -> Span:
-    """Orthonormal coordinates of two clouds, by one reduced QR.
+    """Orthonormal coordinates of two clouds, from the R factor of one QR.
 
     span{X, Z} = span{c} + span{x_i - c, z_j - c} with c the first source
     point, so the QR of [c, x_2 - c, ..., x_m - c, z_1 - c, ..., z_n - c]
     gives the basis, and its R factor the coordinates of c and of every
-    centred point. Centring first keeps a large common offset (pixel data)
-    out of the differences.
+    centred point (R alone is bitwise the reduced mode's R). Centring first
+    keeps a large common offset (pixel data) out of the differences.
     """
     x, z = _check_clouds(x, z)
     c = x[:, :1]
-    basis, coords = np.linalg.qr(np.hstack([c, x[:, 1:] - c, z - c]))
+    points = np.hstack([c, x[:, 1:] - c, z - c])
+    coords = np.linalg.qr(points, mode="r")
     m = x.shape[1]
     xr = coords[:, :m].copy()
     xr[:, 0] = 0.0
-    return Span(basis, xr, coords[:, m:], coords[:, 0])
+    return Span(points, xr, coords[:, m:], coords[:, 0])
 
 
 def _scatter(x, z, plan):
@@ -336,12 +346,12 @@ def baseline_factors(kind: str, sp: Span) -> "tuple[np.ndarray, float]":
     """
     if kind not in BASELINE_METRICS:
         raise ValueError(f"kind must be one of {BASELINE_METRICS}, got {kind!r}")
-    rank = sp.basis.shape[1]
+    rank = sp.x.shape[0]
     if kind == "euclidean":
         return np.eye(rank), 1.0
     points = np.hstack([sp.x, sp.z]) + sp.origin[:, None]
     raw = symmetrize(points @ points.T)
-    rho = _ridge(raw, sp.basis.shape[0])
+    rho = _ridge(raw, sp.points.shape[0])
     gram = raw + rho * np.eye(rank)
     return (gram, rho) if kind == "gram" else (spd_inv(gram), 1.0 / rho)
 
@@ -413,7 +423,7 @@ def fit_grid(
             f"histogram sizes ({p.size}, {q.size}) do not match cloud sizes "
             f"({sp.x.shape[1]}, {sp.z.shape[1]})"
         )
-    dim, rank = sp.basis.shape
+    dim, rank = sp.points.shape[0], sp.x.shape[0]
     d_mat, d_rest = baseline_factors(_D_BASELINES[cfg.d_choice], sp)
     raw = _scatter(sp.x, sp.z, np.outer(p, q))
     ridge = _ridge(raw, dim)
@@ -434,13 +444,13 @@ def fit_grid(
         q,
         cfg,
         lambdas,
-        sp.basis,
+        sp.points,
         float(np.sqrt(d_rest / ridge)),
     )
 
 
 def grid_fits(
-    first, refit, p, q, cfg: GmlConfig, lambdas, basis, complement
+    first, refit, p, q, cfg: GmlConfig, lambdas, points, complement
 ) -> Iterator[FitResult]:
     """Run the alternating sweeps at each lambda; yield one ``FitResult`` each.
 
@@ -448,25 +458,30 @@ def grid_fits(
     cost)`` of the first sweep and is shared by every fit; each later
     sweep takes its triple from ``refit(plan)`` for the plan before it, up
     to ``cfg.outer_iters`` sweeps. ``refit=None`` is a fixed metric: one
-    sweep per lambda. ``basis`` and ``complement`` complete every reduced
+    sweep per lambda. ``points`` and ``complement`` complete every reduced
     metric to its ``FitResult``. Each sweep solves the OT problem at
     ``lam`` (``cfg.sinkhorn.lam`` is replaced) and records
-    ``objective(cost, plan, regularizer, lam)``. Fits run lazily, in the
-    order of ``lambdas``; results may share the first metric and are not
-    to be modified in place.
+    ``objective(cost, plan, regularizer, lam)``, which a one-sweep fit
+    computes when its history is read. Fits run lazily, in the order of
+    ``lambdas``; results may share the first metric and are not to be
+    modified in place.
     """
+    sweeps = 1 if refit is None else cfg.outer_iters
     for lam in lambdas:
         scfg = replace(cfg.sinkhorn, lam=lam)
         metric, reg, cost = first
         history: list[float] = []
         converged = False
         all_sinkhorn_ok = True
-        for sweep in range(1 if refit is None else cfg.outer_iters):
+        for sweep in range(sweeps):
             if sweep:
                 metric, reg, cost = refit(plan)
             transport = sk.solve(cost, p, q, scfg)
             plan = transport.matrix
             all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
+            if sweeps == 1:
+                history = partial(objective, cost, plan, reg, lam)
+                break
             history.append(objective(cost, plan, reg, lam))
             if len(history) >= 2 and cfg.objective_rtol > 0:
                 decrease = history[-2] - history[-1]
@@ -475,11 +490,11 @@ def grid_fits(
                     break
         yield FitResult(
             plan=plan,
-            basis=basis,
+            points=points,
             reduced_metric=metric,
             complement=complement,
-            objective_history=history,
+            objectives=history,
             converged=converged,
-            iters_run=len(history),
+            iters_run=sweep + 1,
             sinkhorn_converged=all_sinkhorn_ok,
         )

@@ -142,12 +142,16 @@ def solve(
     cost, p, q = _check_inputs(cost, p, q)
     rows = p > 0
     cols = q > 0
+    # every mass positive: a C-ordered cost needs no submatrix copy, its plan no scatter
+    whole = cost.flags.c_contiguous and rows.all() and cols.all()
     sub_plan, sub_f, sub_g, iters = _solve_scaling(
-        cost[np.ix_(rows, cols)], p[rows], q[cols], cfg
+        cost if whole else cost[np.ix_(rows, cols)], p[rows], q[cols], cfg
     )
-
-    plan = np.zeros_like(cost)
-    plan[np.ix_(rows, cols)] = sub_plan
+    if whole:  # C-ordered, as the scatter's: a polish on the short side transposes it
+        plan = np.ascontiguousarray(sub_plan)
+    else:
+        plan = np.zeros_like(cost)
+        plan[np.ix_(rows, cols)] = sub_plan
     f = np.full(p.size, -np.inf)
     f[rows] = sub_f
     g = np.full(q.size, -np.inf)

@@ -3,11 +3,11 @@
 All matrix functions go through the symmetric eigendecomposition, which is
 the simplest route to a correct principal root. Inputs are symmetrized
 before decomposition so that accumulated round-off asymmetry cannot leak
-into eigenvalue signs, and results of the quadratic solve and the geometric
-mean are re-symmetrized before return so that drift does not build up over
-repeated alternating updates. The quadratic solve and the geometric mean
-decompose their first argument once, and decompose a second matrix only
-when the second argument is not a scalar multiple of the identity.
+into eigenvalue signs, and the result of the quadratic solve is
+re-symmetrized before return so that drift does not build up over repeated
+alternating updates. The quadratic solve decomposes its first argument
+once, and decomposes a second matrix only when the second argument is not
+a scalar multiple of the identity.
 """
 
 import numpy as np
@@ -98,32 +98,15 @@ def spd_inv(mat: np.ndarray) -> np.ndarray:
     return _eig_power(*eigh_spd(mat), -1.0)
 
 
-def _mean(a: np.ndarray, b: np.ndarray, k: float) -> np.ndarray:
-    # R (S b S)^{1/2} R with R = a^k and S = a^-k, k = +-1/2, both roots
-    # taken from one eigendecomposition of a. For b = s I this is
-    # s^{1/2} a^k, and b needs no decomposition; s <= 0 gives the zero
-    # matrix that the clamp in _psd_sqrt gives.
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w, v = eigh_spd(a)
-    s = b[0, 0]
-    if np.array_equal(b, s * np.eye(b.shape[0])):
-        return np.sqrt(max(s, 0.0)) * _eig_power(w, v, k)
-    outer = _eig_power(w, v, k)
-    inner = _eig_power(w, v, -k)
-    return symmetrize(outer @ _psd_sqrt(inner @ symmetrize(b) @ inner) @ outer)
-
-
 def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Solve the quadratic matrix equation A @ C @ A = D for SPD A.
 
     The unique SPD solution is C^{-1/2} (C^{1/2} D C^{1/2})^{1/2} C^{-1/2},
-    computed with two eigendecompositions: one of C for both of its roots,
-    one of the inner product. When D is exactly s * I this is
-    s^{1/2} C^{-1/2}, computed from the one eigendecomposition of C
-    (the zero matrix for s <= 0).
+    the affine-invariant geometric mean of C^{-1} and D, computed with two
+    eigendecompositions: one of C for both of its roots, one of the inner
+    product. When D is exactly s * I this is s^{1/2} C^{-1/2}, computed
+    from the one eigendecomposition of C (the zero matrix for s <= 0, as
+    the clamp in ``_psd_sqrt`` gives it).
 
     Parameters
     ----------
@@ -135,31 +118,17 @@ def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     ndarray of shape (d, d)
         The SPD solution, symmetrized before return.
     """
-    return _mean(c, d, -0.5)
-
-
-def geometric_mean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Affine-invariant geometric mean of two SPD matrices.
-
-    Computed as P^{1/2} (P^{-1/2} Q P^{-1/2})^{1/2} P^{1/2}, the midpoint
-    of the geodesic joining P and Q under the affine-invariant geometry.
-    Coincides with the solution A of A @ P^{-1} @ A = Q, so
-    ``geometric_mean(inv(C), D) == riccati_solve(C, D)``. Two
-    eigendecompositions, one of P and one of the inner product; when Q is
-    exactly s * I the mean is s^{1/2} P^{1/2}, from the one of P (the zero
-    matrix for s <= 0).
-
-    Parameters
-    ----------
-    p, q : ndarray of shape (d, d)
-        SPD matrices of equal dimension.
-
-    Returns
-    -------
-    ndarray of shape (d, d)
-        The geometric mean, symmetrized before return.
-    """
-    return _mean(p, q, 0.5)
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if c.shape != d.shape:
+        raise ValueError(f"dimension mismatch: {c.shape} vs {d.shape}")
+    w, v = eigh_spd(c)
+    s = d[0, 0]
+    if np.array_equal(d, s * np.eye(d.shape[0])):
+        return np.sqrt(max(s, 0.0)) * _eig_power(w, v, -0.5)
+    outer = _eig_power(w, v, -0.5)
+    inner = _eig_power(w, v, 0.5)
+    return symmetrize(outer @ _psd_sqrt(inner @ symmetrize(d) @ inner) @ outer)
 
 
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,9 +12,15 @@ replaced; on plans whose Schur complement is well conditioned it takes the
 same steps. ``dense_fit`` and ``dense_baseline_metric`` are the learned
 fit and the Gram baselines with every matrix d x d, as they were before
 ``gml`` moved to the span of the points; the span fits must match them.
+``barycentric_map`` and ``knn1_predict`` are the evaluation of
+``adapt.run_task`` in the coordinates of the points, as it was before it
+moved to inner products with the target cloud; its labels must match
+theirs. ``geometric_mean`` is the affine-invariant mean of two SPD
+matrices, which ``spd.riccati_solve`` must equal at C^{-1} and D.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -296,3 +302,103 @@ def dense_fit(x, z, p, q, cfg):
         plan = sk.solve(cost, p, q, cfg.sinkhorn).matrix
         history.append(gml.objective(cost, plan, reg, cfg.sinkhorn.lam))
     return plan, metric, history
+
+
+def barycentric_map(plan: np.ndarray, z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Project each source point to its plan-weighted target average.
+
+    Row i of the plan, normalized by the source mass p_i, is a conditional
+    distribution over target points; the projection of source point i is
+    the corresponding weighted average of target columns. Rows with zero
+    source mass carry no information and fall back to the plan's global
+    target mean (a warning is emitted).
+
+    Parameters
+    ----------
+    plan : ndarray of shape (m, n)
+    z : ndarray of shape (d, n)
+        Target points as columns.
+    p : ndarray of shape (m,)
+        Source histogram.
+
+    Returns
+    -------
+    ndarray of shape (d, m)
+        Projected source points as columns.
+    """
+    plan = np.asarray(plan, dtype=float)
+    z = np.asarray(z, dtype=float)
+    p = np.asarray(p, dtype=float).ravel()
+    if plan.shape[0] != p.size or plan.shape[1] != z.shape[1]:
+        raise ValueError(
+            f"plan shape {plan.shape} does not match source size {p.size} "
+            f"and target size {z.shape[1]}"
+        )
+    zero = p <= 0
+    # Zero-mass rows are divided by 1 here and overwritten below.
+    mapped = z @ (plan / np.where(zero, 1.0, p)[:, None]).T
+    if np.any(zero):
+        warnings.warn(
+            f"{int(zero.sum())} source row(s) have zero mass; mapped to the "
+            "plan-weighted target mean",
+            RuntimeWarning,
+        )
+        col_mass = plan.sum(axis=0)
+        total = col_mass.sum()
+        mean = z @ (col_mass / total) if total > 0 else z.mean(axis=1)
+        mapped[:, zero] = mean[:, None]
+    return mapped
+
+
+def knn1_predict(
+    points: np.ndarray, labels: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
+    """Label each query with the label of its Euclidean-nearest point.
+
+    ``points`` (d, k) and ``queries`` (d, l) hold points as columns, and
+    ``labels`` has one entry per column of ``points``. Ties are broken
+    toward the lowest point index. Squared distances, less the per-query
+    constant ||q||^2, are one matrix product ||p||^2 - 2 q^T p after both
+    sets are shifted by the first training point, so that a large common
+    offset does not cancel and integer data keeps exact ties exact.
+    """
+    points = np.asarray(points, dtype=float)
+    queries = np.asarray(queries, dtype=float)
+    labels = np.asarray(labels).ravel()
+    if points.shape[1] == 0:
+        raise ValueError("training set is empty")
+    if labels.size != points.shape[1]:
+        raise ValueError(f"{labels.size} labels for {points.shape[1]} points")
+    if queries.shape[0] != points.shape[0]:
+        raise ValueError(
+            f"query dimension {queries.shape[0]} does not match "
+            f"training dimension {points.shape[0]}"
+        )
+    origin = points[:, :1]
+    points, queries = points - origin, queries - origin
+    dist = (points * points).sum(axis=0) - 2.0 * (queries.T @ points)
+    return labels[np.argmin(dist, axis=1)]
+
+
+def geometric_mean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Affine-invariant geometric mean of two SPD matrices.
+
+    Computed as P^{1/2} (P^{-1/2} Q P^{-1/2})^{1/2} P^{1/2}, the midpoint
+    of the geodesic joining P and Q under the affine-invariant geometry.
+    Coincides with the solution A of A @ P^{-1} @ A = Q, so
+    ``geometric_mean(inv(C), D) == riccati_solve(C, D)``. Two
+    eigendecompositions, one of P and one of the inner product; when Q is
+    exactly s * I the mean is s^{1/2} P^{1/2}, from the one of P (the zero
+    matrix for s <= 0). The result is symmetrized before return.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
+    w, v = spd.eigh_spd(p)
+    s = q[0, 0]
+    if np.array_equal(q, s * np.eye(q.shape[0])):
+        return np.sqrt(max(s, 0.0)) * spd._eig_power(w, v, 0.5)
+    outer = spd._eig_power(w, v, 0.5)
+    inner = spd._eig_power(w, v, -0.5)
+    return spd.symmetrize(outer @ spd._psd_sqrt(inner @ spd.symmetrize(q) @ inner) @ outer)

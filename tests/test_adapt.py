@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from ot_oracle import barycentric_map, knn1_predict
 from otml import adapt, gml
 from otml import data as dt
 from otml import sinkhorn as sk
@@ -36,7 +37,7 @@ def test_report_validation():
 
 
 # ---------------------------------------------------------------------------
-# barycentric projection
+# barycentric projection (ot_oracle, the reference for run_task's evaluation)
 
 
 def test_barycentric_product_coupling_collapses_to_target_mean():
@@ -45,7 +46,7 @@ def test_barycentric_product_coupling_collapses_to_target_mean():
     p = uniform(4)
     q = rng.random(5)
     q /= q.sum()
-    mapped = adapt.barycentric_map(np.outer(p, q), z, p)
+    mapped = barycentric_map(np.outer(p, q), z, p)
     np.testing.assert_allclose(mapped, np.tile((z @ q)[:, None], (1, 4)), atol=1e-12)
 
 
@@ -55,7 +56,7 @@ def test_barycentric_permutation_coupling_picks_matched_target():
     perm = np.array([2, 0, 3, 1])
     plan = np.zeros((4, 4))
     plan[np.arange(4), perm] = 0.25
-    mapped = adapt.barycentric_map(plan, z, uniform(4))
+    mapped = barycentric_map(plan, z, uniform(4))
     np.testing.assert_allclose(mapped, z[:, perm], atol=1e-12)
 
 
@@ -65,7 +66,7 @@ def test_barycentric_matches_row_loop():
     plan /= plan.sum()
     p = plan.sum(axis=1)
     z = rng.normal(size=(3, 6))
-    mapped = adapt.barycentric_map(plan, z, p)
+    mapped = barycentric_map(plan, z, p)
     for i in range(5):
         want = (z * plan[i]).sum(axis=1) / p[i]
         np.testing.assert_allclose(mapped[:, i], want, atol=1e-12)
@@ -81,7 +82,7 @@ def test_barycentric_conserves_mass():
     q /= q.sum()
     plan = sk.solve(cost, p, q, sk.SinkhornConfig(lam=0.5)).matrix
     z = rng.normal(size=(4, 5))
-    mapped = adapt.barycentric_map(plan, z, p)
+    mapped = barycentric_map(plan, z, p)
     np.testing.assert_allclose(mapped @ p, z @ q, atol=1e-10)
 
 
@@ -90,29 +91,29 @@ def test_barycentric_zero_mass_rows_fall_back_to_mean():
     plan = np.array([[0.5, 0.5], [0.0, 0.0]])
     p = np.array([1.0, 0.0])
     with pytest.warns(RuntimeWarning):
-        mapped = adapt.barycentric_map(plan, z, p)
+        mapped = barycentric_map(plan, z, p)
     np.testing.assert_allclose(mapped[:, 0], [1.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(mapped[:, 1], [1.0, 2.0], atol=1e-12)
 
 
 def test_barycentric_shape_error():
     with pytest.raises(ValueError):
-        adapt.barycentric_map(np.zeros((2, 3)), np.zeros((2, 4)), uniform(2))
+        barycentric_map(np.zeros((2, 3)), np.zeros((2, 4)), uniform(2))
 
 
 # ---------------------------------------------------------------------------
-# 1-NN classifier
+# 1-NN classifier (ot_oracle)
 
 
 def test_knn1_exact_match():
-    pred = adapt.knn1_predict(
+    pred = knn1_predict(
         np.array([[0.0, 1.0, 5.0]]), np.array([3, 1, 4]), np.array([[5.0, 0.0, 1.0]])
     )
     np.testing.assert_array_equal(pred, [4, 3, 1])
 
 
 def test_knn1_tie_goes_to_lower_index():
-    pred = adapt.knn1_predict(np.array([[0.0, 2.0]]), np.array([7, 9]), np.array([[1.0]]))
+    pred = knn1_predict(np.array([[0.0, 2.0]]), np.array([7, 9]), np.array([[1.0]]))
     assert pred[0] == 7
 
 
@@ -121,7 +122,7 @@ def test_knn1_matches_brute_force():
     points = rng.normal(size=(3, 8))
     labels = rng.integers(0, 4, size=8)
     queries = rng.normal(size=(3, 10))
-    pred = adapt.knn1_predict(points, labels, queries)
+    pred = knn1_predict(points, labels, queries)
     for k in range(10):
         dists = ((points - queries[:, k : k + 1]) ** 2).sum(axis=0)
         assert pred[k] == labels[int(np.argmin(dists))]
@@ -144,7 +145,7 @@ def test_knn1_matches_cdist_on_integer_grid_ties(offset):
         queries = offset + rng.integers(-3, 4, size=(d, 50))
         labels = np.arange(points.shape[1])
         np.testing.assert_array_equal(
-            adapt.knn1_predict(points, labels, queries), cdist_argmin(points, queries)
+            knn1_predict(points, labels, queries), cdist_argmin(points, queries)
         )
 
 
@@ -154,7 +155,7 @@ def test_knn1_matches_cdist_at_pixel_scale_d784():
     queries = 128.0 + 40.0 * rng.normal(size=(784, 200))
     labels = np.arange(200)
     np.testing.assert_array_equal(
-        adapt.knn1_predict(points, labels, queries), cdist_argmin(points, queries)
+        knn1_predict(points, labels, queries), cdist_argmin(points, queries)
     )
 
 
@@ -162,16 +163,16 @@ def test_knn1_on_training_points_recovers_labels():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(2, 6))
     labels = rng.integers(0, 3, size=6)
-    np.testing.assert_array_equal(adapt.knn1_predict(pts, labels, pts), labels)
+    np.testing.assert_array_equal(knn1_predict(pts, labels, pts), labels)
 
 
 def test_knn1_errors():
     with pytest.raises(ValueError, match="query dimension"):
-        adapt.knn1_predict(np.zeros((2, 1)), np.array([0]), np.zeros((3, 2)))
+        knn1_predict(np.zeros((2, 1)), np.array([0]), np.zeros((3, 2)))
     with pytest.raises(ValueError, match="empty"):
-        adapt.knn1_predict(np.zeros((2, 0)), np.array([], dtype=int), np.zeros((2, 2)))
+        knn1_predict(np.zeros((2, 0)), np.array([], dtype=int), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="2 labels for 3 points"):
-        adapt.knn1_predict(np.zeros((2, 3)), np.array([0, 1]), np.zeros((2, 2)))
+        knn1_predict(np.zeros((2, 3)), np.array([0, 1]), np.zeros((2, 2)))
 
 
 def test_accuracy_basics():
@@ -182,6 +183,103 @@ def test_accuracy_basics():
         adapt.accuracy([1, 2], [1])
     with pytest.raises(ValueError):
         adapt.accuracy([], [])
+
+
+# ---------------------------------------------------------------------------
+# 1-NN transfer of run_task, against barycentric_map + knn1_predict
+
+# d = 96 > n + 1 takes the Gram order, d = 8 <= n + 1 the one in R^d.
+ORDERS = pytest.mark.parametrize("dim", [96, 8], ids=["gram-order", "d-order"])
+
+
+def pixel_instance(rng, dim, m=25, n=30, k=35):
+    # Points at pixel scale (128 + 4 v), and the plan of their Euclidean
+    # cost; the test split has k points.
+    x, zt, ze = (128.0 + 4.0 * rng.normal(size=(dim, size)) for size in (m, n, k))
+    cost = gml.cost_matrix(x, zt)
+    plan = sk.solve(cost / np.median(cost), uniform(m), uniform(n), sk.SinkhornConfig(lam=0.5))
+    return plan.matrix, zt, ze
+
+
+@ORDERS
+@pytest.mark.parametrize("miss", [0.0, 1e-5], ids=["solved", "rows-off-1e-5"])
+def test_transfer_matches_the_oracle(dim, miss):
+    # Each score plus |query - c|^2 is the squared distance from a
+    # projected source to a query, within rounding of the largest one,
+    # and the nearest sources are the oracle's, for target-train and test
+    # queries. Rows that miss p by 1e-5 relative move a projection by
+    # 1e-5 |c|, far above that rounding, so the s_i - 1 term must be kept.
+    rng = np.random.default_rng(20)
+    plan, zt, ze = pixel_instance(rng, dim)
+    m = plan.shape[0]
+    plan *= 1.0 + miss * rng.uniform(-1.0, 1.0, size=(m, 1))
+    p = uniform(m)
+    transfer = adapt._Transfer(zt)
+    assert (transfer.gram is not None) == (dim == 96)
+    train, projected = transfer.train_scores(plan, p)
+    mapped = barycentric_map(plan, zt, p)
+    for queries, scores in ((zt, train), (ze, transfer.test_scores(projected, ze))):
+        want = ((mapped[:, :, None] - queries[:, None, :]) ** 2).sum(axis=0)
+        got = scores + ((queries - zt[:, :1]) ** 2).sum(axis=0)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+        np.testing.assert_array_equal(
+            adapt._nearest(scores), knn1_predict(mapped, np.arange(m), queries)
+        )
+
+
+def test_transfer_orders_give_the_same_labels():
+    rng = np.random.default_rng(21)
+    plan, zt, ze = pixel_instance(rng, 96)
+    p = uniform(plan.shape[0])
+    chosen, forced = adapt._Transfer(zt), adapt._Transfer(zt)
+    assert chosen.gram is not None
+    forced.gram = None
+    nearest = []
+    for transfer in (chosen, forced):
+        train, projected = transfer.train_scores(plan, p)
+        test = transfer.test_scores(projected, ze)
+        nearest.append(np.concatenate([adapt._nearest(train), adapt._nearest(test)]))
+    np.testing.assert_array_equal(*nearest)
+
+
+@ORDERS
+def test_transfer_ties_go_to_the_lowest_index_on_integer_grids(dim):
+    # Integer points and plan rows of weights 1 or 1/2 on one or two
+    # targets keep every product exact, so duplicate sources (a small n
+    # repeats rows) have equal scores, queries halfway between
+    # projections tie, and the lowest source index must win each tie, as
+    # it does in the oracle.
+    rng = np.random.default_rng(22)
+    m, n = 40, 6 if dim == 96 else 12
+    p = uniform(m)
+    for _ in range(20):
+        zt = 128.0 + rng.integers(-3, 4, size=(dim, n))
+        ze = 128.0 + rng.integers(-3, 4, size=(dim, 30))
+        weights = np.zeros((m, n))
+        for i in range(m):
+            picks = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+            weights[i, picks] = 1.0 / picks.size
+        plan = weights * p[:, None]
+        mapped = barycentric_map(plan, zt, p)
+        transfer = adapt._Transfer(zt)
+        train, projected = transfer.train_scores(plan, p)
+        for row in range(1, m):
+            same = np.flatnonzero((weights[:row] == weights[row]).all(axis=1))
+            if same.size:
+                np.testing.assert_array_equal(train[row], train[same[0]])
+        labels = np.arange(m)
+        for queries, scores in ((zt, train), (ze, transfer.test_scores(projected, ze))):
+            np.testing.assert_array_equal(
+                adapt._nearest(scores), knn1_predict(mapped, labels, queries)
+            )
+
+
+def test_run_task_rejects_a_test_split_of_another_dimension():
+    rng = np.random.default_rng(23)
+    cloud = two_blob_cloud(rng)
+    wide = dt.RawDataset(np.vstack([cloud.features, cloud.features[:1]]), cloud.labels)
+    with pytest.raises(ValueError, match="3-d.*2-d"):
+        adapt.run_task(cloud, cloud, wide, "euclidean", [0.5], base_cfg())
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +422,23 @@ def test_run_task_shares_the_lambda_independent_work(
     assert counts["eigh"] == metrics
 
 
+@pytest.mark.parametrize("method", ["euclidean", "gram", "whiten"])
+def test_baseline_run_task_computes_no_objective(monkeypatch, method):
+    # A baseline fit is one sweep, with no stop rule to feed, and run_task
+    # reads no objective history; the history is computed when read.
+    rng = np.random.default_rng(18)
+    source = two_blob_cloud(rng)
+    train = two_blob_cloud(rng, shift=(0.5, -0.3))
+    counts = {}
+    _count_calls(monkeypatch, gml, "objective", counts)
+    adapt.run_task(source, train, train, method, GRID, base_cfg())
+    assert counts.get("objective", 0) == 0
+    (fit,) = adapt.fit_plan(source.features, train.features, uniform(12), uniform(12),
+                            method, [0.5], base_cfg())
+    assert fit.iters_run == 1 and counts.get("objective", 0) == 0
+    assert len(fit.objective_history) == 1 and counts["objective"] == 1
+
+
 @pytest.mark.parametrize("method", ["learned", "gram", "whiten", "euclidean"])
 def test_run_task_on_wide_data_decomposes_nothing_beyond_m_plus_n(monkeypatch, method):
     # d = 2048 > m + n = 120, the shape of office features (800-d SURF,
@@ -392,12 +507,12 @@ def test_run_task_matches_manual_pipeline():
     for lam in sorted(grid):
         (fit,) = adapt.fit_plan(source.features, train.features, p, q, "gram", [lam], cfg)
         plan = fit.plan
-        projected = adapt.barycentric_map(plan, train.features, p)
-        pred = adapt.knn1_predict(projected, source.labels, train.features)
+        projected = barycentric_map(plan, train.features, p)
+        pred = knn1_predict(projected, source.labels, train.features)
         acc = adapt.accuracy(pred, train.labels)
         if best is None or acc > best[0]:
             best = (acc, lam, projected)
-    test_pred = adapt.knn1_predict(best[2], source.labels, test.features)
+    test_pred = knn1_predict(best[2], source.labels, test.features)
 
     assert report.seed == 3
     assert report.lambda_chosen == best[1]
@@ -457,7 +572,7 @@ def test_barycentric_mass_conservation_property(seed):
     p = plan.sum(axis=1)
     q = plan.sum(axis=0)
     z = rng.normal(size=(3, n))
-    mapped = adapt.barycentric_map(plan, z, p)
+    mapped = barycentric_map(plan, z, p)
     np.testing.assert_allclose(mapped @ p, z @ q, atol=1e-10)
 
 
@@ -468,6 +583,6 @@ def test_knn1_idempotent_on_predictions(seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(2, 8))
     labels = rng.integers(0, 5, size=8)
-    once = adapt.knn1_predict(pts, labels, pts)
-    twice = adapt.knn1_predict(pts, once, pts)
+    once = knn1_predict(pts, labels, pts)
+    twice = knn1_predict(pts, once, pts)
     np.testing.assert_array_equal(once, twice)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ot_oracle import dense_baseline_metric, dense_fit, dense_ridge
+from ot_oracle import dense_baseline_metric, dense_fit, dense_ridge, geometric_mean
 
 from otml import gml
 from otml import sinkhorn as sk
@@ -129,7 +129,7 @@ def test_update_metric_is_geometric_mean_of_inverse():
     cg = random_spd(rng, 3)
     d = random_spd(rng, 3)
     a = gml.update_metric(cg, d)
-    np.testing.assert_allclose(a, spd.geometric_mean(spd.spd_inv(cg), d), atol=1e-10)
+    np.testing.assert_allclose(a, geometric_mean(spd.spd_inv(cg), d), atol=1e-10)
 
 
 def test_update_metric_minimizes_trace_functional():
@@ -202,6 +202,37 @@ def test_fit_never_inverts_the_metric(monkeypatch):
     assert np.all(np.isfinite(res.objective_history))
 
 
+@pytest.mark.parametrize("dim", [40, 6], ids=["d-above-m-plus-n", "d-below-m-plus-n"])
+def test_span_forms_r_only_and_the_basis_on_read(monkeypatch, dim):
+    # span takes the R of one QR, bitwise the reduced mode's R; the basis
+    # of a fit is that mode's Q, formed when read.
+    rng = np.random.default_rng(24)
+    m, n = 12, 10
+    x = 128.0 + 4.0 * rng.normal(size=(dim, m))
+    z = 128.0 + 4.0 * rng.normal(size=(dim, n))
+    c = x[:, :1]
+    basis, coords = np.linalg.qr(np.hstack([c, x[:, 1:] - c, z - c]))
+    modes = []
+    qr = np.linalg.qr
+
+    def recorded(mat, mode="reduced"):
+        modes.append(mode)
+        return qr(mat, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    sp = gml.span(x, z)
+    assert modes == ["r"]
+    np.testing.assert_array_equal(sp.origin, coords[:, 0])
+    np.testing.assert_array_equal(sp.x[:, 0], 0.0)
+    np.testing.assert_array_equal(sp.x[:, 1:], coords[:, 1:m])
+    np.testing.assert_array_equal(sp.z, coords[:, m:])
+    cfg = gml.GmlConfig(sinkhorn=sk.SinkhornConfig(lam=0.5), outer_iters=2)
+    res = gml.fit(x, z, uniform(m), uniform(n), cfg)
+    assert modes == ["r", "r"]
+    np.testing.assert_array_equal(res.basis, basis)
+    assert modes == ["r", "r", "reduced"]
+
+
 def span_and_oracle(kind, x, z):
     # A baseline's span factors (reduced, complement value) next to the
     # d x d oracle seen the same way: Q^T G Q, and G on a unit vector
@@ -211,7 +242,7 @@ def span_and_oracle(kind, x, z):
     sp = gml.span(x, z)
     factors = gml.baseline_factors(kind, sp)
     dense = dense_baseline_metric(kind, x, z)
-    basis = sp.basis
+    basis = np.linalg.qr(sp.points)[0]
     dim, rank = basis.shape
     if rank < dim:
         u = np.random.default_rng(0).normal(size=dim)
@@ -235,7 +266,7 @@ def test_baseline_metric_kinds():
         z = rng.normal(size=(dim, size))
         sp = gml.span(x, z)
         euclidean, one = gml.baseline_factors("euclidean", sp)
-        np.testing.assert_array_equal(euclidean, np.eye(sp.basis.shape[1]))
+        np.testing.assert_array_equal(euclidean, np.eye(sp.x.shape[0]))
         assert one == 1.0
         for kind in gml.BASELINE_METRICS:
             tol = 1e-8 if kind == "whiten" else 1e-13

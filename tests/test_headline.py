@@ -20,11 +20,14 @@ sample scatter's eigenvalues, whose eigenvectors are mostly noise here.
 Rotating both pools by one orthogonal matrix leaves the learned and the
 Euclidean scores exactly as they are.
 
-The fit shows this structurally: it runs on the span of the points
-(r = m+n = 400 coordinates), and the learned metric is exactly
-alpha * I on the (d - r) = 384-dimensional complement of that span,
-where the scatter is its ridge alone. On those directions it is a
-scaled Euclidean metric by construction, whatever the data.
+The fit runs on the span of the points (r = m+n = 400 coordinates), and
+the learned metric is alpha * I on the (d - r) = 384-dimensional
+complement of that span. That complement value never reaches a cost:
+every difference x_i - z_j lies in the span, so the costs, and with them
+the plans and the accuracies, depend on the r x r part A_r alone, and
+alpha only adds a constant to the objective. The gap therefore comes from
+A_r, the inverse square root of a 399-dimensional scatter estimated from
+400 points.
 """
 
 import importlib.util

@@ -127,6 +127,25 @@ def test_zero_mass_rows_excluded():
     assert max(row_err, col_err) < 1e-9
 
 
+@pytest.mark.parametrize("m, n, lam", [(30, 25, 0.5), (25, 50, 0.005)],
+                         ids=["sweeps", "polish-on-the-short-side"])
+def test_positive_masses_solve_as_the_zero_padded_problem(m, n, lam):
+    # With every mass positive the cost is solved as it is; padded with a
+    # zero-mass row and column it is solved as the submatrix, and the plan
+    # scattered back. Both must give the same bits, also when the Newton
+    # polish runs on the short side (m < n), which transposes the plan.
+    cost, p, q = cloud_problem(m, n, "euclidean")
+    cfg = sk.SinkhornConfig(lam=lam)
+    plain = sk.solve(cost, p, q, cfg)
+    padded = sk.solve(np.pad(cost, ((0, 1), (0, 1))), np.append(p, 0.0), np.append(q, 0.0), cfg)
+    assert plain.matrix.flags.c_contiguous
+    np.testing.assert_array_equal(plain.matrix, padded.matrix[:m, :n])
+    np.testing.assert_array_equal(plain.f, padded.f[:m])
+    np.testing.assert_array_equal(plain.g, padded.g[:n])
+    assert (plain.iterations, plain.marginal_error) == (padded.iterations, padded.marginal_error)
+    assert plain.iterations == (17 if lam == 0.5 else 200)
+
+
 def test_stiff_instance_reaches_tight_tolerance():
     # small lam relative to the cost spread: plain sweeps stall here, the
     # terminal polish must close the gap
