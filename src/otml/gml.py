@@ -406,8 +406,8 @@ def fit_grid(
     Every fit starts from the independence coupling p q^T, so the target
     D, the first scatter, the ridge, the first metric, its regularizer and
     its cost matrix do not depend on lambda. They are computed once, here,
-    before this returns; ``grid_fits`` runs the rest per lambda with no
-    warm start, so each result is bitwise ``fit``'s at that lambda.
+    before this returns; ``grid_fits`` runs the rest per lambda, and no
+    warm start crosses lambda, so each result is bitwise ``fit``'s there.
 
     All of it runs on the r x r span coordinates of ``sp``. On the
     complement of the span the scatter is the ridge and D is D_c times the
@@ -460,9 +460,10 @@ def grid_fits(
     to ``cfg.outer_iters`` sweeps. ``refit=None`` is a fixed metric: one
     sweep per lambda. ``points`` and ``complement`` complete every reduced
     metric to its ``FitResult``. Each sweep solves the OT problem at
-    ``lam`` (``cfg.sinkhorn.lam`` is replaced) and records
-    ``objective(cost, plan, regularizer, lam)``, which a one-sweep fit
-    computes when its history is read. Fits run lazily, in the order of
+    ``lam`` (``cfg.sinkhorn.lam`` is replaced), from the column potential
+    of the sweep before (the first sweep of each lambda starts cold), and
+    records ``objective(cost, plan, regularizer, lam)``, which a one-sweep
+    fit computes when its history is read. Fits run lazily, in the order of
     ``lambdas``; results may share the first metric and are not to be
     modified in place.
     """
@@ -473,11 +474,12 @@ def grid_fits(
         history: list[float] = []
         converged = False
         all_sinkhorn_ok = True
+        warm = None
         for sweep in range(sweeps):
             if sweep:
                 metric, reg, cost = refit(plan)
-            transport = sk.solve(cost, p, q, scfg)
-            plan = transport.matrix
+            transport = sk.solve(cost, p, q, scfg, warm)
+            plan, warm = transport.matrix, transport.g
             all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
             if sweeps == 1:
                 history = partial(objective, cost, plan, reg, lam)

@@ -7,13 +7,15 @@ The solver returns the coupling that minimizes
 over nonnegative matrices with prescribed row and column sums. The plan is
 u_i K_ij v_j with a fixed kernel K = exp((f + g - cost) / lam), so a sweep
 is two matrix-vector products, u = p / (K v) and v = q / (K^T u). Sweep 1
-is a log-domain (max-shifted log-sum-exp) step that centres K, so K stays
-finite for small ``lam``; so is any sweep where K v or K^T u underflows
-(subnormal masses). Scalings that leave a fixed range are absorbed into
-the dual potentials f, g, and K is rebuilt. The stop test reads the row
-error off the K v that the next sweep needs; the plan is built, and its
-full L1 error decides, only when that test passes, and at exit. Where
-sweeps stall (small ``lam``), damped Newton steps on the dual finish.
+is a log-domain (max-shifted log-sum-exp) step from g = 0, or from a nearby
+cost's g (a warm start), that centres K, so K stays finite for small
+``lam``; so is any sweep where K v or K^T u underflows (subnormal masses).
+Scalings that leave a fixed range are absorbed into the dual potentials
+f, g, and K is rebuilt. The stop test reads the row error off the K v that
+the next sweep needs; the plan is built, and its full L1 error decides,
+only when that test passes, and at exit. Where sweeps stall (small
+``lam``), damped Newton steps on the dual finish, first at sweep 200, or
+at sweep 20 from a warm start.
 """
 
 import numbers
@@ -23,8 +25,11 @@ import numpy as np
 
 # Scaling sweeps contract at a rate like 1 - exp(-osc(cost)/lam) and so
 # stall for small lam; the Newton polish, which works on the potentials,
-# runs at sweep _POLISH_FIRST and at every fivefold count after.
+# runs at sweep _POLISH_FIRST and at every fivefold count after. A warm
+# solve polishes first at _POLISH_WARM: from near-optimal potentials a
+# polish needs few damped steps, while a cold one that early needs many.
 _POLISH_FIRST = 200
+_POLISH_WARM = 20
 # Scalings that leave this range are absorbed into the potentials.
 _SCALING_MIN, _SCALING_MAX = 1e-30, 1e30
 
@@ -121,6 +126,7 @@ def solve(
     p: np.ndarray,
     q: np.ndarray,
     cfg: SinkhornConfig,
+    g0: "np.ndarray | None" = None,
 ) -> TransportPlan:
     """Solve entropic OT for a fixed cost matrix by stabilized scaling sweeps.
 
@@ -132,6 +138,10 @@ def solve(
         Source and target histograms on the simplex.
     cfg : SinkhornConfig
         Regularization weight and stopping rule.
+    g0 : ndarray of shape (n,), optional
+        Column potential to start from, such as the ``g`` of a solve on a
+        nearby cost; entries of zero-mass columns are not read. Omitted,
+        the start is zero.
 
     Returns
     -------
@@ -140,12 +150,15 @@ def solve(
         iteration and receive zero plan mass.
     """
     cost, p, q = _check_inputs(cost, p, q)
+    if g0 is not None and np.shape(g0) != q.shape:
+        raise ValueError(f"start potential has shape {np.shape(g0)}, q has {q.shape}")
     rows = p > 0
     cols = q > 0
     # every mass positive: a C-ordered cost needs no submatrix copy, its plan no scatter
     whole = cost.flags.c_contiguous and rows.all() and cols.all()
     sub_plan, sub_f, sub_g, iters = _solve_scaling(
-        cost if whole else cost[np.ix_(rows, cols)], p[rows], q[cols], cfg
+        cost if whole else cost[np.ix_(rows, cols)], p[rows], q[cols], cfg,
+        None if g0 is None else np.asarray(g0, dtype=float)[cols],
     )
     if whole:  # C-ordered, as the scatter's: a polish on the short side transposes it
         plan = np.ascontiguousarray(sub_plan)
@@ -180,13 +193,13 @@ def _logsumexp(a, axis):
     return np.log(a.sum(axis=axis)) + shift.reshape(-1)
 
 
-def _solve_scaling(cost, p, q, cfg):
+def _solve_scaling(cost, p, q, cfg, g0):
     lam, tol = cfg.lam, cfg.tol
     scaled = cost / lam
     kernel = np.empty_like(scaled)  # rebuilt in place, which keeps the heap's peak down
     tiny = np.finfo(float).tiny
-    g, v, kv = np.zeros(q.size), np.ones(q.size), np.zeros(p.size)
-    polish_at = _POLISH_FIRST
+    g, v, kv = np.zeros(q.size) if g0 is None else g0, np.ones(q.size), np.zeros(p.size)
+    polish_at = _POLISH_FIRST if g0 is None else _POLISH_WARM
     for it in range(1, cfg.max_iter + 1):
         u = p / np.fmax(kv, tiny)
         if kv.min() >= tiny and (ktu := kernel.T @ u).min() >= tiny:

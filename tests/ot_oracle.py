@@ -52,19 +52,21 @@ def kernel_scaling_plan(cost, p, q, lam, tol, max_iter=10000):
     return plan
 
 
-def log_domain_solve(cost, p, q, cfg):
+def log_domain_solve(cost, p, q, cfg, g0=None):
     """Log-domain Sinkhorn on positive histograms: (plan, f, g, sweeps).
 
     Each sweep is two max-shifted log-sum-exp passes over an m x n work
     buffer, the first along rows (updates f), the second along columns
-    (updates g). The stopping test, the full-L1 re-check and the Newton
-    polish checkpoints are those of ``sinkhorn.solve``.
+    (updates g). Sweep 1 starts from g = ``g0``, or zero. The stopping
+    test, the full-L1 re-check and the Newton polish checkpoints (the
+    first at ``_POLISH_WARM`` from a start potential) are those of
+    ``sinkhorn.solve``.
     """
     lam = cfg.lam
     log_p = np.log(p)
     log_q = np.log(q)
     f = np.zeros(p.size)
-    g = np.zeros(q.size)
+    g = np.zeros(q.size) if g0 is None else np.asarray(g0, dtype=float)
     scaled = cost / lam
     work = np.empty_like(scaled)
 
@@ -75,7 +77,7 @@ def log_domain_solve(cost, p, q, cfg):
     def plan_of(f, g):
         return np.exp((f[:, None] + g[None, :]) / lam - scaled)
 
-    polish_at = sk._POLISH_FIRST
+    polish_at = sk._POLISH_FIRST if g0 is None else sk._POLISH_WARM
     lse_r = row_lse(g)
     for it in range(1, cfg.max_iter + 1):
         f = lam * (log_p - lse_r)

@@ -374,6 +374,31 @@ def test_fit_plan_grid_matches_one_lambda_fits(method, outer):
         )
 
 
+def test_learned_sweeps_start_warm_within_each_lambda_only(monkeypatch):
+    # Sweep k + 1 starts from sweep k's column potential; the first sweep
+    # of every lambda starts cold, so no state crosses the grid.
+    rng = np.random.default_rng(12)
+    x = 3.0 * rng.normal(size=(4, 12))
+    z = 3.0 * rng.normal(size=(4, 10)) + 1.0
+    calls = []
+    original = gml.sk.solve
+
+    def spy(cost, p, q, cfg, g0=None):
+        transport = original(cost, p, q, cfg, g0)
+        calls.append((cfg.lam, g0, transport.g))
+        return transport
+
+    monkeypatch.setattr(gml.sk, "solve", spy)
+    cfg = replace(base_cfg(outer=3), objective_rtol=0.0)
+    list(adapt.fit_plan(x, z, uniform(12), uniform(10), "learned", GRID, cfg))
+    assert [lam for lam, _, _ in calls] == [lam for lam in GRID for _ in range(3)]
+    for k, (_, g0, _) in enumerate(calls):
+        if k % 3 == 0:
+            assert g0 is None
+        else:
+            assert g0 is calls[k - 1][2]
+
+
 def _count_calls(monkeypatch, module, name, counts):
     original = getattr(module, name)
 

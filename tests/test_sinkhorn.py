@@ -14,6 +14,7 @@ from ot_oracle import (
     kernel_scaling_plan,
     log_domain_solve,
 )
+from otml import gml
 from otml import sinkhorn as sk
 
 
@@ -260,12 +261,14 @@ def test_reported_error_is_the_plans(m, n, lam, max_iter, converges):
 GRID = (0.05, 0.2, 0.5, 1.0, 2.0)
 
 
-def cloud_problem(m, n, metric, tiny_mass=None):
+def cloud_problem(m, n, metric, tiny_mass=None, tilt=0.0):
     """Costs between two Gaussian clouds, as a fit builds them.
 
     ``euclidean`` costs are median-normalized. ``learned`` costs use a
     random SPD Mahalanobis metric and median 6, the median of the first
-    learned cost of a d=64 fit. ``tiny_mass`` replaces p[0].
+    learned cost of a d=64 fit; ``tilt`` adds tilt * I to that metric, for
+    a neighbouring cost on the same clouds and histograms. ``tiny_mass``
+    replaces p[0].
     """
     rng = np.random.default_rng(13)
     x = rng.standard_normal((m, 4))
@@ -276,7 +279,7 @@ def cloud_problem(m, n, metric, tiny_mass=None):
         cost /= np.median(cost)
     else:
         b = rng.standard_normal((4, 4))
-        cost = np.einsum("ijk,kl,ijl->ij", diff, b @ b.T + 0.1 * np.eye(4), diff)
+        cost = np.einsum("ijk,kl,ijl->ij", diff, b @ b.T + (0.1 + tilt) * np.eye(4), diff)
         cost *= 6.0 / np.median(cost)
     p = random_histogram(rng, m)
     q = random_histogram(rng, n)
@@ -294,38 +297,124 @@ def zero_mass_problem():
     return cost, p / p.sum(), q / q.sum()
 
 
+def neighbour_g(m, n, lam):
+    # the column potential of the learned-style cost under a metric nudged
+    # by 0.05 I, as the sweep before would hand it on
+    cost, p, q = cloud_problem(m, n, "learned", tilt=0.05)
+    return sk.solve(cost, p, q, sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000)).g
+
+
 PARITY_CASES = [
-    pytest.param(*cloud_problem(m, n, metric), lam, id=f"{metric}-{m}x{n}-lam{lam}")
+    pytest.param(*cloud_problem(m, n, metric), lam, None, id=f"{metric}-{m}x{n}-lam{lam}")
     for metric in ("euclidean", "learned")
     for m, n in ((40, 40), (50, 30))
     for lam in GRID
 ] + [
-    pytest.param(*zero_mass_problem(), lam, id=f"zero-mass-lam{lam}") for lam in GRID
+    pytest.param(*zero_mass_problem(), lam, None, id=f"zero-mass-lam{lam}") for lam in GRID
 ] + [
     # masses below the smallest normal double: the kernel products of their
     # row underflow, so those sweeps fall back to the log domain (at 1e-310
     # from sweep 22 on at lam=0.05; at 5e-324 the scaling sweep divides by 0)
-    pytest.param(*cloud_problem(30, 25, "euclidean", tiny_mass=mass), lam,
+    pytest.param(*cloud_problem(30, 25, "euclidean", tiny_mass=mass), lam, None,
                  id=f"subnormal-mass-{mass}-lam{lam}")
     for mass in (1e-310, 5e-324)
     for lam in GRID
 ] + [
     # past-polish-gate-stiff of test_reported_error_is_the_plans
-    pytest.param(*cloud_problem(320, 300, "euclidean"), 0.005, id="stiff-320x300-lam0.005"),
+    pytest.param(*cloud_problem(320, 300, "euclidean"), 0.005, None,
+                 id="stiff-320x300-lam0.005"),
+] + [
+    pytest.param(*cloud_problem(m, n, "learned"), lam, neighbour_g(m, n, lam),
+                 id=f"warm-learned-{m}x{n}-lam{lam}")
+    for m, n in ((40, 40), (50, 30))
+    for lam in GRID
 ]
 
 
-@pytest.mark.parametrize("cost, p, q, lam", PARITY_CASES)
-def test_scaling_sweeps_match_the_log_domain_oracle(cost, p, q, lam):
+@pytest.mark.parametrize("cost, p, q, lam, g0", PARITY_CASES)
+def test_scaling_sweeps_match_the_log_domain_oracle(cost, p, q, lam, g0):
     cfg = sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000)
-    tp = sk.solve(cost, p, q, cfg)
+    tp = sk.solve(cost, p, q, cfg, g0)
     rows, cols = p > 0, q > 0
-    plan, _, _, iters = log_domain_solve(cost[np.ix_(rows, cols)], p[rows], q[cols], cfg)
+    plan, _, _, iters = log_domain_solve(
+        cost[np.ix_(rows, cols)], p[rows], q[cols], cfg, None if g0 is None else g0[cols]
+    )
     assert tp.iterations == iters
     assert tp.converged == (max(sk.marginal_error(plan, p[rows], q[cols])) < cfg.tol)
     np.testing.assert_allclose(tp.matrix[np.ix_(rows, cols)], plan, rtol=0, atol=1e-15)
     np.testing.assert_array_equal(tp.matrix[~rows], 0.0)
     np.testing.assert_array_equal(tp.matrix[:, ~cols], 0.0)
+
+
+def test_start_potential_must_match_q():
+    cost, p, q = cloud_problem(5, 4, "euclidean")
+    cfg = sk.SinkhornConfig(lam=0.5)
+    with pytest.raises(ValueError, match=r"\(5,\).*\(4,\)"):
+        sk.solve(cost, p, q, cfg, np.zeros(5))
+    with pytest.raises(ValueError, match=r"\(3,\).*\(4,\)"):
+        sk.solve(cost, p, q, cfg, np.zeros(3))
+
+
+@pytest.mark.parametrize("lam", GRID)
+@pytest.mark.parametrize("metric", ["euclidean", "learned", "zero-mass"])
+def test_solve_from_its_own_potential_stops_at_once(metric, lam):
+    # At tol 1e-13 one sweep from the converged g moves the plan by about
+    # 1e-13 of its maximum. A zero-mass solve hands on g = -inf on its
+    # empty columns, which the warm start must not read.
+    cost, p, q = zero_mass_problem() if metric == "zero-mass" else cloud_problem(40, 40, metric)
+    cfg = sk.SinkhornConfig(lam=lam, tol=1e-13)
+    cold = sk.solve(cost, p, q, cfg)
+    warm = sk.solve(cost, p, q, cfg, cold.g)
+    assert cold.converged and warm.converged and warm.iterations <= 2
+    assert np.abs(warm.matrix - cold.matrix).max() <= 1e-12 * cold.matrix.max()
+    np.testing.assert_array_equal(warm.matrix[p == 0], 0.0)
+    np.testing.assert_array_equal(warm.matrix[:, q == 0], 0.0)
+
+
+def successive_learned_costs(monkeypatch, m, n, lam):
+    """Sweep 2's cost of a learned fit, with p, q, its settings and sweep 1's solve.
+
+    The clouds are a 16-d four-class mixture with log-uniform coordinate
+    scales, divided by the root median Euclidean cost as ``fit_plan``
+    divides them.
+    """
+    rng = np.random.default_rng(3)
+    dim = 16
+    scales = np.exp(rng.uniform(np.log(0.1), np.log(10.0), dim))[:, None]
+    means = 2.0 * rng.standard_normal((dim, 4))
+    x = means[:, np.arange(m) % 4] + scales * rng.standard_normal((dim, m))
+    z = means[:, np.arange(n) % 4] + scales * rng.standard_normal((dim, n)) + 0.5
+    scale = np.sqrt(np.median(gml.cost_matrix(x, z)))
+    p, q = uniform(m), uniform(n)
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000),
+        outer_iters=2, objective_rtol=0.0,
+    )
+    solves = []
+    original = gml.sk.solve
+
+    def spy(cost, p, q, cfg, g0=None):
+        solves.append((cost, original(cost, p, q, cfg, g0)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(gml.sk, "solve", spy)
+    gml.fit(x / scale, z / scale, p, q, cfg)
+    (_, first), (cost, _) = solves
+    return cost, p, q, cfg.sinkhorn, first
+
+
+@pytest.mark.parametrize("m, n, lam", [
+    (150, 150, 0.05), (150, 150, 0.2),
+    # m < n: the polish runs on the transposed problem
+    (120, 150, 0.05),
+])
+def test_warm_start_from_the_sweep_before_saves_sweeps(monkeypatch, m, n, lam):
+    cost, p, q, cfg, first = successive_learned_costs(monkeypatch, m, n, lam)
+    cold = sk.solve(cost, p, q, cfg)
+    warm = sk.solve(cost, p, q, cfg, first.g)
+    assert cold.converged and warm.converged
+    assert warm.iterations < cold.iterations
+    assert np.abs(warm.matrix - cold.matrix).sum() <= 10 * cfg.tol
 
 
 def scale_1e3_problem(m, n, seed):
