@@ -18,6 +18,7 @@ seeded generator; all tie-breaking is by ascending class index so runs
 are reproducible.
 """
 
+import math
 import os
 import struct
 import warnings
@@ -125,12 +126,17 @@ def _load_csv(path: str, labeled: bool) -> RawDataset:
     return RawDataset(table.T)
 
 
-def _read_payload(fh, size: int, what: str) -> bytes:
+def _read_payload(fh, shape: tuple, dtype: str, what: str) -> np.ndarray:
+    """Read an array of ``shape`` and ``dtype`` straight into a new buffer."""
     # The header's size is checked against the file before anything is
-    # read, so a truncated file cannot make the read allocate that size.
+    # allocated, so a truncated file cannot make the read allocate that size.
+    size = math.prod(shape) * np.dtype(dtype).itemsize
     if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{fh.name}: truncated {what}")
-    return fh.read(size)
+    out = np.empty(shape, dtype=dtype)
+    if fh.readinto(out) != size:
+        raise ValueError(f"{fh.name}: truncated {what} (short read)")
+    return out
 
 
 def _load_rawf64(path: str) -> RawDataset:
@@ -141,14 +147,13 @@ def _load_rawf64(path: str) -> RawDataset:
         d, n = struct.unpack("<QQ", head)
         if d == 0 or n == 0 or d * n > 1 << 32:
             raise ValueError(f"{path}: implausible rawf64 dimensions {d}x{n}")
-        body = _read_payload(fh, 8 * d * n, "rawf64 payload")
-        feats = np.frombuffer(body, dtype="<f8").reshape(d, n, order="F")
+        # point-major on disk: the (n, d) array's transpose is the feature matrix
+        points = _read_payload(fh, (n, d), "<f8", "rawf64 payload")
         flag = fh.read(1)
         labels = None
         if flag and flag[0]:
-            lab = _read_payload(fh, 4 * n, "rawf64 label block")
-            labels = np.frombuffer(lab, dtype="<u4").astype(int)
-    return RawDataset(feats.copy(), labels)
+            labels = _read_payload(fh, (n,), "<u4", "rawf64 label block").astype(int)
+    return RawDataset(points.T, labels)
 
 
 def rawf64_bytes(features: np.ndarray, labels: "np.ndarray | None" = None) -> bytes:
@@ -199,8 +204,7 @@ def _read_idx_labels(path: str) -> np.ndarray:
         magic, count = struct.unpack(">II", head)
         if magic != IDX_LABEL_MAGIC:
             raise ValueError(f"{path}: bad idx label magic {magic:#010x}")
-        body = _read_payload(fh, count, "idx label payload")
-    return np.frombuffer(body, dtype=np.uint8).astype(int)
+        return _read_payload(fh, (count,), "u1", "idx label payload").astype(int)
 
 
 def _guess_labels_path(images_path: str) -> "str | None":
@@ -219,8 +223,7 @@ def _load_idx(path: str, labels_path: "str | None", downsample: int) -> RawDatas
         magic, count, rows, cols = struct.unpack(">IIII", head)
         if magic != IDX_IMAGE_MAGIC:
             raise ValueError(f"{path}: bad idx image magic {magic:#010x}")
-        body = _read_payload(fh, count * rows * cols, "idx image payload")
-    imgs = np.frombuffer(body, dtype=np.uint8).reshape(count, rows, cols)
+        imgs = _read_payload(fh, (count, rows, cols), "u1", "idx image payload")
     imgs = imgs.astype(float) / 255.0
     if downsample > 1:
         if rows % downsample or cols % downsample:

@@ -7,9 +7,12 @@ The solver returns the coupling that minimizes
 over nonnegative matrices with prescribed row and column sums. The plan is
 u_i K_ij v_j with a fixed kernel K = exp((f + g - cost) / lam), so a sweep
 is two matrix-vector products, u = p / (K v) and v = q / (K^T u). Sweep 1
-is a log-domain (max-shifted log-sum-exp) step from g = 0, or from a nearby
-cost's g (a warm start), that centres K, so K stays finite for small
-``lam``; so is any sweep where K v or K^T u underflows (subnormal masses).
+is a log-domain step from g = 0, or from a nearby cost's g (a warm start),
+that centres K, so K stays finite for small ``lam``; so is any sweep where
+K v or K^T u underflows (subnormal masses). That step (Schmitzer, SISC
+2019) takes one exp, of the cost shifted by its row maxima; where a
+column's mass in that exp falls below 1e-200, or a row's scaling
+underflows, it takes max-shifted log-sum-exps along rows and columns.
 Scalings that leave a fixed range are absorbed into the dual potentials
 f, g, and K is rebuilt. The stop test reads the row error off the K v that
 the next sweep needs; the plan is built, and its full L1 error decides,
@@ -140,36 +143,48 @@ def solve(
         Regularization weight and stopping rule.
     g0 : ndarray of shape (n,), optional
         Column potential to start from, such as the ``g`` of a solve on a
-        nearby cost; entries of zero-mass columns are not read. Omitted,
-        the start is zero.
+        nearby cost; finite on columns with mass, and not read on
+        zero-mass columns. Omitted, the start is zero.
 
     Returns
     -------
     TransportPlan
         Rows or columns with zero histogram mass are excluded from the
-        iteration and receive zero plan mass.
+        iteration and receive zero plan mass. A +inf cost forbids its
+        pair, which gets zero mass.
+
+    Raises
+    ------
+    ValueError
+        On a NaN cost in a row and column with mass, a row with mass whose
+        costs are all +inf, or a start potential that is not finite on a
+        column with mass.
     """
     cost, p, q = _check_inputs(cost, p, q)
-    if g0 is not None and np.shape(g0) != q.shape:
-        raise ValueError(f"start potential has shape {np.shape(g0)}, q has {q.shape}")
     rows = p > 0
     cols = q > 0
+    if g0 is not None:
+        if np.shape(g0) != q.shape:
+            raise ValueError(f"start potential has shape {np.shape(g0)}, q has {q.shape}")
+        g0 = np.asarray(g0, dtype=float)[cols]
+        if not np.isfinite(g0).all():
+            raise ValueError("start potential is not finite on a column with mass")
     # every mass positive: a C-ordered cost needs no submatrix copy, its plan no scatter
     whole = cost.flags.c_contiguous and rows.all() and cols.all()
-    sub_plan, sub_f, sub_g, iters = _solve_scaling(
-        cost if whole else cost[np.ix_(rows, cols)], p[rows], q[cols], cfg,
-        None if g0 is None else np.asarray(g0, dtype=float)[cols],
+    sub_plan, sub_f, sub_g, iters, err = _solve_scaling(
+        cost if whole else cost[np.ix_(rows, cols)], p[rows], q[cols], cfg, g0
     )
     if whole:  # C-ordered, as the scatter's: a polish on the short side transposes it
         plan = np.ascontiguousarray(sub_plan)
     else:
         plan = np.zeros_like(cost)
         plan[np.ix_(rows, cols)] = sub_plan
+    if plan is not sub_plan:  # the error is summed over the matrix returned
+        err = max(marginal_error(plan, p, q))
     f = np.full(p.size, -np.inf)
     f[rows] = sub_f
     g = np.full(q.size, -np.inf)
     g[cols] = sub_g
-    err = max(marginal_error(plan, p, q))
     return TransportPlan(
         matrix=plan,
         iterations=iters,
@@ -206,15 +221,40 @@ def _solve_scaling(cost, p, q, cfg, g0):
             v = q / ktu
             kv = kernel @ v
         else:
-            # sweep 1, or K v or K^T u underflowed: a log-domain step centres K
-            f = lam * (np.log(p) - _logsumexp(g / lam + np.log(v) - scaled, axis=1))
-            g = lam * (np.log(q) - _logsumexp(f[:, None] / lam - scaled, axis=0))
-            np.exp((f[:, None] + g[None, :]) / lam - scaled, out=kernel)
+            # sweep 1, or K v or K^T u underflowed: a log-domain step centres
+            # K. With h = g/lam + log v, E = exp(h - scaled - t) for the row
+            # maxima t, a = p / (E 1) and kappa = E^T a, it gives
+            # f = lam (log a - t), g = lam (log(q / kappa) + h) and
+            # K = diag(a) E diag(q / kappa) from one exp. Entries of E that
+            # underflow are below 1e-108 of their column's mass kappa >= 1e-200;
+            # a smaller kappa (or a subnormal mass) takes max-shifted
+            # log-sum-exps along both axes.
+            h = g / lam + np.log(v)
+            np.subtract(h, scaled, out=kernel)
+            t = kernel.max(axis=1)
+            if not np.isfinite(t).all():
+                raise ValueError("cost has a NaN entry, or a row with no finite entry, "
+                                 "among the rows and columns with mass")
+            kernel -= t[:, None]
+            np.exp(kernel, out=kernel)
+            a = p / kernel.sum(axis=1)
+            kappa = kernel.T @ a
+            if kappa.min() >= 1e-200 and a.min() > 0:
+                f, col = lam * (np.log(a) - t), q / kappa
+                g = lam * (np.log(col) + h)
+                kernel *= a[:, None]
+                kernel *= col
+            else:
+                f = lam * (np.log(p) - _logsumexp(h - scaled, axis=1))
+                g = lam * (np.log(q) - _logsumexp(f[:, None] / lam - scaled, axis=0))
+                np.exp((f[:, None] + g[None, :]) / lam - scaled, out=kernel)
             u, v, kv = np.ones(p.size), np.ones(q.size), kernel.sum(axis=1)
         # the columns sum to q; the rows sum to u * kv
         if np.abs(u * kv - p).sum() < tol:
-            plan = u[:, None] * kernel * v[None, :]
-            if max(marginal_error(plan, p, q)) < tol:
+            plan = np.multiply(u[:, None], kernel)
+            plan *= v
+            err = max(marginal_error(plan, p, q))
+            if err < tol:
                 break
         if it >= polish_at:
             polish_at *= 5
@@ -229,8 +269,11 @@ def _solve_scaling(cost, p, q, cfg, g0):
             np.exp((f[:, None] + g[None, :]) / lam - scaled, out=kernel)
             u, v, kv = np.ones(p.size), np.ones(q.size), u * kv
     else:
-        plan = u[:, None] * kernel * v[None, :]
-    return plan, f + lam * np.log(u), g + lam * np.log(v), it
+        plan = kernel
+        plan *= u[:, None]
+        plan *= v
+        err = max(marginal_error(plan, p, q))
+    return plan, f + lam * np.log(u), g + lam * np.log(v), it, err
 
 
 def _newton_polish(scaled, p, q, f, g, lam, tol):
@@ -254,30 +297,32 @@ def _newton_polish(scaled, p, q, f, g, lam, tol):
         return None if out is None else (out[1], out[0], out[2].T, out[3])
     expo = (f[:, None] + g[None, :]) / lam - scaled
     plan = np.exp(expo)
-    err = max(marginal_error(plan, p, q))
+    r, c, *errs = _marginals(plan, p, q)
+    err = max(errs)
     best = None
     for _ in range(30):
-        r, c = plan.sum(axis=1), plan.sum(axis=0)
         damp = 1e-12 * max(r.max(), c.max())
-        weighted = plan / (r + damp)[:, None]
-        a = lam * (p - r) / (r + damp)
-        dg = np.linalg.solve(np.diag(c + damp) - plan.T @ weighted, lam * (q - c) - plan.T @ a)
-        df = a - weighted @ dg
+        rd = r + damp
+        b = plan / np.sqrt(rd)[:, None]  # b^T b = plan^T diag(1/rd) plan, one syrk
+        a = lam * (p - r) / rd
+        dg = np.linalg.solve(np.diag(c + damp) - b.T @ b, lam * (q - c) - plan.T @ a)
+        df = a - (plan @ dg) / rd
         slope = df @ (p - r) + dg @ (q - c)
         if not slope > 0:
             break
         for t in 0.5 ** np.arange(40):
             x = (df[:, None] + dg[None, :]) * (t / lam)
-            if x.max() > 700.0 or (expo + x).max() > 700.0:
+            if x.max() > 700.0 or (stepped := expo + x).max() > 700.0:
                 continue
             # plan * expm1(x) keeps Phi's gain exact far below Phi's rounding
             if t * (df @ p + dg @ q) - lam * (plan * np.expm1(x)).sum() >= 1e-4 * t * slope:
                 break
         else:
             break
-        f, g, expo = f + t * df, g + t * dg, expo + x
+        f, g, expo = f + t * df, g + t * dg, stepped
         plan = np.exp(expo)
-        step_err = max(marginal_error(plan, p, q))
+        r, c, *errs = _marginals(plan, p, q)
+        step_err = max(errs)
         if step_err < err:
             err = step_err
             best = (f, g, plan, err)
@@ -289,9 +334,10 @@ def _newton_polish(scaled, p, q, f, g, lam, tol):
 def entropy(plan: np.ndarray) -> float:
     """Negative-entropy value sum_ij plan_ij * ln(plan_ij), with 0 ln 0 = 0."""
     plan = np.asarray(plan, dtype=float)
-    if np.any(plan < 0):
+    low = plan.min(initial=np.inf)
+    if low < 0:
         raise ValueError("plan has negative entries")
-    logs = np.log(plan, out=np.zeros_like(plan), where=plan > 0)
+    logs = np.log(plan) if low > 0 else np.log(plan, out=np.zeros_like(plan), where=plan > 0)
     return float((plan * logs).sum())
 
 
@@ -316,6 +362,10 @@ def marginal_error(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[floa
             f"plan shape {plan.shape} does not match histogram sizes "
             f"({p.size}, {q.size})"
         )
-    row_err = float(np.abs(plan.sum(axis=1) - p).sum())
-    col_err = float(np.abs(plan.sum(axis=0) - q).sum())
-    return row_err, col_err
+    return _marginals(plan, p, q)[2:]
+
+
+def _marginals(plan, p, q):
+    """Row sums, column sums and their L1 errors against (p, q)."""
+    r, c = plan.sum(axis=1), plan.sum(axis=0)
+    return r, c, float(np.abs(r - p).sum()), float(np.abs(c - q).sum())

@@ -1,5 +1,7 @@
 import os
 import struct
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -145,6 +147,55 @@ def test_rawf64_implausible_dimensions(tmp_path):
     huge.write_bytes(struct.pack("<QQ", 1 << 40, 1 << 40))
     with pytest.raises(ValueError, match="implausible"):
         dt.load_matrix(str(huge))
+
+
+def save_pool(tmp_path, d, n, k):
+    rng = np.random.default_rng(3)
+    feats = rng.normal(size=(d, n))
+    path = str(tmp_path / "pool.rawf64")
+    dt.save_rawf64(path, feats, np.arange(n) % k)
+    return path, feats
+
+
+def test_rawf64_load_reads_the_payload_in_place(tmp_path):
+    path, feats = save_pool(tmp_path, 64, 4500, 10)
+    tracemalloc.start()
+    try:
+        ds = dt.load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one payload-sized array, not a bytes object and a transposing copy
+    assert peak < 1.5 * feats.nbytes
+    with open(path, "rb") as fh:
+        body = fh.read()[16:16 + feats.nbytes]
+    decoded = np.frombuffer(body, dtype="<f8").reshape(feats.shape, order="F")
+    assert np.array_equal(ds.features.view(np.uint64), decoded.view(np.uint64))
+    assert ds.features.flags.writeable
+
+
+def test_rawf64_short_read_raises(tmp_path, monkeypatch):
+    # a file that shrinks after its size was checked reads short
+    cut = tmp_path / "cut.rawf64"
+    cut.write_bytes(struct.pack("<QQ", 2, 3) + b"\x00" * 10)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 64))
+    with pytest.raises(ValueError, match="short read"):
+        dt.load_matrix(str(cut))
+
+
+def test_samples_of_a_loaded_pool_keep_values_and_strides(tmp_path):
+    # a loaded pool's features are the transpose of a points-contiguous
+    # array; its samples are those of the feature-contiguous copy
+    path, _ = save_pool(tmp_path, 8, 60, 3)
+    pool = dt.load_matrix(path)
+    copy = dt.RawDataset(np.ascontiguousarray(pool.features), pool.labels)
+    spec = dt.SkewSpec(1, 50.0, 12)
+    for draw in (lambda ds: [dt.uniform_sample(ds, 12, 3)],
+                 lambda ds: dt.disjoint_split(ds, spec, spec, 4)):
+        for got, want in zip(draw(pool), draw(copy)):
+            np.testing.assert_array_equal(got.features, want.features)
+            assert got.features.strides == want.features.strides
 
 
 # ---------------------------------------------------------------------------

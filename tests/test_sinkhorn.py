@@ -346,6 +346,105 @@ def test_scaling_sweeps_match_the_log_domain_oracle(cost, p, q, lam, g0):
     np.testing.assert_array_equal(tp.matrix[:, ~cols], 0.0)
 
 
+def high_column_problem(lam):
+    # the last column's costs sit 470 lam above every row's minimum, so its
+    # mass kappa in the first sweep's E = exp(-cost/lam - t) is below
+    # exp(-470) < 1e-200
+    cost, p, q = cloud_problem(40, 40, "euclidean")
+    cost[:, -1] = cost.max() + 470 * lam
+    return cost, p, q
+
+
+FIRST_SWEEP_CASES = [
+    pytest.param(*cloud_problem(40, 40, "euclidean"), lam, False, id=f"one-exp-lam{lam}")
+    for lam in GRID
+] + [
+    pytest.param(*high_column_problem(lam), lam, True, id=f"high-column-lam{lam}")
+    for lam in GRID
+] + [
+    # a = p / (E 1) rounds to 0 once the row's mass E 1 exceeds 1.5
+    pytest.param(*cloud_problem(30, 25, "euclidean", tiny_mass=5e-324), lam, lam >= 1.0,
+                 id=f"subnormal-mass-5e-324-lam{lam}")
+    for lam in (0.05, 1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("cost, p, q, lam, falls_back", FIRST_SWEEP_CASES)
+def test_first_sweep_takes_one_exp_unless_a_mass_is_out_of_reach(
+    monkeypatch, cost, p, q, lam, falls_back
+):
+    # the one-exp sweep calls no _logsumexp; its fallback calls it along
+    # the rows, then the columns
+    calls = []
+    lse = sk._logsumexp
+    monkeypatch.setattr(sk, "_logsumexp", lambda a, axis: calls.append(axis) or lse(a, axis))
+    sk.solve(cost, p, q, sk.SinkhornConfig(lam=lam, max_iter=1))
+    monkeypatch.undo()
+    assert calls == ([1, 0] if falls_back else [])
+    cfg = sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000)
+    tp = sk.solve(cost, p, q, cfg)
+    plan, _, _, iters = log_domain_solve(cost, p, q, cfg)
+    assert tp.iterations == iters
+    assert tp.converged == (max(sk.marginal_error(plan, p, q)) < cfg.tol)
+    np.testing.assert_allclose(tp.matrix, plan, rtol=0, atol=1e-15)
+
+
+def bad_cost_problem(case):
+    # row 2 holds a NaN cost in column 3 or, for "forbidden-row", only +inf
+    # costs; "zero-row" and "zero-column" take that row's or column's mass
+    cost, p, q = cloud_problem(6, 5, "euclidean")
+    cost[2, 3] = np.nan
+    if case == "forbidden-row":
+        cost[2] = np.inf
+    elif case == "zero-row":
+        p[2] = 0.0
+    elif case == "zero-column":
+        q[3] = 0.0
+    return cost, p / p.sum(), q / q.sum()
+
+
+@pytest.mark.parametrize("case", ["nan", "forbidden-row", "zero-row", "zero-column"])
+def test_bad_costs_raise_unless_their_mass_is_zero(case):
+    # zero-mass rows and columns are never read; a row with mass and only
+    # +inf costs has no feasible plan
+    cost, p, q = bad_cost_problem(case)
+    cfg = sk.SinkhornConfig(lam=0.5)
+    if case.startswith("zero"):
+        tp = sk.solve(cost, p, q, cfg)
+        assert tp.converged and np.all(np.isfinite(tp.matrix))
+    else:
+        with pytest.raises(ValueError, match="NaN entry, or a row with no finite entry"):
+            sk.solve(cost, p, q, cfg)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_start_potential_must_be_finite_where_q_has_mass(value):
+    cost, p, q = cloud_problem(6, 5, "euclidean")
+    q[1] = 0.0
+    q /= q.sum()
+    cfg = sk.SinkhornConfig(lam=0.5)
+    g0 = sk.solve(cost, p, q, cfg).g
+    assert sk.solve(cost, p, q, cfg, np.where(q > 0, g0, value)).converged
+    g0[3] = value
+    with pytest.raises(ValueError, match="not finite"):
+        sk.solve(cost, p, q, cfg, g0)
+
+
+@pytest.mark.parametrize("lam", GRID)
+def test_forbidden_pairs_get_no_mass(lam):
+    # +inf costs forbid their pairs; every row and column keeps others
+    cost, p, q = cloud_problem(30, 25, "euclidean")
+    forbidden = np.random.default_rng(5).random(cost.shape) < 0.2
+    cost[forbidden] = np.inf
+    cfg = sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000)
+    tp = sk.solve(cost, p, q, cfg)
+    assert tp.converged
+    np.testing.assert_array_equal(tp.matrix[forbidden], 0.0)
+    plan, _, _, iters = log_domain_solve(cost, p, q, cfg)
+    assert tp.iterations == iters
+    np.testing.assert_allclose(tp.matrix, plan, rtol=0, atol=1e-15)
+
+
 def test_start_potential_must_match_q():
     cost, p, q = cloud_problem(5, 4, "euclidean")
     cfg = sk.SinkhornConfig(lam=0.5)
