@@ -7,7 +7,9 @@ classified by a 1-nearest-neighbor rule over the projected sources.
 labeled ``data.RawDataset``: tune the entropic weight on the target
 training split, evaluate on the held-out target test split. Its grid of
 entropic weights is one ``fit_plan`` call, which computes the part of
-the fit that does not depend on the weight once per grid.
+the fit that does not depend on the weight once per grid. What depends
+on the clouds alone, the span and the Gram form of the transfer, is
+computed once for all the methods run on bitwise-equal clouds.
 """
 
 from collections.abc import Iterator
@@ -39,7 +41,9 @@ class AdaptationReport:
 
 
 def _nearest(scores: np.ndarray) -> np.ndarray:
-    # Each query's nearest source (a column's argmin); ties go to the lowest index.
+    # Each query's nearest source (a column's argmin); ties go to the lowest
+    # index. That holds where the scores are exact: duplicate sources can
+    # differ in their last bits through BLAS, and then the lower score wins.
     return np.argmin(scores, axis=0)
 
 
@@ -57,12 +61,24 @@ class _Transfer:
     |P_i - c|^2 = [w_i; s_i - 1] . (P_i - c)^T Y. When n + 1 < 2d, Y^T Y
     is formed once and (P - c)^T Y = [W, s - 1] Y^T Y needs no product
     in R^d per plan; otherwise forming the d x m matrix P - c costs less.
+
+    In that Gram form nothing depends on the plan but Y, Y^T Y and the
+    test side's Y^T (queries - c), which ``test_scores`` keeps for the
+    bitwise-equal queries of its next call; ``_transfer`` shares the whole
+    object between calls on the same target cloud. So these arrays are
+    read-only. The coordinate form keeps nothing per cloud.
     """
 
     def __init__(self, zt: np.ndarray):
-        self.c = zt[:, :1]
-        self.y = np.hstack([zt - self.c, self.c])
-        self.gram = self.y.T @ self.y if self.y.shape[1] < 2 * zt.shape[0] else None
+        n = zt.shape[1]
+        self.y = np.hstack([zt - zt[:, :1], zt[:, :1]])
+        self.y.flags.writeable = False
+        self.c = self.y[:, n:]
+        self.gram = None
+        if n + 1 < 2 * zt.shape[0]:
+            self.gram = self.y.T @ self.y
+            self.gram.flags.writeable = False
+        self._inner = gml._LastCall()
 
     def train_scores(self, plan: np.ndarray, p: np.ndarray):
         """Scores of the target-train points, and the sources for ``test_scores``."""
@@ -82,12 +98,27 @@ class _Transfer:
     def test_scores(self, sources, queries: np.ndarray) -> np.ndarray:
         """Scores of the points ``queries`` (d, k)."""
         norms, projected = sources
-        queries = queries - self.c
         if self.gram is None:
-            return norms[:, None] - 2.0 * (projected.T @ queries)
+            return norms[:, None] - 2.0 * (projected.T @ (queries - self.c))
         w, s = projected
-        inner = self.y.T @ queries
+        inner = self._inner.get(queries)
+        if inner is None:
+            inner = self.y.T @ (queries - self.c)
+            inner.flags.writeable = False
+            self._inner.put((queries,), inner)
         return norms[:, None] - 2.0 * (w @ inner[:-1] + np.outer(s, inner[-1]))
+
+
+_last_transfer = gml._LastCall()
+
+
+def _transfer(zt: np.ndarray) -> _Transfer:
+    """``_Transfer(zt)``; in Gram form, the last one built on zt's bits."""
+    found = _last_transfer.get(zt)
+    if found is not None:
+        return found
+    transfer = _Transfer(zt)
+    return transfer if transfer.gram is None else _last_transfer.put((zt,), transfer)
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -127,7 +158,8 @@ def fit_plan(
     ``cost_matrix(x, zt, result.metric)``, whose objective is recorded.
 
     No method forms a d x d matrix: ``gram``, ``whiten`` and ``learned``
-    work on ``gml.span(x, zt)``, the R of one QR per call, and
+    work on ``gml.span(x, zt)``, the R of one QR per pair of clouds, which
+    every method run on bitwise-equal clouds shares (read-only), and
     ``euclidean`` on the raw coordinates (no span points), where a QR
     would cost more than it saves. Euclidean costs take no metric. Only
     reading ``result.basis`` forms Q, and ``result.metric`` the (d, d)
@@ -179,7 +211,8 @@ def run_task(
     target-train clouds under uniform marginals, and the target-train
     points are classified by 1-NN over the barycentric projections of the
     labeled sources (``_Transfer``, in inner products with the target-train
-    cloud); target-train labels are used only for this selection. The
+    cloud, which in Gram form every method run on the bitwise-equal target
+    clouds shares); target-train labels are used only for this selection. The
     weight with the best training accuracy wins (ties go to the smaller
     weight) and its plan is reused to classify the target-test split.
 
@@ -207,7 +240,7 @@ def run_task(
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
 
-    transfer = _Transfer(zt)
+    transfer = _transfer(zt)
     best = None  # (accuracy, lambda, projected sources)
     converged = True
     grid = sorted(lambdas)

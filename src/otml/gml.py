@@ -13,9 +13,10 @@ non-increasing across sweeps, up to solver tolerance.
 
 Everything runs in orthonormal coordinates of the span of the points
 (``span``: the R of one QR per pair of clouds, r = min(d, m + n)
-coordinates). The scatter is its part on that span plus a ridge times the
-identity, and every target D is its part on the span plus a multiple D_c
-of the identity, so the metric is exactly
+coordinates; a call on the bitwise-equal clouds of the call before
+returns that call's read-only ``Span``). The scatter is its part on that
+span plus a ridge times the identity, and every target D is its part on
+the span plus a multiple D_c of the identity, so the metric is exactly
 ``A = Q A_r Q^T + alpha (I - Q Q^T)``, the representer form of
 Mahalanobis learning (Jain, Kulis, Davis & Dhillon, JMLR 2012): A_r is the
 r x r solution and alpha = (D_c / ridge)^(1/2). No d x d matrix is formed
@@ -109,8 +110,9 @@ class FitResult:
     plan : ndarray of shape (m, n)
         Final transport plan.
     points : ndarray of shape (d, k)
-        ``Span.points``, whose reduced QR gives the basis; k = 0 for the
-        Euclidean baseline, which is alpha on all of R^d.
+        ``Span.points`` (read-only, and shared with every fit on the same
+        clouds), whose reduced QR gives the basis; k = 0 for the Euclidean
+        baseline, which is alpha on all of R^d.
     reduced_metric : ndarray of shape (r, r)
         The SPD metric in the coordinates of ``basis``.
     complement : float
@@ -181,6 +183,9 @@ def _check_clouds(x, z):
 class Span:
     """Two point clouds in orthonormal coordinates of the span of their points.
 
+    The arrays are read-only: ``span`` hands one ``Span`` to every caller
+    on the same clouds.
+
     Attributes
     ----------
     points : ndarray of shape (d, m + n)
@@ -199,6 +204,37 @@ class Span:
     origin: np.ndarray
 
 
+class _LastCall:
+    """A one-entry memo of a result computed from float64 arrays.
+
+    ``get(*arrays)`` returns the stored result when each array has the
+    shape and the bits of the private copy taken by ``put`` (so -0.0 is not
+    +0.0, and an array changed in place since is a miss), else None. The
+    entry is one tuple, replaced whole: a concurrent caller can only
+    recompute, never read another call's result.
+    """
+
+    def __init__(self):
+        self.entry = None
+
+    def get(self, *arrays):
+        entry = self.entry
+        if entry is not None and all(
+            a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64))
+            for a, b in zip(entry[0], arrays)
+        ):
+            return entry[1]
+        return None
+
+    def put(self, arrays, result):
+        self.entry = (tuple(a.copy() for a in arrays), result)
+        return result
+
+
+_last_span = _LastCall()
+
+
 def span(x: np.ndarray, z: np.ndarray) -> Span:
     """Orthonormal coordinates of two clouds, from the R factor of one QR.
 
@@ -207,15 +243,24 @@ def span(x: np.ndarray, z: np.ndarray) -> Span:
     gives the basis, and its R factor the coordinates of c and of every
     centred point (R alone is bitwise the reduced mode's R). Centring first
     keeps a large common offset (pixel data) out of the differences.
+
+    Metrics are compared on the same clouds, one call per metric, so a
+    call on clouds with the shapes and bits of the last call's returns
+    that call's ``Span``; its arrays are read-only for that reason.
     """
     x, z = _check_clouds(x, z)
+    found = _last_span.get(x, z)
+    if found is not None:
+        return found
     c = x[:, :1]
     points = np.hstack([c, x[:, 1:] - c, z - c])
     coords = np.linalg.qr(points, mode="r")
     m = x.shape[1]
     xr = coords[:, :m].copy()
     xr[:, 0] = 0.0
-    return Span(points, xr, coords[:, m:], coords[:, 0])
+    for a in (points, coords, xr):
+        a.flags.writeable = False
+    return _last_span.put((x, z), Span(points, xr, coords[:, m:], coords[:, 0]))
 
 
 def _scatter(x, z, plan):

@@ -156,9 +156,9 @@ def solve(
     Raises
     ------
     ValueError
-        On a NaN cost in a row and column with mass, a row with mass whose
-        costs are all +inf, or a start potential that is not finite on a
-        column with mass.
+        On a NaN cost in a row and column with mass, a row or a column with
+        mass whose costs are all +inf, or a start potential that is not
+        finite on a column with mass.
     """
     cost, p, q = _check_inputs(cost, p, q)
     rows = p > 0
@@ -246,7 +246,10 @@ def _solve_scaling(cost, p, q, cfg, g0):
                 kernel *= col
             else:
                 f = lam * (np.log(p) - _logsumexp(h - scaled, axis=1))
-                g = lam * (np.log(q) - _logsumexp(f[:, None] / lam - scaled, axis=0))
+                expo = f[:, None] / lam - scaled
+                if not np.isfinite(expo.max(axis=0)).all():
+                    raise ValueError("cost has a column with mass and no finite entry")
+                g = lam * (np.log(q) - _logsumexp(expo, axis=0))
                 np.exp((f[:, None] + g[None, :]) / lam - scaled, out=kernel)
             u, v, kv = np.ones(p.size), np.ones(q.size), kernel.sum(axis=1)
         # the columns sum to q; the rows sum to u * kv
@@ -305,14 +308,22 @@ def _newton_polish(scaled, p, q, f, g, lam, tol):
         rd = r + damp
         b = plan / np.sqrt(rd)[:, None]  # b^T b = plan^T diag(1/rd) plan, one syrk
         a = lam * (p - r) / rd
-        dg = np.linalg.solve(np.diag(c + damp) - b.T @ b, lam * (q - c) - plan.T @ a)
+        schur = b.T @ b
+        np.negative(schur, out=schur)  # S = diag(c + damp) - b^T b, built in place
+        schur.flat[:: schur.shape[0] + 1] += c + damp
+        dg = np.linalg.solve(schur, lam * (q - c) - plan.T @ a)
         df = a - (plan @ dg) / rd
         slope = df @ (p - r) + dg @ (q - c)
         if not slope > 0:
             break
+        # rounding is monotone, so top * (t / lam) is the step's largest
+        # entry, and a step past exp's range is skipped before it is formed
+        top = df.max() + dg.max()
         for t in 0.5 ** np.arange(40):
+            if top * (t / lam) > 700.0:
+                continue
             x = (df[:, None] + dg[None, :]) * (t / lam)
-            if x.max() > 700.0 or (stepped := expo + x).max() > 700.0:
+            if (stepped := expo + x).max() > 700.0:
                 continue
             # plan * expm1(x) keeps Phi's gain exact far below Phi's rounding
             if t * (df @ p + dg @ q) - lam * (plan * np.expm1(x)).sum() >= 1e-4 * t * slope:

@@ -274,6 +274,88 @@ def test_transfer_ties_go_to_the_lowest_index_on_integer_grids(dim):
             )
 
 
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    # Empty span and transfer memos, so that nothing an earlier test left
+    # there is shared.
+    monkeypatch.setattr(gml._last_span, "entry", None)
+    monkeypatch.setattr(adapt._last_transfer, "entry", None)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@ORDERS
+def test_transfer_of_an_equal_target_cloud_is_the_last_one(monkeypatch, fresh_memos, dim):
+    # In Gram form a distinct target cloud with the same bits gets the last
+    # transfer, with no new Y^T Y, and bitwise-equal test queries the last
+    # Y^T (queries - c); the coordinate form keeps nothing.
+    rng = np.random.default_rng(25)
+    plan, zt, ze = pixel_instance(rng, dim)
+    built = []
+
+    class Counted(adapt._Transfer):
+        def __init__(self, zt):
+            built.append(zt.shape)
+            super().__init__(zt)
+
+    monkeypatch.setattr(adapt, "_Transfer", Counted)
+    transfer = adapt._transfer(zt)
+    again = adapt._transfer(zt.copy())
+    if dim == 8:
+        assert again is not transfer and len(built) == 2
+        assert adapt._last_transfer.entry is None
+        return
+    assert again is transfer and len(built) == 1
+    sources = transfer.train_scores(plan, uniform(plan.shape[0]))[1]
+    first = transfer.test_scores(sources, ze)
+    inner = transfer._inner.entry[1]
+    np.testing.assert_array_equal(transfer.test_scores(sources, np.asfortranarray(ze)), first)
+    assert transfer._inner.entry[1] is inner
+
+
+@pytest.mark.parametrize("change", ["in-place", "signed-zero"])
+def test_transfer_recomputes_on_changed_clouds(fresh_memos, change):
+    # A target or test cloud changed in place since the last call, or
+    # holding -0.0 where +0.0 was, is a miss; what is recomputed is
+    # bitwise what a fresh transfer computes.
+    rng = np.random.default_rng(26)
+    plan, zt, ze = pixel_instance(rng, 96)
+    p = uniform(plan.shape[0])
+    zt[3, 4] = ze[2, 5] = 0.0
+    before = zt.copy()
+    transfer = adapt._transfer(zt)
+    sources = transfer.train_scores(plan, p)[1]
+    transfer.test_scores(sources, ze)
+    inner = transfer._inner.entry[1]
+    if change == "in-place":
+        zt[5, 2] += 1e-9
+        ze[5, 2] += 1e-9
+    else:
+        zt[3, 4] = ze[2, 5] = -0.0
+    test = transfer.test_scores(sources, ze)
+    assert transfer._inner.entry[1] is not inner
+    fresh = adapt._Transfer(before)
+    assert same_bits(test, fresh.test_scores(fresh.train_scores(plan, p)[1], ze))
+    again = adapt._transfer(zt)
+    assert again is not transfer
+    fresh = adapt._Transfer(zt)
+    assert same_bits(again.y, fresh.y) and same_bits(again.gram, fresh.gram)
+    assert same_bits(again.train_scores(plan, p)[0], fresh.train_scores(plan, p)[0])
+
+
+def test_shared_transfer_arrays_are_read_only(fresh_memos):
+    rng = np.random.default_rng(27)
+    plan, zt, ze = pixel_instance(rng, 96)
+    transfer = adapt._transfer(zt)
+    sources = transfer.train_scores(plan, uniform(plan.shape[0]))[1]
+    transfer.test_scores(sources, ze)
+    for array in (transfer.y, transfer.c, transfer.gram, transfer._inner.entry[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 def test_run_task_rejects_a_test_split_of_another_dimension():
     rng = np.random.default_rng(23)
     cloud = two_blob_cloud(rng)
@@ -503,6 +585,31 @@ def test_run_task_on_wide_data_decomposes_nothing_beyond_m_plus_n(monkeypatch, m
 
 # ---------------------------------------------------------------------------
 # full protocol
+
+
+@pytest.mark.parametrize("dim", [40, 3], ids=["gram-form", "coordinate-form"])
+def test_run_task_reports_do_not_depend_on_method_order(monkeypatch, dim):
+    # The methods of a round share the span and, in Gram form (n + 1 < 2d),
+    # the transfer; each report is still the one computed from empty memos,
+    # whichever methods ran before it.
+    y = np.arange(12) % 2
+    source, train, test = (
+        dt.RawDataset(np.random.default_rng(i).normal(size=(dim, 12)) + 3.0 * y, y)
+        for i in range(3)
+    )
+    cfg = base_cfg(outer=2)
+
+    def report(method, fresh=False):
+        if fresh:
+            monkeypatch.setattr(gml._last_span, "entry", None)
+            monkeypatch.setattr(adapt._last_transfer, "entry", None)
+        return adapt.run_task(source, train, test, method, GRID, cfg)
+
+    alone = {method: report(method, fresh=True) for method in adapt.METHODS}
+    forward = {method: report(method) for method in adapt.METHODS}
+    assert (adapt._last_transfer.entry is not None) == (dim == 40)
+    reverse = {method: report(method) for method in reversed(adapt.METHODS)}
+    assert forward == alone and reverse == alone
 
 
 def test_run_task_identical_clouds_scores_perfectly():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,27 @@ def test_bad_costs_raise_unless_their_mass_is_zero(case):
     else:
         with pytest.raises(ValueError, match="NaN entry, or a row with no finite entry"):
             sk.solve(cost, p, q, cfg)
+
+
+@pytest.mark.parametrize("mass", [True, False], ids=["with-mass", "zero-mass"])
+def test_a_column_of_forbidden_pairs_raises_unless_its_mass_is_zero(mass):
+    # A column with mass and only +inf costs has no feasible plan. Its mass
+    # in the first exp is zero, so the column log-sum-exp fallback runs,
+    # and must name the column, not warn about a -inf shift. A zero-mass
+    # one is never read and gets an exactly zero plan column.
+    cost = np.random.default_rng(28).random((4, 3))
+    cost[:, 1] = np.inf
+    q = uniform(3) if mass else np.array([0.5, 0.0, 0.5])
+    cfg = sk.SinkhornConfig(lam=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if mass:
+            with pytest.raises(ValueError, match="column with mass and no finite entry"):
+                sk.solve(cost, uniform(4), q, cfg)
+        else:
+            tp = sk.solve(cost, uniform(4), q, cfg)
+            assert tp.converged
+            np.testing.assert_array_equal(tp.matrix[:, 1], 0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
