@@ -8,12 +8,14 @@ labeled ``data.RawDataset``: tune the entropic weight on the target
 training split, evaluate on the held-out target test split. Its grid of
 entropic weights is one ``fit_plan`` call, which computes the part of
 the fit that does not depend on the weight once per grid. What depends
-on the clouds alone, the span and the Gram form of the transfer, is
-computed once for all the methods run on bitwise-equal clouds.
+on the clouds alone, the transfer and the span, is computed once per
+round: a call on the three clouds of the call before it (equal shapes
+and float64 bits) shares that call's.
 """
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -55,30 +57,27 @@ class _Transfer:
     c = z_1 and s_i = sum(w_i), P_i - c = Y [w_i; s_i - 1] for Y = [Z - c, c];
     keeping s_i - 1 keeps this exact, as rows sum to p only up to the
     solver's tolerance and pixel data has a large |c|. Queries are c plus
-    a column of Y (target-train) or plus q - c (test), so the (m, k)
-    scores |P_i - c|^2 - 2 <P_i - c, query - c> that ``_nearest`` reads
-    are squared distances less a constant per query, and
-    |P_i - c|^2 = [w_i; s_i - 1] . (P_i - c)^T Y. When n + 1 < 2d, Y^T Y
-    is formed once and (P - c)^T Y = [W, s - 1] Y^T Y needs no product
-    in R^d per plan; otherwise forming the d x m matrix P - c costs less.
-
-    In that Gram form nothing depends on the plan but Y, Y^T Y and the
-    test side's Y^T (queries - c), which ``test_scores`` keeps for the
-    bitwise-equal queries of its next call; ``_transfer`` shares the whole
-    object between calls on the same target cloud. So these arrays are
-    read-only. The coordinate form keeps nothing per cloud.
+    a column of Y (target-train) or plus q - c (the test points ``ze``),
+    so the (m, k) scores |P_i - c|^2 - 2 <P_i - c, query - c> that
+    ``_nearest`` reads are squared distances less a constant per query,
+    and |P_i - c|^2 = [w_i; s_i - 1] . (P_i - c)^T Y. When n + 1 < 2d,
+    Y^T Y and the test side's Y^T (ze - c) are formed here, and
+    (P - c)^T Y = [W, s - 1] Y^T Y needs no product in R^d per plan;
+    otherwise forming the d x m matrix P - c costs less. A round shares
+    this object between its methods, so its arrays are read-only.
     """
 
-    def __init__(self, zt: np.ndarray):
+    def __init__(self, zt: np.ndarray, ze: np.ndarray):
         n = zt.shape[1]
         self.y = np.hstack([zt - zt[:, :1], zt[:, :1]])
         self.y.flags.writeable = False
         self.c = self.y[:, n:]
-        self.gram = None
+        self.ze = ze
+        self.gram = self.inner = None
         if n + 1 < 2 * zt.shape[0]:
             self.gram = self.y.T @ self.y
-            self.gram.flags.writeable = False
-        self._inner = gml._LastCall()
+            self.inner = self.y.T @ (ze - self.c)
+            self.gram.flags.writeable = self.inner.flags.writeable = False
 
     def train_scores(self, plan: np.ndarray, p: np.ndarray):
         """Scores of the target-train points, and the sources for ``test_scores``."""
@@ -95,30 +94,45 @@ class _Transfer:
         norms = np.einsum("ij,ij->i", cross[:, :n], w) + cross[:, n] * s
         return norms[:, None] - 2.0 * cross[:, :n], (norms, projected)
 
-    def test_scores(self, sources, queries: np.ndarray) -> np.ndarray:
-        """Scores of the points ``queries`` (d, k)."""
+    def test_scores(self, sources) -> np.ndarray:
+        """Scores of the test points ``ze``."""
         norms, projected = sources
         if self.gram is None:
-            return norms[:, None] - 2.0 * (projected.T @ (queries - self.c))
+            return norms[:, None] - 2.0 * (projected.T @ (self.ze - self.c))
         w, s = projected
-        inner = self._inner.get(queries)
-        if inner is None:
-            inner = self.y.T @ (queries - self.c)
-            inner.flags.writeable = False
-            self._inner.put((queries,), inner)
-        return norms[:, None] - 2.0 * (w @ inner[:-1] + np.outer(s, inner[-1]))
+        return norms[:, None] - 2.0 * (w @ self.inner[:-1] + np.outer(s, self.inner[-1]))
 
 
-_last_transfer = gml._LastCall()
+class _Round:
+    """Read-only copies of (x, zt, ze), their transfer, and the span of (x, zt),
+    formed on its first read: a round of ``euclidean`` alone takes no QR."""
+
+    def __init__(self, *clouds: np.ndarray):
+        self.clouds = tuple(a.copy(order="K") for a in clouds)
+        for a in self.clouds:
+            a.flags.writeable = False
+        self.transfer = _Transfer(*self.clouds[1:])
+
+    @cached_property
+    def span(self) -> gml.Span:
+        return gml.span(*self.clouds[:2])
 
 
-def _transfer(zt: np.ndarray) -> _Transfer:
-    """``_Transfer(zt)``; in Gram form, the last one built on zt's bits."""
-    found = _last_transfer.get(zt)
-    if found is not None:
-        return found
-    transfer = _Transfer(zt)
-    return transfer if transfer.gram is None else _last_transfer.put((zt,), transfer)
+_last_round = None
+
+
+def _round(x: np.ndarray, zt: np.ndarray, ze: np.ndarray) -> _Round:
+    """The last round if its clouds have these shapes and float64 bits (-0.0
+    is not +0.0), else a new one; a concurrent caller can only recompute."""
+    global _last_round
+    last = _last_round
+    if last is None or not all(
+        a.shape == b.shape and b.dtype == np.float64
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a, b in zip(last.clouds, (x, zt, ze))
+    ):
+        last = _last_round = _Round(x, zt, ze)
+    return last
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -158,12 +172,11 @@ def fit_plan(
     ``cost_matrix(x, zt, result.metric)``, whose objective is recorded.
 
     No method forms a d x d matrix: ``gram``, ``whiten`` and ``learned``
-    work on ``gml.span(x, zt)``, the R of one QR per pair of clouds, which
-    every method run on bitwise-equal clouds shares (read-only), and
-    ``euclidean`` on the raw coordinates (no span points), where a QR
-    would cost more than it saves. Euclidean costs take no metric. Only
-    reading ``result.basis`` forms Q, and ``result.metric`` the (d, d)
-    matrix, from the factors.
+    work on ``gml.span(x, zt)``, the R of one QR per pair of clouds (in
+    ``run_task``, one per round), and ``euclidean`` on the raw coordinates
+    (no span points), where a QR would cost more than it saves. Euclidean
+    costs take no metric. Only reading ``result.basis`` forms Q, and
+    ``result.metric`` the (d, d) matrix, from the factors.
 
     The lambda-independent part (the span, the scale, a baseline's metric,
     cost and median, the learned fit's first sweep up to its Sinkhorn
@@ -172,13 +185,18 @@ def fit_plan(
     one ``gml.FitResult`` per entry of ``lambdas``, in the order given;
     results may share arrays and are not to be modified in place.
     """
+    return _fit_plan(x, zt, partial(gml.span, x, zt), p, q, method, lambdas, cfg)
+
+
+def _fit_plan(x, zt, span, p, q, method, lambdas, cfg):
+    # ``fit_plan``, with the span of (x, zt) read from ``span()``.
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "euclidean":
         points, metric, complement = np.zeros((x.shape[0], 0)), np.zeros((0, 0)), 1.0
         cost = gml.cost_matrix(x, zt)
     else:
-        sp = gml.span(x, zt)
+        sp = span()
         if method == "learned":
             scale = np.sqrt(_median_scale(gml.cost_matrix(sp.x, sp.z)))
             scaled = replace(sp, x=sp.x / scale, z=sp.z / scale, origin=sp.origin / scale)
@@ -211,10 +229,14 @@ def run_task(
     target-train clouds under uniform marginals, and the target-train
     points are classified by 1-NN over the barycentric projections of the
     labeled sources (``_Transfer``, in inner products with the target-train
-    cloud, which in Gram form every method run on the bitwise-equal target
-    clouds shares); target-train labels are used only for this selection. The
+    cloud); target-train labels are used only for this selection. The
     weight with the best training accuracy wins (ties go to the smaller
     weight) and its plan is reused to classify the target-test split.
+
+    Metrics are compared on the same draws, one call per method, so a
+    call on three clouds with the shapes and bits of the last call's
+    shares that call's round: its transfer and its span (``_round``). The
+    reports are those of a fresh round, whatever ran before.
 
     Parameters
     ----------
@@ -240,19 +262,20 @@ def run_task(
     p = np.full(m, 1.0 / m)
     q = np.full(n, 1.0 / n)
 
-    transfer = _transfer(zt)
+    shared = _round(x, zt, target_test.features)
     best = None  # (accuracy, lambda, projected sources)
     converged = True
     grid = sorted(lambdas)
-    for lam, result in zip(grid, fit_plan(x, zt, p, q, method, grid, cfg)):
+    plans = _fit_plan(x, zt, lambda: shared.span, p, q, method, grid, cfg)
+    for lam, result in zip(grid, plans):
         converged = converged and result.sinkhorn_converged
-        scores, projected = transfer.train_scores(result.plan, p)
+        scores, projected = shared.transfer.train_scores(result.plan, p)
         acc = accuracy(source.labels[_nearest(scores)], target_train.labels)
         if best is None or acc > best[0]:
             best = (acc, lam, projected)
 
     train_acc, lam_best, projected = best
-    scores = transfer.test_scores(projected, target_test.features)
+    scores = shared.transfer.test_scores(projected)
     test_acc = accuracy(source.labels[_nearest(scores)], target_test.labels)
     return AdaptationReport(
         method=method,

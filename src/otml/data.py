@@ -139,6 +139,13 @@ def _read_payload(fh, shape: tuple, dtype: str, what: str) -> np.ndarray:
     return out
 
 
+def _check_end(fh, what: str):
+    """Raise when bytes follow ``what``: a header understated the count."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise ValueError(f"{fh.name}: {extra} bytes after the {what}")
+
+
 def _load_rawf64(path: str) -> RawDataset:
     with open(path, "rb") as fh:
         head = fh.read(16)
@@ -153,6 +160,7 @@ def _load_rawf64(path: str) -> RawDataset:
         labels = None
         if flag and flag[0]:
             labels = _read_payload(fh, (n,), "<u4", "rawf64 label block").astype(int)
+        _check_end(fh, "rawf64 data")
     return RawDataset(points.T, labels)
 
 
@@ -204,7 +212,9 @@ def _read_idx_labels(path: str) -> np.ndarray:
         magic, count = struct.unpack(">II", head)
         if magic != IDX_LABEL_MAGIC:
             raise ValueError(f"{path}: bad idx label magic {magic:#010x}")
-        return _read_payload(fh, (count,), "u1", "idx label payload").astype(int)
+        labels = _read_payload(fh, (count,), "u1", "idx label payload")
+        _check_end(fh, "idx label payload")
+    return labels.astype(int)
 
 
 def _guess_labels_path(images_path: str) -> "str | None":
@@ -224,6 +234,7 @@ def _load_idx(path: str, labels_path: "str | None", downsample: int) -> RawDatas
         if magic != IDX_IMAGE_MAGIC:
             raise ValueError(f"{path}: bad idx image magic {magic:#010x}")
         imgs = _read_payload(fh, (count, rows, cols), "u1", "idx image payload")
+        _check_end(fh, "idx image payload")
     imgs = imgs.astype(float) / 255.0
     if downsample > 1:
         if rows % downsample or cols % downsample:

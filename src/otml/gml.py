@@ -13,8 +13,7 @@ non-increasing across sweeps, up to solver tolerance.
 
 Everything runs in orthonormal coordinates of the span of the points
 (``span``: the R of one QR per pair of clouds, r = min(d, m + n)
-coordinates; a call on the bitwise-equal clouds of the call before
-returns that call's read-only ``Span``). The scatter is its part on that
+coordinates, as a read-only ``Span``). The scatter is its part on that
 span plus a ridge times the identity, and every target D is its part on
 the span plus a multiple D_c of the identity, so the metric is exactly
 ``A = Q A_r Q^T + alpha (I - Q Q^T)``, the representer form of
@@ -111,7 +110,7 @@ class FitResult:
         Final transport plan.
     points : ndarray of shape (d, k)
         ``Span.points`` (read-only, and shared with every fit on the same
-        clouds), whose reduced QR gives the basis; k = 0 for the Euclidean
+        ``Span``), whose reduced QR gives the basis; k = 0 for the Euclidean
         baseline, which is alpha on all of R^d.
     reduced_metric : ndarray of shape (r, r)
         The SPD metric in the coordinates of ``basis``.
@@ -183,8 +182,8 @@ def _check_clouds(x, z):
 class Span:
     """Two point clouds in orthonormal coordinates of the span of their points.
 
-    The arrays are read-only: ``span`` hands one ``Span`` to every caller
-    on the same clouds.
+    The arrays are read-only, so that one ``Span`` can serve every fit on
+    its clouds.
 
     Attributes
     ----------
@@ -204,37 +203,6 @@ class Span:
     origin: np.ndarray
 
 
-class _LastCall:
-    """A one-entry memo of a result computed from float64 arrays.
-
-    ``get(*arrays)`` returns the stored result when each array has the
-    shape and the bits of the private copy taken by ``put`` (so -0.0 is not
-    +0.0, and an array changed in place since is a miss), else None. The
-    entry is one tuple, replaced whole: a concurrent caller can only
-    recompute, never read another call's result.
-    """
-
-    def __init__(self):
-        self.entry = None
-
-    def get(self, *arrays):
-        entry = self.entry
-        if entry is not None and all(
-            a.dtype == b.dtype == np.float64 and a.shape == b.shape
-            and np.array_equal(a.view(np.int64), b.view(np.int64))
-            for a, b in zip(entry[0], arrays)
-        ):
-            return entry[1]
-        return None
-
-    def put(self, arrays, result):
-        self.entry = (tuple(a.copy() for a in arrays), result)
-        return result
-
-
-_last_span = _LastCall()
-
-
 def span(x: np.ndarray, z: np.ndarray) -> Span:
     """Orthonormal coordinates of two clouds, from the R factor of one QR.
 
@@ -243,15 +211,8 @@ def span(x: np.ndarray, z: np.ndarray) -> Span:
     gives the basis, and its R factor the coordinates of c and of every
     centred point (R alone is bitwise the reduced mode's R). Centring first
     keeps a large common offset (pixel data) out of the differences.
-
-    Metrics are compared on the same clouds, one call per metric, so a
-    call on clouds with the shapes and bits of the last call's returns
-    that call's ``Span``; its arrays are read-only for that reason.
     """
     x, z = _check_clouds(x, z)
-    found = _last_span.get(x, z)
-    if found is not None:
-        return found
     c = x[:, :1]
     points = np.hstack([c, x[:, 1:] - c, z - c])
     coords = np.linalg.qr(points, mode="r")
@@ -260,7 +221,7 @@ def span(x: np.ndarray, z: np.ndarray) -> Span:
     xr[:, 0] = 0.0
     for a in (points, coords, xr):
         a.flags.writeable = False
-    return _last_span.put((x, z), Span(points, xr, coords[:, m:], coords[:, 0]))
+    return Span(points, xr, coords[:, m:], coords[:, 0])
 
 
 def _scatter(x, z, plan):

@@ -214,11 +214,11 @@ def test_transfer_matches_the_oracle(dim, miss):
     m = plan.shape[0]
     plan *= 1.0 + miss * rng.uniform(-1.0, 1.0, size=(m, 1))
     p = uniform(m)
-    transfer = adapt._Transfer(zt)
+    transfer = adapt._Transfer(zt, ze)
     assert (transfer.gram is not None) == (dim == 96)
     train, projected = transfer.train_scores(plan, p)
     mapped = barycentric_map(plan, zt, p)
-    for queries, scores in ((zt, train), (ze, transfer.test_scores(projected, ze))):
+    for queries, scores in ((zt, train), (ze, transfer.test_scores(projected))):
         want = ((mapped[:, :, None] - queries[:, None, :]) ** 2).sum(axis=0)
         got = scores + ((queries - zt[:, :1]) ** 2).sum(axis=0)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
@@ -231,13 +231,13 @@ def test_transfer_orders_give_the_same_labels():
     rng = np.random.default_rng(21)
     plan, zt, ze = pixel_instance(rng, 96)
     p = uniform(plan.shape[0])
-    chosen, forced = adapt._Transfer(zt), adapt._Transfer(zt)
+    chosen, forced = adapt._Transfer(zt, ze), adapt._Transfer(zt, ze)
     assert chosen.gram is not None
     forced.gram = None
     nearest = []
     for transfer in (chosen, forced):
         train, projected = transfer.train_scores(plan, p)
-        test = transfer.test_scores(projected, ze)
+        test = transfer.test_scores(projected)
         nearest.append(np.concatenate([adapt._nearest(train), adapt._nearest(test)]))
     np.testing.assert_array_equal(*nearest)
 
@@ -261,97 +261,112 @@ def test_transfer_ties_go_to_the_lowest_index_on_integer_grids(dim):
             weights[i, picks] = 1.0 / picks.size
         plan = weights * p[:, None]
         mapped = barycentric_map(plan, zt, p)
-        transfer = adapt._Transfer(zt)
+        transfer = adapt._Transfer(zt, ze)
         train, projected = transfer.train_scores(plan, p)
         for row in range(1, m):
             same = np.flatnonzero((weights[:row] == weights[row]).all(axis=1))
             if same.size:
                 np.testing.assert_array_equal(train[row], train[same[0]])
         labels = np.arange(m)
-        for queries, scores in ((zt, train), (ze, transfer.test_scores(projected, ze))):
+        for queries, scores in ((zt, train), (ze, transfer.test_scores(projected))):
             np.testing.assert_array_equal(
                 adapt._nearest(scores), knn1_predict(mapped, labels, queries)
             )
-
-
-@pytest.fixture
-def fresh_memos(monkeypatch):
-    # Empty span and transfer memos, so that nothing an earlier test left
-    # there is shared.
-    monkeypatch.setattr(gml._last_span, "entry", None)
-    monkeypatch.setattr(adapt._last_transfer, "entry", None)
 
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@ORDERS
-def test_transfer_of_an_equal_target_cloud_is_the_last_one(monkeypatch, fresh_memos, dim):
-    # In Gram form a distinct target cloud with the same bits gets the last
-    # transfer, with no new Y^T Y, and bitwise-equal test queries the last
-    # Y^T (queries - c); the coordinate form keeps nothing.
-    rng = np.random.default_rng(25)
-    plan, zt, ze = pixel_instance(rng, dim)
-    built = []
+def round_clouds(dim, seed=25):
+    # Labeled source, target-train and target-test clouds of 12 points at
+    # pixel scale; n + 1 < 2d takes the Gram form at d = 40, not at d = 3.
+    y = np.arange(12) % 2
+    return [
+        dt.RawDataset(128.0 + 4.0 * rng.normal(size=(dim, 12)) + 3.0 * y, y)
+        for rng in map(np.random.default_rng, range(seed, seed + 3))
+    ]
+
+
+@pytest.fixture
+def traffic(monkeypatch):
+    # The QRs and transfers built from here on, after an empty round entry,
+    # so that nothing an earlier test left there is shared.
+    monkeypatch.setattr(adapt, "_last_round", None)
+    counts = {"qr": 0, "transfer": 0, "gram": 0}
+    qr = np.linalg.qr
+
+    def counted_qr(*args, **kwargs):
+        counts["qr"] += 1
+        return qr(*args, **kwargs)
 
     class Counted(adapt._Transfer):
-        def __init__(self, zt):
-            built.append(zt.shape)
-            super().__init__(zt)
+        def __init__(self, zt, ze):
+            super().__init__(zt, ze)
+            counts["transfer"] += 1
+            counts["gram"] += self.gram is not None
 
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(adapt, "_Transfer", Counted)
-    transfer = adapt._transfer(zt)
-    again = adapt._transfer(zt.copy())
-    if dim == 8:
-        assert again is not transfer and len(built) == 2
-        assert adapt._last_transfer.entry is None
-        return
-    assert again is transfer and len(built) == 1
-    sources = transfer.train_scores(plan, uniform(plan.shape[0]))[1]
-    first = transfer.test_scores(sources, ze)
-    inner = transfer._inner.entry[1]
-    np.testing.assert_array_equal(transfer.test_scores(sources, np.asfortranarray(ze)), first)
-    assert transfer._inner.entry[1] is inner
+    return counts
+
+
+@pytest.mark.parametrize("dim", [40, 3], ids=["gram-form", "coordinate-form"])
+def test_clouds_with_equal_bits_share_one_round(monkeypatch, traffic, dim):
+    # Each method gets distinct arrays with the bits of the first method's
+    # clouds, in C or Fortran order: the four share one round, with one
+    # QR and one transfer (one Y^T Y in Gram form), and each report is the
+    # one computed from an empty round entry.
+    clouds = round_clouds(dim)
+    copies = (np.copy, np.asfortranarray, np.copy, np.asfortranarray)
+    reports, rounds = {}, set()
+    for method, copy in zip(adapt.METHODS, copies):
+        drawn = [dt.RawDataset(copy(c.features), c.labels) for c in clouds]
+        reports[method] = adapt.run_task(*drawn, method, GRID, base_cfg(outer=2))
+        rounds.add(id(adapt._last_round))
+    assert len(rounds) == 1
+    assert traffic == {"qr": 1, "transfer": 1, "gram": int(dim == 40)}
+    for method in adapt.METHODS:
+        monkeypatch.setattr(adapt, "_last_round", None)
+        assert adapt.run_task(*clouds, method, GRID, base_cfg(outer=2)) == reports[method]
 
 
 @pytest.mark.parametrize("change", ["in-place", "signed-zero"])
-def test_transfer_recomputes_on_changed_clouds(fresh_memos, change):
-    # A target or test cloud changed in place since the last call, or
-    # holding -0.0 where +0.0 was, is a miss; what is recomputed is
-    # bitwise what a fresh transfer computes.
-    rng = np.random.default_rng(26)
-    plan, zt, ze = pixel_instance(rng, 96)
-    p = uniform(plan.shape[0])
-    zt[3, 4] = ze[2, 5] = 0.0
-    before = zt.copy()
-    transfer = adapt._transfer(zt)
-    sources = transfer.train_scores(plan, p)[1]
-    transfer.test_scores(sources, ze)
-    inner = transfer._inner.entry[1]
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["source", "target-train", "target-test"])
+def test_a_changed_cloud_starts_a_new_round(monkeypatch, traffic, which, change):
+    # A cloud changed in place since the last call, or holding -0.0 where
+    # +0.0 was, is a miss. The new round's span, transfer arrays and
+    # reports are bitwise those computed from an empty round entry.
+    clouds = round_clouds(40)
+    clouds[which].features[3, 4] = 0.0
+    cfg = base_cfg(outer=2)
+    adapt.run_task(*clouds, "gram", GRID, cfg)
+    stale = adapt._last_round
     if change == "in-place":
-        zt[5, 2] += 1e-9
-        ze[5, 2] += 1e-9
+        clouds[which].features[5, 2] += 1e-9
     else:
-        zt[3, 4] = ze[2, 5] = -0.0
-    test = transfer.test_scores(sources, ze)
-    assert transfer._inner.entry[1] is not inner
-    fresh = adapt._Transfer(before)
-    assert same_bits(test, fresh.test_scores(fresh.train_scores(plan, p)[1], ze))
-    again = adapt._transfer(zt)
-    assert again is not transfer
-    fresh = adapt._Transfer(zt)
-    assert same_bits(again.y, fresh.y) and same_bits(again.gram, fresh.gram)
-    assert same_bits(again.train_scores(plan, p)[0], fresh.train_scores(plan, p)[0])
+        clouds[which].features[3, 4] = -0.0
+    reports = [adapt.run_task(*clouds, method, GRID, cfg) for method in adapt.METHODS]
+    shared = adapt._last_round
+    assert shared is not stale
+    assert traffic == {"qr": 2, "transfer": 2, "gram": 2}
+    monkeypatch.setattr(adapt, "_last_round", None)
+    assert [adapt.run_task(*clouds, method, GRID, cfg) for method in adapt.METHODS] == reports
+    fresh = adapt._last_round
+    assert fresh is not shared
+    for name in ("points", "x", "z", "origin"):
+        assert same_bits(getattr(shared.span, name), getattr(fresh.span, name)), name
+    for name in ("y", "gram", "inner"):
+        assert same_bits(getattr(shared.transfer, name), getattr(fresh.transfer, name)), name
 
 
-def test_shared_transfer_arrays_are_read_only(fresh_memos):
-    rng = np.random.default_rng(27)
-    plan, zt, ze = pixel_instance(rng, 96)
-    transfer = adapt._transfer(zt)
-    sources = transfer.train_scores(plan, uniform(plan.shape[0]))[1]
-    transfer.test_scores(sources, ze)
-    for array in (transfer.y, transfer.c, transfer.gram, transfer._inner.entry[1]):
+def test_shared_round_arrays_are_read_only(traffic):
+    clouds = round_clouds(40)
+    adapt.run_task(*clouds, "gram", GRID, base_cfg(outer=2))
+    shared = adapt._last_round
+    transfer, sp = shared.transfer, shared.span
+    arrays = [*shared.clouds, transfer.y, transfer.c, transfer.gram, transfer.inner]
+    for array in arrays + [sp.points, sp.x, sp.z, sp.origin]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -589,9 +604,9 @@ def test_run_task_on_wide_data_decomposes_nothing_beyond_m_plus_n(monkeypatch, m
 
 @pytest.mark.parametrize("dim", [40, 3], ids=["gram-form", "coordinate-form"])
 def test_run_task_reports_do_not_depend_on_method_order(monkeypatch, dim):
-    # The methods of a round share the span and, in Gram form (n + 1 < 2d),
-    # the transfer; each report is still the one computed from empty memos,
-    # whichever methods ran before it.
+    # The methods of a round share its span and its transfer; each report
+    # is still the one computed from an empty round entry, whichever
+    # methods ran before it.
     y = np.arange(12) % 2
     source, train, test = (
         dt.RawDataset(np.random.default_rng(i).normal(size=(dim, 12)) + 3.0 * y, y)
@@ -601,13 +616,12 @@ def test_run_task_reports_do_not_depend_on_method_order(monkeypatch, dim):
 
     def report(method, fresh=False):
         if fresh:
-            monkeypatch.setattr(gml._last_span, "entry", None)
-            monkeypatch.setattr(adapt._last_transfer, "entry", None)
+            monkeypatch.setattr(adapt, "_last_round", None)
         return adapt.run_task(source, train, test, method, GRID, cfg)
 
     alone = {method: report(method, fresh=True) for method in adapt.METHODS}
     forward = {method: report(method) for method in adapt.METHODS}
-    assert (adapt._last_transfer.entry is not None) == (dim == 40)
+    assert (adapt._last_round.transfer.gram is not None) == (dim == 40)
     reverse = {method: report(method) for method in reversed(adapt.METHODS)}
     assert forward == alone and reverse == alone
 

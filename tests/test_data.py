@@ -138,6 +138,38 @@ def test_rawf64_truncation_errors(tmp_path):
         dt.load_matrix(str(claims))
 
 
+def patched_count(payload: bytes, fmt: str, offset: int, count: int) -> bytes:
+    # The file's bytes with the point count in its header replaced.
+    size = struct.calcsize(fmt)
+    return payload[:offset] + struct.pack(fmt, count) + payload[offset + size:]
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+@pytest.mark.parametrize("count", [3, 2])
+def test_rawf64_rejects_bytes_after_the_last_block(tmp_path, labeled, count):
+    # A header that understates N leaves bytes after the last block: the
+    # labels, or the flag when it is 0. Read as before, N = 3 of a labeled
+    # 4-point file gave a (2, 3) cloud and took its flag from a float.
+    feats = np.arange(8.0).reshape(2, 4) + 1.0
+    payload = dt.rawf64_bytes(feats, np.arange(4) % 2 if labeled else None)
+    path = tmp_path / "x.rawf64"
+    path.write_bytes(patched_count(payload, "<Q", 8, count))
+    with pytest.raises(ValueError, match="bytes after the rawf64 data"):
+        dt.load_matrix(str(path))
+    path.write_bytes(payload + b"\x00")
+    with pytest.raises(ValueError, match="1 bytes after"):
+        dt.load_matrix(str(path))
+
+
+def test_rawf64_may_end_after_the_payload(tmp_path):
+    feats = np.arange(6.0).reshape(3, 2)
+    path = tmp_path / "x.rawf64"
+    path.write_bytes(dt.rawf64_bytes(feats)[:-1])
+    back = dt.load_matrix(str(path))
+    np.testing.assert_array_equal(back.features, feats)
+    assert back.labels is None
+
+
 def test_rawf64_implausible_dimensions(tmp_path):
     bad = tmp_path / "bad.rawf64"
     bad.write_bytes(struct.pack("<QQ", 0, 5))
@@ -258,6 +290,24 @@ def test_idx_truncated_payload(tmp_path):
     dt.write_idx_images(str(path), np.zeros((1, 2, 2), dtype=np.uint8))
     with pytest.raises(ValueError, match="truncated idx label"):
         dt.load_matrix(str(path), labels_path=str(labels))
+
+
+def test_idx_rejects_bytes_after_the_payload(tmp_path):
+    # An image or label count patched from 4 to 3 once loaded 3 of them.
+    images = str(tmp_path / "a-images-idx3-ubyte")
+    labels = str(tmp_path / "a-labels-idx1-ubyte")
+    dt.write_idx_images(images, np.arange(16, dtype=np.uint8).reshape(4, 2, 2))
+    dt.write_idx_labels(labels, np.arange(4))
+    assert dt.load_matrix(images).features.shape == (4, 4)
+    for path, offset, what in ((images, 4, "image"), (labels, 4, "label")):
+        with open(path, "rb") as fh:
+            payload = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(patched_count(payload, ">I", offset, 3))
+        with pytest.raises(ValueError, match=f"bytes after the idx {what} payload"):
+            dt.load_matrix(images, labels_path=labels)
+        with open(path, "wb") as fh:
+            fh.write(payload)
 
 
 def test_idx_label_count_mismatch(tmp_path):

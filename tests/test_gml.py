@@ -204,9 +204,7 @@ def test_fit_never_inverts_the_metric(monkeypatch):
 
 @pytest.fixture
 def qr_modes(monkeypatch):
-    # The mode of every QR taken, from an empty span memo, so that no
-    # count depends on the clouds an earlier test left there.
-    monkeypatch.setattr(gml._last_span, "entry", None)
+    # The mode of every QR taken.
     modes = []
     qr = np.linalg.qr
 
@@ -222,23 +220,14 @@ def small_clouds(dim):
     return pixel_clouds(dim, m=12, n=10, seed=24)
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def fresh_span(monkeypatch, x, z):
-    monkeypatch.setattr(gml._last_span, "entry", None)
-    return gml.span(x, z)
-
-
 SPAN_FIELDS = ("points", "x", "z", "origin")
 
 
 @pytest.mark.parametrize("dim", [40, 6], ids=["d-above-m-plus-n", "d-below-m-plus-n"])
 def test_span_forms_r_only_and_the_basis_on_read(qr_modes, dim):
-    # span takes the R of one QR, bitwise the reduced mode's R; a fit on
-    # the same clouds takes no second one, and new clouds one more. The
-    # basis of a fit is the reduced mode's Q, formed when read.
+    # span takes the R of one QR, bitwise the reduced mode's R, and a fit
+    # one of its own, also on the clouds span has just seen. The basis of
+    # a fit is the reduced mode's Q, formed when read.
     x, z = small_clouds(dim)
     m, n = x.shape[1], z.shape[1]
     c = x[:, :1]
@@ -252,46 +241,18 @@ def test_span_forms_r_only_and_the_basis_on_read(qr_modes, dim):
     np.testing.assert_array_equal(sp.z, coords[:, m:])
     cfg = gml.GmlConfig(sinkhorn=sk.SinkhornConfig(lam=0.5), outer_iters=2)
     res = gml.fit(x, z, uniform(m), uniform(n), cfg)
-    assert qr_modes == ["r"]
+    assert qr_modes == ["r", "r"]
     np.testing.assert_array_equal(res.basis, basis)
-    assert qr_modes == ["r", "reduced"]
+    assert qr_modes == ["r", "r", "reduced"]
     gml.fit(x, z + 1.0, uniform(m), uniform(n), cfg)
-    assert qr_modes == ["r", "reduced", "r"]
+    assert qr_modes == ["r", "r", "reduced", "r"]
 
 
-def test_span_of_equal_clouds_is_the_last_span(qr_modes):
-    # Distinct arrays with the same bits, in another memory order, share
-    # one Span and one QR.
+def test_shared_span_arrays_are_read_only():
     x, z = small_clouds(40)
     sp = gml.span(x, z)
-    assert gml.span(x.copy(), np.asfortranarray(z)) is sp
-    assert qr_modes == ["r"]
-
-
-@pytest.mark.parametrize("change", ["in-place", "signed-zero"])
-def test_span_recomputes_on_changed_clouds(monkeypatch, qr_modes, change):
-    # An array changed in place since the last call, or -0.0 where +0.0
-    # was, is a miss, and the recomputed Span is bitwise a fresh one.
-    x, z = small_clouds(40)
-    z[3, 4] = 0.0
-    sp = gml.span(x, z)
-    if change == "in-place":
-        x[5, 2] += 1e-9
-    else:
-        z[3, 4] = -0.0
-    again = gml.span(x, z)
-    assert again is not sp and qr_modes == ["r", "r"]
-    fresh = fresh_span(monkeypatch, x, z)
-    assert fresh is not again
-    for name in SPAN_FIELDS:
-        assert same_bits(getattr(again, name), getattr(fresh, name)), name
-
-
-def test_shared_span_arrays_are_read_only(monkeypatch):
-    x, z = small_clouds(40)
-    sp = fresh_span(monkeypatch, x, z)
     cfg = gml.GmlConfig(sinkhorn=sk.SinkhornConfig(lam=0.5), outer_iters=1)
-    res = gml.fit(x, z, uniform(12), uniform(10), cfg)
+    (res,) = gml.fit_grid(sp, uniform(12), uniform(10), cfg, [0.5])
     assert res.points is sp.points
     for array in [getattr(sp, name) for name in SPAN_FIELDS]:
         with pytest.raises(ValueError, match="read-only"):
