@@ -311,6 +311,23 @@ def traffic(monkeypatch):
     return counts
 
 
+@ORDERS
+def test_transfer_of_an_equal_target_cloud_is_the_last_one(traffic, dim):
+    # Distinct clouds with the same bits, in another memory order, get the
+    # last round's transfer in both forms: no new Y, no new Y^T Y in Gram
+    # form, and test scores bitwise those of a fresh transfer.
+    rng = np.random.default_rng(25)
+    plan, zt, ze = pixel_instance(rng, dim)
+    x = 128.0 + 4.0 * rng.normal(size=(dim, plan.shape[0]))
+    transfer = adapt._round(x, zt, ze).transfer
+    again = adapt._round(x.copy(), zt.copy(), np.asfortranarray(ze)).transfer
+    assert again is transfer
+    assert traffic == {"qr": 0, "transfer": 1, "gram": int(dim == 96)}
+    sources = transfer.train_scores(plan, uniform(plan.shape[0]))[1]
+    fresh = adapt._Transfer(zt, ze)
+    assert same_bits(transfer.test_scores(sources), fresh.test_scores(sources))
+
+
 @pytest.mark.parametrize("dim", [40, 3], ids=["gram-form", "coordinate-form"])
 def test_clouds_with_equal_bits_share_one_round(monkeypatch, traffic, dim):
     # Each method gets distinct arrays with the bits of the first method's

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ot_oracle import dense_baseline_metric, dense_fit, dense_ridge, geometric_mean
 
-from otml import gml
+from otml import adapt, gml
 from otml import sinkhorn as sk
 from otml import spd
 
@@ -246,6 +246,25 @@ def test_span_forms_r_only_and_the_basis_on_read(qr_modes, dim):
     assert qr_modes == ["r", "r", "reduced"]
     gml.fit(x, z + 1.0, uniform(m), uniform(n), cfg)
     assert qr_modes == ["r", "r", "reduced", "r"]
+
+
+def test_span_of_equal_clouds_is_the_last_span(monkeypatch, qr_modes):
+    # span itself keeps nothing: each call takes a QR. A round of adapt
+    # keeps its span, so distinct arrays with the same bits, in another
+    # memory order, get the last one with no second QR; it is bitwise the
+    # span of the clouds.
+    x, z = small_clouds(40)
+    ze = z[:, ::-1] + 1.0
+    assert gml.span(x, z) is not gml.span(x, z)
+    assert qr_modes == ["r", "r"]
+    monkeypatch.setattr(adapt, "_last_round", None)
+    sp = adapt._round(x, z, ze).span
+    assert adapt._round(x.copy(), np.asfortranarray(z), ze.copy()).span is sp
+    assert qr_modes == ["r", "r", "r"]
+    fresh = gml.span(x, z)
+    for name in SPAN_FIELDS:
+        a, b = getattr(sp, name), getattr(fresh, name)
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 def test_shared_span_arrays_are_read_only():
