@@ -251,6 +251,10 @@ def run_task(
     """
     if not lambdas:
         raise ValueError("lambda grid is empty")
+    for name, split in (("source", source), ("target-train", target_train),
+                        ("target-test", target_test)):
+        if split.labels is None:
+            raise ValueError(f"the {name} split is unlabeled")
     x = source.features
     zt = target_train.features
     if target_test.features.shape[0] != zt.shape[0]:

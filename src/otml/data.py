@@ -122,6 +122,8 @@ def _load_csv(path: str, labeled: bool) -> RawDataset:
         labels = table[:, -1]
         if not np.all(labels == np.round(labels)):
             raise ValueError(f"{path}: label column is not integral")
+        if not np.all((labels >= -(2.0**63)) & (labels < 2.0**63)):
+            raise ValueError(f"{path}: label not finite or out of int64 range")
         return RawDataset(table[:, :-1].T, labels.astype(int))
     return RawDataset(table.T)
 

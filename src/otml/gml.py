@@ -242,38 +242,6 @@ def _ridge(raw, dim):
     return EPS * (scale if scale > 0 else 1.0)
 
 
-def compute_cgamma(
-    x: np.ndarray, z: np.ndarray, plan: np.ndarray, eps: float
-) -> np.ndarray:
-    """Plan-weighted scatter of source-target differences, lifted by eps.
-
-    Parameters
-    ----------
-    x : ndarray of shape (d, m)
-        Source points as columns.
-    z : ndarray of shape (d, n)
-        Target points as columns.
-    plan : ndarray of shape (m, n)
-        Transport plan weighting each difference vector.
-    eps : float
-        Added to the diagonal so the result is positive definite even
-        when the raw scatter is rank-deficient.
-
-    Returns
-    -------
-    ndarray of shape (d, d)
-        Symmetric positive definite scatter matrix.
-    """
-    x, z = _check_clouds(x, z)
-    plan = np.asarray(plan, dtype=float)
-    if plan.shape != (x.shape[1], z.shape[1]):
-        raise ValueError(
-            f"plan shape {plan.shape} does not match cloud sizes "
-            f"({x.shape[1]}, {z.shape[1]})"
-        )
-    return _scatter(x, z, plan) + eps * np.eye(x.shape[0])
-
-
 def update_metric(cg: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Closed-form metric update: the SPD solution of A @ cg @ A = d.
 
@@ -409,11 +377,14 @@ def fit_grid(
 ) -> Iterator[FitResult]:
     """``fit`` at each entropic weight of ``lambdas``, sharing the first sweep.
 
-    Every fit starts from the independence coupling p q^T, so the target
-    D, the first scatter, the ridge, the first metric, its regularizer and
-    its cost matrix do not depend on lambda. They are computed once, here,
-    before this returns; ``grid_fits`` runs the rest per lambda, and no
-    warm start crosses lambda, so each result is bitwise ``fit``'s there.
+    Every sweep takes the metric step in one place: it lifts a plan's
+    scatter by ridge * I and solves for the metric. The ridge is frozen
+    for the whole fit from the scatter of the independence coupling
+    p q^T, which is also the first sweep's. So the target D, the ridge,
+    the first metric, its regularizer and its cost matrix do not depend
+    on lambda. They are computed once, here, before this returns;
+    ``grid_fits`` runs the rest per lambda, and no warm start crosses
+    lambda, so each result is bitwise ``fit``'s there.
 
     All of it runs on the r x r span coordinates of ``sp``. On the
     complement of the span the scatter is the ridge and D is D_c times the
@@ -435,17 +406,17 @@ def fit_grid(
     ridge = _ridge(raw, dim)
     rest = 2.0 * (dim - rank) * float(np.sqrt(ridge * d_rest))
 
-    def step(cg):
-        # Metric for the ridged scatter cg, its regularizer and its cost;
-        # trace(A^{-1} D) = trace(A cg), since A cg A = D.
+    def step(scatter):
+        # Metric for the scatter lifted by the frozen ridge, its regularizer
+        # and its cost; trace(A^{-1} D) = trace(A cg), since A cg A = D.
+        cg = scatter + ridge * np.eye(rank)
         metric = update_metric(cg, d_mat)
         reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg) + rest
         return metric, reg, cost_matrix(sp.x, sp.z, metric)
 
-    first = step(raw + ridge * np.eye(rank))
     return grid_fits(
-        first,
-        lambda plan: step(compute_cgamma(sp.x, sp.z, plan, ridge)),
+        step(raw),
+        lambda plan: step(_scatter(sp.x, sp.z, plan)),
         p,
         q,
         cfg,

@@ -167,7 +167,7 @@ def test_criterion_4_cost_and_scatter_formulas():
 
         worst_cost = max(worst_cost, _rel(gml.cost_matrix(x, z, metric), naive_cost))
         eps = 1e-9
-        got = gml.compute_cgamma(x, z, plan, eps)
+        got = gml._scatter(x, z, plan) + eps * np.eye(dim)
         worst_scatter = max(
             worst_scatter, _rel(got, naive_scatter + eps * np.eye(dim))
         )

@@ -524,8 +524,8 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 @pytest.mark.parametrize("method,outer,metrics,solves,costs,scatters", [
-    ("learned", 1, 1, 5, 2, 0),
-    ("learned", 3, 11, 15, 12, 10),
+    ("learned", 1, 1, 5, 2, 1),
+    ("learned", 3, 11, 15, 12, 11),
     ("whiten", 1, 1, 5, 1, 0),
 ], ids=["learned-1-1-5", "learned-3-11-15", "whiten-1-1-5"])
 def test_run_task_shares_the_lambda_independent_work(
@@ -535,7 +535,8 @@ def test_run_task_shares_the_lambda_independent_work(
     # whole grid; every later sweep and every Sinkhorn solve still runs
     # once per lambda. The learned fit's extra cost matrix is the Euclidean
     # one that sets its scale; its first scatter is the independence
-    # coupling's, built once without compute_cgamma. At the default
+    # coupling's, built once for the grid, and every later sweep takes
+    # one scatter of its plan. At the default
     # D = I each metric (the learned update, or whiten's inverse) takes
     # exactly one eigendecomposition, and nothing else takes any.
     rng = np.random.default_rng(13)
@@ -544,7 +545,7 @@ def test_run_task_shares_the_lambda_independent_work(
     test = two_blob_cloud(rng, shift=(0.5, -0.3))
     counts = {}
     for module, name in ((gml, "update_metric"), (gml, "baseline_factors"),
-                         (gml, "cost_matrix"), (gml, "compute_cgamma"),
+                         (gml, "cost_matrix"), (gml, "_scatter"),
                          (sk, "solve"), (np.linalg, "eigh")):
         _count_calls(monkeypatch, module, name, counts)
     cfg = gml.GmlConfig(
@@ -557,7 +558,7 @@ def test_run_task_shares_the_lambda_independent_work(
     assert counts[counted] == metrics
     assert counts["solve"] == solves
     assert counts["cost_matrix"] == costs
-    assert counts.get("compute_cgamma", 0) == scatters
+    assert counts.get("_scatter", 0) == scatters
     assert counts["eigh"] == metrics
 
 
@@ -718,6 +719,25 @@ def test_run_task_rejects_empty_grid():
     cloud = two_blob_cloud(rng)
     with pytest.raises(ValueError):
         adapt.run_task(cloud, cloud, cloud, "euclidean", [], base_cfg())
+
+
+@pytest.mark.parametrize("split,points", [
+    ("source", 12), ("target-train", 12), ("target-test", 12), ("target-test", 1),
+])
+def test_run_task_rejects_an_unlabeled_split_before_any_solve(monkeypatch, split, points):
+    # Refused before the round is built: otherwise an unlabeled source
+    # fits the whole grid before it fails, and a one-point target split
+    # scores 0.0 against a missing label.
+    rng = np.random.default_rng(24)
+    clouds = [two_blob_cloud(rng) for _ in range(3)]
+    index = ("source", "target-train", "target-test").index(split)
+    clouds[index] = dt.RawDataset(clouds[index].features[:, :points])
+    calls = []
+    monkeypatch.setattr(gml.sk, "solve", lambda *args: calls.append("solve"))
+    monkeypatch.setattr(adapt, "_round", lambda *args: calls.append("round"))
+    with pytest.raises(ValueError, match=f"the {split} split is unlabeled"):
+        adapt.run_task(*clouds, "learned", GRID, base_cfg())
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

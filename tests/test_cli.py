@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -641,6 +642,27 @@ def test_adapt_non_finite_csv_exits_two_without_outputs(tmp_path, capsys, method
     )
     assert rc == 2
     assert f"data error: {bad}: non-finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("label", ["inf", "-inf", "1e300"])
+def test_adapt_csv_label_beyond_int64_exits_two_without_outputs(tmp_path, capsys, label):
+    # A data error, also where a RuntimeWarning is an error: the label is
+    # refused before any cast to int.
+    cloud = write_cloud_csv(tmp_path / "cloud.csv", np.random.default_rng(5))
+    bad = tmp_path / "label.csv"
+    lines = (tmp_path / "cloud.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + label
+    bad.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(
+            ["adapt", "--source", cloud, "--target-train", str(bad),
+             "--target-test", cloud, "--method", "euclidean", "--out", out]
+        )
+    assert rc == 2
+    assert f"data error: {bad}: label not finite" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -2,6 +2,7 @@ import os
 import struct
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,26 @@ def test_csv_fractional_labels_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.0,0.5\n2.0,1.0\n")
     with pytest.raises(ValueError):
+        dt.load_matrix(str(path), labeled=True)
+
+
+@pytest.mark.parametrize("label", ["inf", "-inf", "1e300"])
+def test_csv_label_beyond_int64_rejected_before_the_cast(tmp_path, label):
+    # These labels pass the integral check; a cast to int would warn and
+    # give a meaningless label, then a wrong message.
+    path = tmp_path / "m.csv"
+    path.write_text(f"1.0,0\n2.0,{label}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="label not finite or out of int64 range") as err:
+            dt.load_matrix(str(path), labeled=True)
+    assert str(path) in str(err.value)
+
+
+def test_csv_negative_label_reaches_the_dataset_check(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1.0,0\n2.0,-1\n")
+    with pytest.raises(ValueError, match="labels must be nonnegative"):
         dt.load_matrix(str(path), labeled=True)
 
 

@@ -90,30 +90,25 @@ def test_cost_matrix_shape_errors():
         gml.cost_matrix(x, np.zeros((2, 2)), np.eye(3))
 
 
-def test_compute_cgamma_matches_outer_product_loop():
+def test_scatter_matches_outer_product_loop():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 5))
     z = rng.normal(size=(4, 6))
     plan = rng.random((5, 6))
     plan /= plan.sum()
     eps = 1e-6
-    got = gml.compute_cgamma(x, z, plan, eps)
+    got = gml._scatter(x, z, plan) + eps * np.eye(4)
     np.testing.assert_allclose(got, naive_scatter(x, z, plan, eps), atol=1e-10)
 
 
-def test_compute_cgamma_positive_definite():
+def test_scatter_positive_definite():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 3))
     z = rng.normal(size=(6, 3))
     plan = np.outer(uniform(3), uniform(3))
-    cg = gml.compute_cgamma(x, z, plan, 1e-6)
+    cg = gml._scatter(x, z, plan) + 1e-6 * np.eye(6)
     vals, _ = spd.eigh_spd(cg)
     assert vals.min() > 0
-
-
-def test_compute_cgamma_plan_shape_error():
-    with pytest.raises(ValueError):
-        gml.compute_cgamma(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((3, 3)), 1e-6)
 
 
 def test_update_metric_solves_quadratic_equation():
@@ -540,7 +535,7 @@ def test_scatter_always_positive_definite(seed, dim):
     z = rng.normal(size=(dim, n))
     plan = rng.random((m, n))
     plan /= plan.sum()
-    cg = gml.compute_cgamma(x, z, plan, 1e-8)
+    cg = gml._scatter(x, z, plan) + 1e-8 * np.eye(dim)
     assert np.linalg.eigvalsh(cg).min() > 0
 
 

@@ -17,6 +17,9 @@ unchanged when all three clouds are scaled, rotated or relabeled:
   (rotation) and 2.8e-12 (source order) on the 8 problems run here. The
   1-NN decisions, and so the reports, are equal.
 
+The scaling test also runs on problems and powers 2^k, k in [-7, 5],
+drawn by ``hypothesis``.
+
 A change that breaks a symmetry fails here: an absolute ridge in place
 of ``gml._ridge``'s relative one fails the scaling test, a cost term in
 raw coordinates the rotation test, and index-dependent source weights
@@ -25,6 +28,8 @@ the source-order test.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from otml import adapt, gml
 from otml import data as dt
@@ -106,15 +111,31 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def check_scaling(clouds, want, power, seen):
+    """Scaled by 2^power, the clouds give the reports and plans ``want``."""
+    got = outcomes(moved(clouds, lambda f: f * 2.0**power), seen)
+    for method, (report, plans) in got.items():
+        assert report == want[method][0], (power, method)
+        assert len(plans) == len(GRID), method
+        assert all(map(same_bits, plans, want[method][1])), (power, method)
+
+
 @pytest.mark.parametrize("index", PROBLEMS)
 def test_power_of_two_scaling_keeps_plans_and_reports_bitwise(seen, index):
     clouds, want = unmoved(index, seen)
     for power in (5, -7):
-        got = outcomes(moved(clouds, lambda f: f * 2.0**power), seen)
-        for method, (report, plans) in got.items():
-            assert report == want[method][0], (power, method)
-            assert len(plans) == len(GRID), method
-            assert all(map(same_bits, plans, want[method][1])), (power, method)
+        check_scaling(clouds, want, power, seen)
+
+
+# The fixture's patch holds for the whole test and ``outcomes`` clears its
+# list, so one fixture serves every example.
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(index=st.integers(PROBLEMS.stop, 2**31),
+       power=st.integers(-7, 5).filter(lambda k: k != 0))
+def test_power_of_two_scaling_is_bitwise_on_drawn_problems(seen, index, power):
+    clouds = problem(index)
+    check_scaling(clouds, outcomes(clouds, seen), power, seen)
 
 
 @pytest.mark.parametrize("index", PROBLEMS)
