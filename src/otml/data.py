@@ -50,7 +50,7 @@ class RawDataset:
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array (points as columns)")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=int).ravel()
+            self.labels = _int_labels(self.labels)
             if self.labels.size != self.features.shape[1]:
                 raise ValueError(
                     f"{self.labels.size} labels for {self.features.shape[1]} samples"
@@ -68,6 +68,26 @@ class RawDataset:
     @property
     def size(self) -> int:
         return self.features.shape[1]
+
+
+def _int_labels(labels, where: str = "") -> np.ndarray:
+    """``labels`` as a 1-d int array, refused before the cast when an entry
+    is not finite, beyond int64 or not integral; ``where`` (a file name and
+    ": ") starts the message."""
+    values = np.asarray(labels).ravel()
+    if values.dtype.kind in "bi":
+        return values.astype(int)
+    if values.dtype.kind == "u":
+        inside = values <= np.iinfo(np.int64).max
+    else:
+        values = values.astype(float)
+        inside = (values >= -(2.0**63)) & (values < 2.0**63)  # false on nan
+    if not inside.all():
+        raise ValueError(f"{where}label not finite or out of int64 range: {values[~inside][0]}")
+    fractional = values != np.round(values)
+    if fractional.any():
+        raise ValueError(f"{where}label not integral: {values[fractional][0]}")
+    return values.astype(int)
 
 
 @dataclass(frozen=True)
@@ -119,12 +139,7 @@ def _load_csv(path: str, labeled: bool) -> RawDataset:
     if labeled:
         if table.size and table.shape[1] < 2:
             raise ValueError(f"{path}: labeled csv needs at least 2 columns")
-        labels = table[:, -1]
-        if not np.all(labels == np.round(labels)):
-            raise ValueError(f"{path}: label column is not integral")
-        if not np.all((labels >= -(2.0**63)) & (labels < 2.0**63)):
-            raise ValueError(f"{path}: label not finite or out of int64 range")
-        return RawDataset(table[:, :-1].T, labels.astype(int))
+        return RawDataset(table[:, :-1].T, _int_labels(table[:, -1], f"{path}: "))
     return RawDataset(table.T)
 
 

@@ -24,9 +24,8 @@ when it is read.
 """
 
 import numbers
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -104,6 +103,13 @@ class FitResult:
     A_r = ``reduced_metric`` and alpha = ``complement``: A_r acts on the
     span of the points, alpha on everything orthogonal to it.
 
+    The recorded objective is the joint functional
+    ``<plan, cost> + reg + lam * sum plan ln plan``, where ``cost`` is
+    ``cost_matrix(x, z, A)`` and ``reg`` is the metric regularizer
+    ``ridge * trace(A) + trace(A^{-1} D)``. The ridge term is the trace
+    counterpart of the diagonal ridge in the metric update; with the same
+    frozen value both alternating steps minimize this exact functional.
+
     Attributes
     ----------
     plan : ndarray of shape (m, n)
@@ -117,10 +123,9 @@ class FitResult:
     complement : float
         The metric on the orthogonal complement of ``basis`` (unused when
         the basis is square).
-    objectives : list of float, or a callable
-        The objective after each sweep; a one-sweep fit, whose stop needs
-        none, holds the call that computes its one objective on a read of
-        ``objective_history``.
+    objective_history : list of float
+        The objective after each sweep; non-increasing up to solver
+        tolerance.
     converged : bool
         True when the early-stop rule fired before the sweep cap.
     iters_run : int
@@ -134,7 +139,7 @@ class FitResult:
     points: np.ndarray
     reduced_metric: np.ndarray
     complement: float
-    objectives: "list[float] | Callable[[], float]" = field(default_factory=list)
+    objective_history: "list[float]" = field(default_factory=list)
     converged: bool = False
     iters_run: int = 0
     sinkhorn_converged: bool = True
@@ -143,12 +148,6 @@ class FitResult:
     def basis(self) -> np.ndarray:
         """Q, the (d, r) orthonormal basis, r = min(d, k), formed on each read."""
         return np.linalg.qr(self.points)[0]
-
-    @property
-    def objective_history(self) -> "list[float]":
-        """Joint objective after each sweep; non-increasing up to solver tolerance."""
-        history = self.objectives
-        return [history()] if callable(history) else history
 
     @property
     def metric(self) -> np.ndarray:
@@ -293,19 +292,6 @@ def cost_matrix(
     return np.maximum(cost, 0.0)
 
 
-def objective(cost: np.ndarray, plan: np.ndarray, reg: float, lam: float) -> float:
-    """Joint objective: transport cost + metric regularizer + entropy term.
-
-    Equals ``<plan, cost> + reg + lam * sum plan ln plan``, where ``cost``
-    is ``cost_matrix(x, z, A)`` for the metric A and ``reg`` is the metric
-    regularizer ``ridge * trace(A) + trace(A^{-1} D)``. The ridge term is
-    the trace counterpart of the diagonal ridge used in the metric update;
-    with the same fixed value both alternating steps minimize this exact
-    functional.
-    """
-    return sk.transport_cost(plan, cost) + reg + lam * sk.entropy(plan)
-
-
 def baseline_factors(kind: str, sp: Span) -> "tuple[np.ndarray, float]":
     """A baseline metric on a span: its (r, r) part and its complement value.
 
@@ -439,12 +425,16 @@ def grid_fits(
     metric to its ``FitResult``. Each sweep solves the OT problem at
     ``lam`` (``cfg.sinkhorn.lam`` is replaced), from the column potential
     of the sweep before (the first sweep of each lambda starts cold), and
-    records ``objective(cost, plan, regularizer, lam)``, which a one-sweep
-    fit computes when its history is read. Fits run lazily, in the order of
+    records the objective of ``FitResult``, one-sweep fits included, from
+    the solve's potentials: for P = exp((f + g - cost) / lam),
+    <P, cost> + lam sum P ln P = <r, f> + <c, g> with r and c the row and
+    column sums of P, taken over the rows and columns with mass (the
+    potentials are -inf elsewhere). Fits run lazily, in the order of
     ``lambdas``; results may share the first metric and are not to be
     modified in place.
     """
     sweeps = 1 if refit is None else cfg.outer_iters
+    rows, cols = p > 0, q > 0
     for lam in lambdas:
         scfg = replace(cfg.sinkhorn, lam=lam)
         metric, reg, cost = first
@@ -458,10 +448,9 @@ def grid_fits(
             transport = sk.solve(cost, p, q, scfg, warm)
             plan, warm = transport.matrix, transport.g
             all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
-            if sweeps == 1:
-                history = partial(objective, cost, plan, reg, lam)
-                break
-            history.append(objective(cost, plan, reg, lam))
+            primal = (plan.sum(axis=1)[rows] @ transport.f[rows]
+                      + plan.sum(axis=0)[cols] @ warm[cols])
+            history.append(reg + float(primal))
             if len(history) >= 2 and cfg.objective_rtol > 0:
                 decrease = history[-2] - history[-1]
                 if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):
@@ -472,7 +461,7 @@ def grid_fits(
             points=points,
             reduced_metric=metric,
             complement=complement,
-            objectives=history,
+            objective_history=history,
             converged=converged,
             iters_run=sweep + 1,
             sinkhorn_converged=all_sinkhorn_ok,

@@ -342,21 +342,6 @@ def _newton_polish(scaled, p, q, f, g, lam, tol):
     return best
 
 
-def entropy(plan: np.ndarray) -> float:
-    """Negative-entropy value sum_ij plan_ij * ln(plan_ij), with 0 ln 0 = 0."""
-    plan = np.asarray(plan, dtype=float)
-    low = plan.min(initial=np.inf)
-    if low < 0:
-        raise ValueError("plan has negative entries")
-    logs = np.log(plan) if low > 0 else np.log(plan, out=np.zeros_like(plan), where=plan > 0)
-    return float((plan * logs).sum())
-
-
-def transport_cost(plan: np.ndarray, cost: np.ndarray) -> float:
-    """Linear transport cost sum_ij plan_ij * cost_ij."""
-    return float(np.sum(np.asarray(plan) * np.asarray(cost)))
-
-
 def marginal_error(plan: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     """L1 deviations of the plan's marginals from (p, q).
 

@@ -17,6 +17,9 @@ fit and the Gram baselines with every matrix d x d, as they were before
 moved to inner products with the target cloud; its labels must match
 theirs. ``geometric_mean`` is the affine-invariant mean of two SPD
 matrices, which ``spd.riccati_solve`` must equal at C^{-1} and D.
+``objective``, with ``transport_cost`` and ``entropy``, is the joint
+functional evaluated on the plan itself, the definition that the history
+``gml.grid_fits`` records from the Sinkhorn potentials must equal.
 """
 
 import itertools
@@ -32,6 +35,32 @@ from otml import sinkhorn as sk
 # MAX_ORACLE_CELLS cells for the vertex enumeration to stay tractable.
 MAX_ORACLE_PERM = 7
 MAX_ORACLE_CELLS = 16
+
+
+def entropy(plan: np.ndarray) -> float:
+    """Negative-entropy value sum_ij plan_ij * ln(plan_ij), with 0 ln 0 = 0."""
+    plan = np.asarray(plan, dtype=float)
+    low = plan.min(initial=np.inf)
+    if low < 0:
+        raise ValueError("plan has negative entries")
+    logs = np.log(plan) if low > 0 else np.log(plan, out=np.zeros_like(plan), where=plan > 0)
+    return float((plan * logs).sum())
+
+
+def transport_cost(plan: np.ndarray, cost: np.ndarray) -> float:
+    """Linear transport cost sum_ij plan_ij * cost_ij."""
+    return float(np.sum(np.asarray(plan) * np.asarray(cost)))
+
+
+def objective(cost: np.ndarray, plan: np.ndarray, reg: float, lam: float) -> float:
+    """Joint objective: transport cost + metric regularizer + entropy term.
+
+    Equals ``<plan, cost> + reg + lam * sum plan ln plan``, where ``cost``
+    is ``cost_matrix(x, z, A)`` for the metric A and ``reg`` is the metric
+    regularizer ``ridge * trace(A) + trace(A^{-1} D)`` (see
+    ``gml.FitResult``).
+    """
+    return transport_cost(plan, cost) + reg + lam * entropy(plan)
 
 
 def kernel_scaling_plan(cost, p, q, lam, tol, max_iter=10000):
@@ -302,7 +331,7 @@ def dense_fit(x, z, p, q, cfg):
         if sweep:
             metric, reg, cost = step(dense_scatter(x, z, plan) + lift)
         plan = sk.solve(cost, p, q, cfg.sinkhorn).matrix
-        history.append(gml.objective(cost, plan, reg, cfg.sinkhorn.lam))
+        history.append(objective(cost, plan, reg, cfg.sinkhorn.lam))
     return plan, metric, history
 
 

@@ -562,23 +562,6 @@ def test_run_task_shares_the_lambda_independent_work(
     assert counts["eigh"] == metrics
 
 
-@pytest.mark.parametrize("method", ["euclidean", "gram", "whiten"])
-def test_baseline_run_task_computes_no_objective(monkeypatch, method):
-    # A baseline fit is one sweep, with no stop rule to feed, and run_task
-    # reads no objective history; the history is computed when read.
-    rng = np.random.default_rng(18)
-    source = two_blob_cloud(rng)
-    train = two_blob_cloud(rng, shift=(0.5, -0.3))
-    counts = {}
-    _count_calls(monkeypatch, gml, "objective", counts)
-    adapt.run_task(source, train, train, method, GRID, base_cfg())
-    assert counts.get("objective", 0) == 0
-    (fit,) = adapt.fit_plan(source.features, train.features, uniform(12), uniform(12),
-                            method, [0.5], base_cfg())
-    assert fit.iters_run == 1 and counts.get("objective", 0) == 0
-    assert len(fit.objective_history) == 1 and counts["objective"] == 1
-
-
 @pytest.mark.parametrize("method", ["learned", "gram", "whiten", "euclidean"])
 def test_run_task_on_wide_data_decomposes_nothing_beyond_m_plus_n(monkeypatch, method):
     # d = 2048 > m + n = 120, the shape of office features (800-d SURF,

@@ -41,6 +41,35 @@ def test_rawdataset_validation():
     assert ds.size == 3
 
 
+@pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
+@pytest.mark.parametrize(
+    "label, message",
+    [(2.5, "label not integral: 2.5"),
+     (np.inf, "label not finite or out of int64 range: inf"),
+     (-np.inf, "label not finite or out of int64 range: -inf"),
+     (1e300, "label not finite or out of int64 range: 1e[+]300"),
+     (2.0**63, "label not finite or out of int64 range: 9.2"),
+     (np.nan, "label not finite or out of int64 range: nan")],
+)
+def test_rawdataset_refuses_labels_before_the_int_cast(container, label, message):
+    # A cast to int would truncate 2.5 to 2 and warn on the others, then
+    # name the wrong fault; the check runs first and names the label.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            dt.RawDataset(np.zeros((1, 2)), container([0, label]))
+
+
+def test_rawdataset_takes_integral_labels_of_any_type():
+    ds = dt.RawDataset(np.zeros((1, 4)), [0, 2.0, np.uint8(1), True])
+    assert ds.labels.dtype == int and ds.labels.tolist() == [0, 2, 1, 1]
+    assert ds.class_count == 3
+    big = np.array([np.iinfo(np.int64).max], dtype=np.uint64)
+    assert dt.RawDataset(np.zeros((1, 1)), big).labels[0] == np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="out of int64 range"):
+        dt.RawDataset(np.zeros((1, 1)), big + 1)
+
+
 def test_skewspec_validation():
     with pytest.raises(ValueError):
         dt.SkewSpec(skew_class=-1, skew_percent=10, sample_size=10)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ot_oracle import dense_baseline_metric, dense_fit, dense_ridge, geometric_mean
+from ot_oracle import (
+    dense_baseline_metric,
+    dense_fit,
+    dense_ridge,
+    geometric_mean,
+    objective,
+)
 
 from otml import adapt, gml
 from otml import sinkhorn as sk
@@ -159,7 +165,7 @@ def test_objective_matches_manual_formula():
         + lam * float((plan * np.log(plan)).sum())
     )
     cost = gml.cost_matrix(x, z, metric)
-    assert gml.objective(cost, plan, reg, lam) == pytest.approx(want, rel=1e-10)
+    assert objective(cost, plan, reg, lam) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("d_choice", ["identity", "gram_sum"],
@@ -443,6 +449,70 @@ def make_problem(seed, dim=3, m=8, n=8):
     return x, z, uniform(m), uniform(n)
 
 
+def _spy_sweeps(monkeypatch):
+    # (regularizer, cost, lam, plan) of each sweep of one-lambda fits, in
+    # order: the regularizers from the triples grid_fits is given, the rest
+    # from the solves.
+    regs, solves = [], []
+    grid_fits, solve = gml.grid_fits, sk.solve
+
+    def spy_refit(refit):
+        def wrapped(plan):
+            triple = refit(plan)
+            regs.append(triple[1])
+            return triple
+        return wrapped
+
+    def spy_grid_fits(first, refit, *args):
+        regs.append(first[1])
+        return grid_fits(first, refit and spy_refit(refit), *args)
+
+    def spy_solve(cost, p, q, cfg, g0=None):
+        transport = solve(cost, p, q, cfg, g0)
+        solves.append((cost, cfg.lam, transport.matrix))
+        return transport
+
+    monkeypatch.setattr(gml, "grid_fits", spy_grid_fits)
+    monkeypatch.setattr(sk, "solve", spy_solve)
+    return regs, solves
+
+
+def _masked_problem():
+    # p and q each put zero mass on one point.
+    x, z, _, _ = make_problem(33, m=8, n=7)
+    p, q = np.r_[uniform(7), 0.0], np.r_[0.0, uniform(6)]
+    return x, z, p, q
+
+
+@pytest.mark.parametrize("case", ["euclidean", "gram", "whiten", "learned",
+                                  "zero-mass", "max-iter-2"])
+def test_recorded_history_is_the_objective_of_each_plan(monkeypatch, case):
+    # Each sweep records <r, f> + <c, g> + reg from the solve's potentials;
+    # it must equal the functional evaluated on the plan, for one-sweep
+    # baselines, multi-sweep fits, zero-mass rows and columns (potential
+    # -inf) and solves stopped at the cap (the identity needs no convergence).
+    regs, solves = _spy_sweeps(monkeypatch)
+    scfg = sk.SinkhornConfig(lam=0.3, tol=1e-10)
+    cfg = gml.GmlConfig(sinkhorn=scfg, outer_iters=4, objective_rtol=0.0)
+    if case in adapt.METHODS:
+        x, z, p, q = make_problem(31, dim=4, m=9, n=7)
+        (res,) = adapt.fit_plan(x, z, p, q, case, [scfg.lam], cfg)
+    elif case == "zero-mass":
+        res = gml.fit(*_masked_problem(), cfg)
+    else:
+        cfg = gml.GmlConfig(sinkhorn=sk.SinkhornConfig(lam=0.3, max_iter=2),
+                            outer_iters=3, objective_rtol=0.0)
+        res = gml.fit(*make_problem(32, dim=4, m=9, n=7), cfg)
+        assert not res.sinkhorn_converged
+    history = res.objective_history
+    assert type(history) is list
+    assert len(history) == len(solves) == len(regs) == res.iters_run
+    assert res.iters_run == (1 if case in gml.BASELINE_METRICS else cfg.outer_iters)
+    assert np.all(np.isfinite(history))
+    for value, reg, (cost, lam, plan) in zip(history, regs, solves):
+        assert value == pytest.approx(objective(cost, plan, reg, lam), rel=1e-12, abs=0)
+
+
 def test_fit_objective_non_increasing():
     x, z, p, q = make_problem(12)
     cfg = gml.GmlConfig(
@@ -491,7 +561,7 @@ def test_fit_improves_on_identity_metric_objective():
     cost = gml.cost_matrix(x, z, np.eye(dim))
     plan = sk.solve(cost, p, q, scfg).matrix
     ridge = 1e-6 * np.trace(naive_scatter(x, z, np.outer(p, q), 0.0)) / dim
-    identity = gml.objective(cost, plan, ridge * dim + dim, scfg.lam)
+    identity = objective(cost, plan, ridge * dim + dim, scfg.lam)
     learned = gml.fit(x, z, p, q, gml.GmlConfig(sinkhorn=scfg, outer_iters=15))
     assert learned.objective_history[-1] <= identity + 1e-9
 

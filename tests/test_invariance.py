@@ -17,8 +17,17 @@ unchanged when all three clouds are scaled, rotated or relabeled:
   (rotation) and 2.8e-12 (source order) on the 8 problems run here. The
   1-NN decisions, and so the reports, are equal.
 
-The scaling test also runs on problems and powers 2^k, k in [-7, 5],
-drawn by ``hypothesis``.
+Each property also runs on problems drawn by ``hypothesis`` (index 8
+and up, 30 examples each): scaling with powers 2^k, k in [-7, 5], k != 0;
+rotation and source order with a drawn seed for the rotation or the
+order, on a fixed (derandomized) set of draws. On random draws these two
+do not always hold. Where two sources of different labels project onto
+one point (at lambda = 0.05 plan rows can collapse onto one target
+point), the 1-NN rule gives the tie to the lower source index, so the
+source order, or a rounding difference, picks the label: the reports
+differed on 9 of 1300 draws under source order and on 1 of 4300 under
+rotation. And the solver tolerance compounds over the learned sweeps: one
+of 4300 rotated draws moved a learned plan by 2.5e-7 in L1.
 
 A change that breaks a symmetry fails here: an absolute ridge in place
 of ``gml._ridge``'s relative one fails the scaling test, a cost term in
@@ -138,24 +147,57 @@ def test_power_of_two_scaling_is_bitwise_on_drawn_problems(seen, index, power):
     check_scaling(clouds, outcomes(clouds, seen), power, seen)
 
 
-@pytest.mark.parametrize("index", PROBLEMS)
-def test_rotation_keeps_reports_and_plans_within_tol(seen, index):
-    clouds, want = unmoved(index, seen)
+def check_rotation(clouds, want, seed, seen):
+    """Rotated by a random orthogonal matrix drawn from ``seed``, the clouds
+    give the reports ``want`` and its plans within ``TOL`` in L1."""
     dim = clouds[0].features.shape[0]
-    rotation = np.linalg.qr(np.random.default_rng([index, 27]).normal(size=(dim, dim)))[0]
+    rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))[0]
     got = outcomes(moved(clouds, lambda f: rotation @ f), seen)
     for method, (report, plans) in got.items():
         assert report == want[method][0], method
+        assert len(plans) == len(GRID), method
         for plan, before in zip(plans, want[method][1]):
             assert np.abs(plan - before).sum() <= TOL, method
+
+
+def check_order(clouds, want, seed, seen):
+    """With the source points in a random order drawn from ``seed``, the
+    clouds give the reports ``want`` and its plans' rows in that order,
+    within ``TOL`` in L1."""
+    order = np.random.default_rng(seed).permutation(clouds[0].size)
+    got = outcomes(moved(clouds, np.copy, order), seen)
+    for method, (report, plans) in got.items():
+        assert report == want[method][0], method
+        assert len(plans) == len(GRID), method
+        for plan, before in zip(plans, want[method][1]):
+            assert np.abs(plan - before[order]).sum() <= TOL, method
+
+
+@pytest.mark.parametrize("index", PROBLEMS)
+def test_rotation_keeps_reports_and_plans_within_tol(seen, index):
+    clouds, want = unmoved(index, seen)
+    check_rotation(clouds, want, [index, 27], seen)
+
+
+# Derandomized: on random draws both properties fail now and then (see the
+# module docstring), and a tier-1 gate must not fail by chance.
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(index=st.integers(PROBLEMS.stop, 2**31), seed=st.integers(0, 2**31))
+def test_rotation_keeps_reports_and_plans_within_tol_on_drawn_problems(seen, index, seed):
+    clouds = problem(index)
+    check_rotation(clouds, outcomes(clouds, seen), seed, seen)
 
 
 @pytest.mark.parametrize("index", PROBLEMS)
 def test_source_order_permutes_plan_rows_within_tol(seen, index):
     clouds, want = unmoved(index, seen)
-    order = np.random.default_rng([index, 28]).permutation(clouds[0].size)
-    got = outcomes(moved(clouds, np.copy, order), seen)
-    for method, (report, plans) in got.items():
-        assert report == want[method][0], method
-        for plan, before in zip(plans, want[method][1]):
-            assert np.abs(plan - before[order]).sum() <= TOL, method
+    check_order(clouds, want, [index, 28], seen)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(index=st.integers(PROBLEMS.stop, 2**31), seed=st.integers(0, 2**31))
+def test_source_order_permutes_plan_rows_within_tol_on_drawn_problems(seen, index, seed):
+    clouds = problem(index)
+    check_order(clouds, outcomes(clouds, seen), seed, seen)
