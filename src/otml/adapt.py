@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gml
 
-METHODS = ("euclidean", "gram", "whiten", "learned")
+METHODS = (*gml.BASELINE_METRICS, "learned")
 
 
 @dataclass

@@ -72,15 +72,22 @@ class RawDataset:
 
 def _int_labels(labels, where: str = "") -> np.ndarray:
     """``labels`` as a 1-d int array, refused before the cast when an entry
-    is not finite, beyond int64 or not integral; ``where`` (a file name and
-    ": ") starts the message."""
+    is not finite, beyond int64 or not integral (a complex entry with an
+    imaginary part is not); ``where`` (a file name and ": ") starts the
+    message."""
     values = np.asarray(labels).ravel()
-    if values.dtype.kind in "bi":
+    if np.can_cast(values.dtype, int):
         return values.astype(int)
     if values.dtype.kind == "u":
         inside = values <= np.iinfo(np.int64).max
     else:
-        values = values.astype(float)
+        try:  # to complex, so that an imaginary part is seen, not dropped
+            values = values.astype(complex)
+        except OverflowError:  # a Python int beyond the float range
+            raise ValueError(f"{where}label not finite or out of int64 range") from None
+        if values.imag.any():
+            raise ValueError(f"{where}label not integral: {values[values.imag != 0][0]}")
+        values = values.real
         inside = (values >= -(2.0**63)) & (values < 2.0**63)  # false on nan
     if not inside.all():
         raise ValueError(f"{where}label not finite or out of int64 range: {values[~inside][0]}")
@@ -176,13 +183,13 @@ def _load_rawf64(path: str) -> RawDataset:
         flag = fh.read(1)
         labels = None
         if flag and flag[0]:
-            labels = _read_payload(fh, (n,), "<u4", "rawf64 label block").astype(int)
+            labels = _read_payload(fh, (n,), "<u4", "rawf64 label block")
         _check_end(fh, "rawf64 data")
     return RawDataset(points.T, labels)
 
 
 def rawf64_bytes(features: np.ndarray, labels: "np.ndarray | None" = None) -> bytes:
-    """The rawf64 encoding of a feature matrix (points as columns)."""
+    """The rawf64 encoding of features (points as columns) and labels in [0, 2**32)."""
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ValueError("features must be 2-d")
@@ -195,8 +202,18 @@ def rawf64_bytes(features: np.ndarray, labels: "np.ndarray | None" = None) -> by
         labels = np.asarray(labels).ravel()
         if labels.size != n:
             raise ValueError(f"{labels.size} labels for {n} samples")
-        parts += [struct.pack("B", 1), labels.astype("<u4").tobytes()]
+        parts += [struct.pack("B", 1), _label_bytes(labels, "<u4")]
     return b"".join(parts)
+
+
+def _label_bytes(labels, dtype: str) -> bytes:
+    """``labels`` as the unsigned integer ``dtype``'s bytes, refused unless
+    every label is integral and within that type's range."""
+    labels = _int_labels(labels)
+    top = np.iinfo(dtype).max
+    if labels.size and (labels.min() < 0 or labels.max() > top):
+        raise ValueError(f"labels outside [0, {top}]")
+    return labels.astype(dtype).tobytes()
 
 
 def write_atomic(path: str, payload: bytes):
@@ -231,7 +248,7 @@ def _read_idx_labels(path: str) -> np.ndarray:
             raise ValueError(f"{path}: bad idx label magic {magic:#010x}")
         labels = _read_payload(fh, (count,), "u1", "idx label payload")
         _check_end(fh, "idx label payload")
-    return labels.astype(int)
+    return labels
 
 
 def _guess_labels_path(images_path: str) -> "str | None":
@@ -290,13 +307,9 @@ def write_idx_images(path: str, images: np.ndarray):
 
 
 def write_idx_labels(path: str, labels: np.ndarray):
-    """Serialize an integer label vector in idx format."""
-    labels = np.asarray(labels).ravel()
-    if labels.size and (labels.min() < 0 or labels.max() > 255):
-        raise ValueError("labels outside u8 range")
-    write_atomic(
-        path, struct.pack(">II", IDX_LABEL_MAGIC, labels.size) + labels.astype(np.uint8).tobytes()
-    )
+    """Serialize an integer label vector (each in [0, 255]) in idx format."""
+    payload = _label_bytes(labels, "u1")  # one byte per label
+    write_atomic(path, struct.pack(">II", IDX_LABEL_MAGIC, len(payload)) + payload)
 
 
 def load_matrix(
@@ -372,14 +385,7 @@ def _skewed_counts(n: int, k: int, skew_class: int, percent: float) -> np.ndarra
             f"skew_percent {percent} would under-represent class {skew_class} "
             f"relative to a uniform draw over {k} classes"
         )
-    rest = n - skew_n
-    base, rem = divmod(rest, k - 1)
-    counts = np.full(k, base, dtype=int)
-    counts[skew_class] = skew_n
-    others = [j for j in range(k) if j != skew_class]
-    for j in others[:rem]:
-        counts[j] += 1
-    return counts
+    return np.insert(_uniform_counts(n - skew_n, k - 1), skew_class, skew_n)
 
 
 def _draw_by_counts(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import sinkhorn as sk
-from .spd import riccati_solve, spd_inv, symmetrize, trace_inner
+from .spd import riccati_solve, spd_inv, symmetrize
 
 BASELINE_METRICS = ("euclidean", "gram", "whiten")
 # Each named regularization target is the matching fixed baseline metric.
@@ -127,9 +127,8 @@ class FitResult:
         The objective after each sweep; non-increasing up to solver
         tolerance.
     converged : bool
-        True when the early-stop rule fired before the sweep cap.
-    iters_run : int
-        Sweeps actually performed.
+        True when the early-stop rule fired, which it may do on the last
+        sweep the cap allows.
     sinkhorn_converged : bool
         False when any inner Sinkhorn call hit its iteration cap above
         tolerance.
@@ -141,8 +140,12 @@ class FitResult:
     complement: float
     objective_history: "list[float]" = field(default_factory=list)
     converged: bool = False
-    iters_run: int = 0
     sinkhorn_converged: bool = True
+
+    @property
+    def iters_run(self) -> int:
+        """Sweeps performed: each records one objective."""
+        return len(self.objective_history)
 
     @property
     def basis(self) -> np.ndarray:
@@ -394,10 +397,11 @@ def fit_grid(
 
     def step(scatter):
         # Metric for the scatter lifted by the frozen ridge, its regularizer
-        # and its cost; trace(A^{-1} D) = trace(A cg), since A cg A = D.
+        # and its cost; trace(A^{-1} D) = trace(A cg) = sum(A * cg), since
+        # A cg A = D and both are symmetric.
         cg = scatter + ridge * np.eye(rank)
         metric = update_metric(cg, d_mat)
-        reg = ridge * float(np.trace(metric)) + trace_inner(metric, cg) + rest
+        reg = ridge * float(np.trace(metric)) + float(np.sum(metric * cg)) + rest
         return metric, reg, cost_matrix(sp.x, sp.z, metric)
 
     return grid_fits(
@@ -463,6 +467,5 @@ def grid_fits(
             complement=complement,
             objective_history=history,
             converged=converged,
-            iters_run=sweep + 1,
             sinkhorn_converged=all_sinkhorn_ok,
         )

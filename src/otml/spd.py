@@ -130,14 +130,3 @@ def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     inner = _eig_power(w, v, 0.5)
     return symmetrize(outer @ _psd_sqrt(inner @ symmetrize(d) @ inner) @ outer)
 
-
-def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace inner product trace(A @ B) of two symmetric matrices.
-
-    For symmetric arguments this equals the elementwise sum of A * B.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))

@@ -322,7 +322,7 @@ def dense_fit(x, z, p, q, cfg):
 
     def step(cg):
         metric = spd.riccati_solve(cg, d_mat)
-        reg = ridge * float(np.trace(metric)) + spd.trace_inner(metric, cg)
+        reg = ridge * float(np.trace(metric)) + float(np.sum(metric * cg))
         return metric, reg, gml.cost_matrix(x, z, metric)
 
     metric, reg, cost = step(raw + lift)

@@ -60,10 +60,32 @@ def test_rawdataset_refuses_labels_before_the_int_cast(container, label, message
             dt.RawDataset(np.zeros((1, 2)), container([0, label]))
 
 
+@pytest.mark.parametrize(
+    "container", [list, np.array, lambda v: np.array(v, dtype=object)],
+    ids=["list", "ndarray", "object"],
+)
+@pytest.mark.parametrize(
+    "label, message",
+    [(10**400, "label not finite or out of int64 range$"),
+     (-(10**400), "label not finite or out of int64 range$"),
+     (1 + 2j, r"label not integral: \(1\+2j\)"),
+     (complex(0, np.nan), "label not integral: nanj")],
+    ids=["int-beyond-float", "negative-int-beyond-float", "complex", "complex-nan"],
+)
+def test_rawdataset_refuses_labels_a_float_cannot_hold(container, label, message):
+    # A cast to float overflowed on such an int, and dropped the imaginary
+    # part of a complex label with a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            dt.RawDataset(np.zeros((1, 2)), container([0, label]))
+
+
 def test_rawdataset_takes_integral_labels_of_any_type():
     ds = dt.RawDataset(np.zeros((1, 4)), [0, 2.0, np.uint8(1), True])
     assert ds.labels.dtype == int and ds.labels.tolist() == [0, 2, 1, 1]
     assert ds.class_count == 3
+    assert dt.RawDataset(np.zeros((1, 2)), [2 + 0j, 1]).labels.tolist() == [2, 1]
     big = np.array([np.iinfo(np.int64).max], dtype=np.uint64)
     assert dt.RawDataset(np.zeros((1, 1)), big).labels[0] == np.iinfo(np.int64).max
     with pytest.raises(ValueError, match="out of int64 range"):
@@ -422,6 +444,65 @@ def test_write_idx_rejects_out_of_range():
         dt.write_idx_labels("unused", np.array([0, 999]))
 
 
+LABEL_WRITERS = {
+    "save_rawf64": lambda path, labels: dt.save_rawf64(path, np.ones((1, 2)), labels),
+    "write_idx_labels": dt.write_idx_labels,
+}
+
+
+@pytest.mark.parametrize("writer", list(LABEL_WRITERS))
+@pytest.mark.parametrize(
+    "labels, message",
+    [([-1, 3], r"labels outside \[0, "),
+     ([1.7, 2], "label not integral: 1.7"),
+     ([np.nan, 1], "label not finite or out of int64 range: nan"),
+     ([2**64, 1], "out of int64 range")],
+    ids=["negative", "fractional", "nan", "beyond-int64"],
+)
+def test_label_writers_refuse_labels_they_cannot_store(tmp_path, writer, labels, message):
+    # The u4 and u1 casts once wrapped -1, truncated 1.7 and made nan 0.
+    path = tmp_path / "out.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            LABEL_WRITERS[writer](str(path), labels)
+    assert os.listdir(tmp_path) == []
+
+
+def test_label_writers_refuse_a_label_past_their_width(tmp_path):
+    # rawf64 once read 2**32 + 5 back as 5; both take their widest label.
+    path = str(tmp_path / "out.bin")
+    with pytest.raises(ValueError, match=r"labels outside \[0, 4294967295\]"):
+        dt.save_rawf64(path, np.ones((1, 2)), [2**32 + 5, 1])
+    with pytest.raises(ValueError, match=r"labels outside \[0, 255\]"):
+        dt.write_idx_labels(path, [256, 1])
+    assert os.listdir(tmp_path) == []
+    dt.save_rawf64(path, np.ones((1, 2)), [2**32 - 1, 0])
+    assert dt.load_matrix(path, fmt="rawf64").labels.tolist() == [2**32 - 1, 0]
+    dt.write_idx_labels(path, [255, 0])
+    assert dt._read_idx_labels(path).tolist() == [255, 0]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, 3, 1], [True, False, True], [2.0, 0.0, 1.0], np.array([7, 0, 255], dtype=np.uint8)],
+    ids=["int", "bool", "integral-float", "u1"],
+)
+def test_label_writers_store_valid_labels_as_their_unsigned_cast(tmp_path, labels):
+    # The bytes of every valid label vector are those of the plain cast.
+    feats = np.arange(6.0).reshape(2, 3)
+    want = np.asarray(labels)
+    assert dt.rawf64_bytes(feats, labels) == (
+        struct.pack("<QQ", 2, 3) + feats.tobytes(order="F") + b"\x01"
+        + want.astype("<u4").tobytes()
+    )
+    path = tmp_path / "labels.idx"
+    dt.write_idx_labels(str(path), labels)
+    assert path.read_bytes() == (
+        struct.pack(">II", dt.IDX_LABEL_MAGIC, 3) + want.astype(np.uint8).tobytes()
+    )
+
+
 WRITERS = {
     "write_atomic": lambda path: dt.write_atomic(path, b"new"),
     "save_rawf64": lambda path: dt.save_rawf64(path, np.ones((2, 3)), np.array([0, 1, 0])),
@@ -590,6 +671,11 @@ def test_skewed_counts_split_the_sample_size(n, k, percent, data):
     assert counts.sum() == n
     assert 0 <= counts.min() and counts.max() <= n
     assert counts[skew_class] == int(np.floor(percent * n / 100.0 + 0.5))
+    # The other classes differ by at most one, and their extra draws go to
+    # the lowest-indexed of them: in index order they never increase.
+    others = np.delete(counts, skew_class)
+    assert others.max() - others.min() <= 1
+    assert (np.diff(others) <= 0).all()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,7 +144,8 @@ def test_update_metric_minimizes_trace_functional():
     a_star = gml.update_metric(cg, d)
 
     def score(a):
-        return spd.trace_inner(a, cg) + spd.trace_inner(spd.spd_inv(a), d)
+        # trace(A B) of symmetric A, B is the sum of A * B
+        return float(np.sum(a * cg)) + float(np.sum(spd.spd_inv(a) * d))
 
     base = score(a_star)
     for _ in range(20):
@@ -549,6 +552,24 @@ def test_fit_early_stop_reports_convergence():
     assert res.converged
     assert res.iters_run < 50
     assert len(res.objective_history) == res.iters_run
+
+
+def test_fit_early_stop_may_fire_on_the_last_sweep():
+    # converged says the rule fired, also on the last sweep the cap allows:
+    # any decrease is below 10 * max(1, |objective|).
+    x, z, p, q = make_problem(14)
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=0.5, tol=1e-10),
+        outer_iters=2,
+        objective_rtol=10.0,
+    )
+    res = gml.fit(x, z, p, q, cfg)
+    assert (res.iters_run, res.converged) == (2, True)
+    capped = gml.fit(x, z, p, q, replace(cfg, objective_rtol=0.0))
+    assert (capped.iters_run, capped.converged) == (2, False)
+    # iters_run is the history's length, not a second record of it
+    with pytest.raises(AttributeError):
+        res.iters_run = 3
 
 
 def test_fit_improves_on_identity_metric_objective():

@@ -189,18 +189,6 @@ def test_riccati_tolerates_near_singular_product():
     assert resid < 1e-6
 
 
-def test_trace_inner_matches_trace_product():
-    rng = np.random.default_rng(12)
-    a = spd.symmetrize(rng.standard_normal((5, 5)))
-    b = spd.symmetrize(rng.standard_normal((5, 5)))
-    np.testing.assert_allclose(spd.trace_inner(a, b), np.trace(a @ b), rtol=1e-12)
-
-
-def test_trace_inner_dimension_check():
-    with pytest.raises(ValueError):
-        spd.trace_inner(np.eye(2), np.eye(3))
-
-
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8))
 def test_riccati_residual_property(seed, d):
