@@ -56,51 +56,44 @@ class _Transfer:
     points Z (Courty, Flamary, Tuia & Rakotomamonjy, TPAMI 2017). With
     c = z_1 and s_i = sum(w_i), P_i - c = Y [w_i; s_i - 1] for Y = [Z - c, c];
     keeping s_i - 1 keeps this exact, as rows sum to p only up to the
-    solver's tolerance and pixel data has a large |c|. Queries are c plus
-    a column of Y (target-train) or plus q - c (the test points ``ze``),
-    so the (m, k) scores |P_i - c|^2 - 2 <P_i - c, query - c> that
-    ``_nearest`` reads are squared distances less a constant per query,
-    and |P_i - c|^2 = [w_i; s_i - 1] . (P_i - c)^T Y. When n + 1 < 2d,
-    Y^T Y and the test side's Y^T (ze - c) are formed here, and
-    (P - c)^T Y = [W, s - 1] Y^T Y needs no product in R^d per plan;
-    otherwise forming the d x m matrix P - c costs less. A round shares
-    this object between its methods, so its arrays are read-only.
+    solver's tolerance and pixel data has a large |c|. A query is c plus a
+    column of Y (target-train) or of ze - c (test), so the (m, k) scores
+    |P_i - c|^2 - 2 <P_i - c, query - c> that ``_nearest`` reads are squared
+    distances less a constant per query, and with coef = [W, s - 1],
+    (P - c)^T Y = coef Y^T Y and |P_i - c|^2 = coef_i . (P_i - c)^T Y.
+    The right-hand factors ``train_factor`` and ``test_factor`` are formed
+    here: Y^T Y and Y^T (ze - c) when n + 1 < 2d, so that a plan needs no
+    product in R^d, and otherwise Y itself and ze - c, as the left factor
+    coef Y^T = (P - c)^T then costs less. A round shares this object
+    between its methods, so its arrays are read-only.
     """
 
     def __init__(self, zt: np.ndarray, ze: np.ndarray):
         n = zt.shape[1]
         self.y = np.hstack([zt - zt[:, :1], zt[:, :1]])
-        self.y.flags.writeable = False
-        self.c = self.y[:, n:]
-        self.ze = ze
-        self.gram = self.inner = None
+        queries = ze - zt[:, :1]
         if n + 1 < 2 * zt.shape[0]:
-            self.gram = self.y.T @ self.y
-            self.inner = self.y.T @ (ze - self.c)
-            self.gram.flags.writeable = self.inner.flags.writeable = False
+            self.train_factor, self.test_factor = self.y.T @ self.y, self.y.T @ queries
+        else:
+            self.train_factor, self.test_factor = self.y, queries
+        for a in (self.y, self.train_factor, self.test_factor):
+            a.flags.writeable = False
 
     def train_scores(self, plan: np.ndarray, p: np.ndarray):
         """Scores of the target-train points, and the sources for ``test_scores``."""
-        n = plan.shape[1]
-        w = plan / p[:, None]
-        s = w.sum(axis=1) - 1.0
-        if self.gram is None:
-            projected = self.y[:, :n] @ w.T
-            projected += self.c * s
-            cross = projected.T @ self.y
-        else:
-            projected = (w, s)
-            cross = w @ self.gram[:n] + np.outer(s, self.gram[n])
-        norms = np.einsum("ij,ij->i", cross[:, :n], w) + cross[:, n] * s
-        return norms[:, None] - 2.0 * cross[:, :n], (norms, projected)
+        m, n = plan.shape
+        coef = np.empty((m, n + 1))
+        np.divide(plan, p[:, None], out=coef[:, :n])
+        coef[:, n] = coef[:, :n].sum(axis=1) - 1.0
+        left = coef @ self.y.T if self.train_factor is self.y else coef
+        cross = left @ self.train_factor
+        norms = np.einsum("ij,ij->i", cross, coef)
+        return norms[:, None] - 2.0 * cross[:, :n], (norms, left)
 
     def test_scores(self, sources) -> np.ndarray:
         """Scores of the test points ``ze``."""
-        norms, projected = sources
-        if self.gram is None:
-            return norms[:, None] - 2.0 * (projected.T @ (self.ze - self.c))
-        w, s = projected
-        return norms[:, None] - 2.0 * (w @ self.inner[:-1] + np.outer(s, self.inner[-1]))
+        norms, left = sources
+        return norms[:, None] - 2.0 * (left @ self.test_factor)
 
 
 class _Round:
@@ -255,6 +248,8 @@ def run_task(
                         ("target-test", target_test)):
         if split.labels is None:
             raise ValueError(f"the {name} split is unlabeled")
+        if split.size == 0:
+            raise ValueError(f"the {name} split is empty")
     x = source.features
     zt = target_train.features
     if target_test.features.shape[0] != zt.shape[0]:

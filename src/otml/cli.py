@@ -121,10 +121,10 @@ class RunConfig:
                 raise ConfigError(f"unknown method {m!r}")
         for name in ("sinkhorn_tol", "objective_rtol"):
             value = getattr(self, name)
-            if not _is_number(value):
+            if not sk._is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
         for value in self.lambda_grid:
-            if not _is_number(value):
+            if not sk._is_number(value):
                 raise ConfigError(f"lambda_grid entries must be numbers, got {value!r}")
         # The solver configs own the range checks of their settings.
         try:
@@ -166,10 +166,6 @@ class RunConfig:
 # JSON true/false arrive as bool, which Python counts as an integer.
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:

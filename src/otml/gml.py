@@ -83,10 +83,9 @@ class GmlConfig:
             isinstance(iters, numbers.Integral) and iters >= 1
         ):
             raise ValueError(f"outer_iters must be an integer >= 1, got {iters}")
-        if not 0 <= self.objective_rtol < np.inf:
-            raise ValueError(
-                f"objective_rtol must be finite and >= 0, got {self.objective_rtol}"
-            )
+        rtol = self.objective_rtol
+        if not (sk._is_number(rtol) and 0 <= rtol < np.inf):
+            raise ValueError(f"objective_rtol must be finite and >= 0, got {rtol!r}")
         # A string test first: `in` on an array compares elementwise.
         if not (isinstance(self.d_choice, str) and self.d_choice in D_CHOICES):
             raise ValueError(

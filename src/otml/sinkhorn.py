@@ -37,6 +37,11 @@ _POLISH_WARM = 20
 _SCALING_MIN, _SCALING_MAX = 1e-30, 1e30
 
 
+def _is_number(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as a number.
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Solver settings.
@@ -57,10 +62,10 @@ class SinkhornConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        for name in ("lam", "tol"):
+            value = getattr(self, name)
+            if not (_is_number(value) and 0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         # JSON true/false arrive as bool, which Python counts as an integer.
         if isinstance(self.max_iter, bool) or not (
             isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1

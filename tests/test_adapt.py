@@ -215,7 +215,7 @@ def test_transfer_matches_the_oracle(dim, miss):
     plan *= 1.0 + miss * rng.uniform(-1.0, 1.0, size=(m, 1))
     p = uniform(m)
     transfer = adapt._Transfer(zt, ze)
-    assert (transfer.gram is not None) == (dim == 96)
+    assert (transfer.train_factor is not transfer.y) == (dim == 96)
     train, projected = transfer.train_scores(plan, p)
     mapped = barycentric_map(plan, zt, p)
     for queries, scores in ((zt, train), (ze, transfer.test_scores(projected))):
@@ -232,8 +232,8 @@ def test_transfer_orders_give_the_same_labels():
     plan, zt, ze = pixel_instance(rng, 96)
     p = uniform(plan.shape[0])
     chosen, forced = adapt._Transfer(zt, ze), adapt._Transfer(zt, ze)
-    assert chosen.gram is not None
-    forced.gram = None
+    assert chosen.train_factor is not chosen.y
+    forced.train_factor, forced.test_factor = forced.y, ze - zt[:, :1]
     nearest = []
     for transfer in (chosen, forced):
         train, projected = transfer.train_scores(plan, p)
@@ -304,7 +304,7 @@ def traffic(monkeypatch):
         def __init__(self, zt, ze):
             super().__init__(zt, ze)
             counts["transfer"] += 1
-            counts["gram"] += self.gram is not None
+            counts["gram"] += self.train_factor is not self.y
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(adapt, "_Transfer", Counted)
@@ -373,7 +373,7 @@ def test_a_changed_cloud_starts_a_new_round(monkeypatch, traffic, which, change)
     assert fresh is not shared
     for name in ("points", "x", "z", "origin"):
         assert same_bits(getattr(shared.span, name), getattr(fresh.span, name)), name
-    for name in ("y", "gram", "inner"):
+    for name in ("y", "train_factor", "test_factor"):
         assert same_bits(getattr(shared.transfer, name), getattr(fresh.transfer, name)), name
 
 
@@ -382,7 +382,7 @@ def test_shared_round_arrays_are_read_only(traffic):
     adapt.run_task(*clouds, "gram", GRID, base_cfg(outer=2))
     shared = adapt._last_round
     transfer, sp = shared.transfer, shared.span
-    arrays = [*shared.clouds, transfer.y, transfer.c, transfer.gram, transfer.inner]
+    arrays = [*shared.clouds, transfer.y, transfer.train_factor, transfer.test_factor]
     for array in arrays + [sp.points, sp.x, sp.z, sp.origin]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -622,7 +622,8 @@ def test_run_task_reports_do_not_depend_on_method_order(monkeypatch, dim):
 
     alone = {method: report(method, fresh=True) for method in adapt.METHODS}
     forward = {method: report(method) for method in adapt.METHODS}
-    assert (adapt._last_round.transfer.gram is not None) == (dim == 40)
+    transfer = adapt._last_round.transfer
+    assert (transfer.train_factor is not transfer.y) == (dim == 40)
     reverse = {method: report(method) for method in reversed(adapt.METHODS)}
     assert forward == alone and reverse == alone
 
@@ -639,20 +640,27 @@ def test_run_task_identical_clouds_scores_perfectly():
     assert report.test_accuracy == 1.0
 
 
-def test_run_task_matches_manual_pipeline():
-    rng = np.random.default_rng(11)
-    source = two_blob_cloud(rng)
-    train = two_blob_cloud(rng, shift=(0.5, -0.3))
-    test = two_blob_cloud(rng, shift=(0.5, -0.3))
+@pytest.mark.parametrize("dim", [40, 3, 2], ids=["gram-form", "coordinate-form", "two-blob"])
+@pytest.mark.parametrize("method", adapt.METHODS)
+def test_run_task_matches_manual_pipeline(method, dim):
+    # n + 1 < 2d: the transfer takes the Gram order at d = 40, the order in
+    # R^d at d = 3 and on the 2-d two-blob clouds.
+    if dim == 2:
+        rng = np.random.default_rng(11)
+        source = two_blob_cloud(rng)
+        train = two_blob_cloud(rng, shift=(0.5, -0.3))
+        test = two_blob_cloud(rng, shift=(0.5, -0.3))
+    else:
+        source, train, test = round_clouds(dim)
     grid = [0.05, 0.5]
     cfg = base_cfg()
-    report = adapt.run_task(source, train, test, "gram", grid, cfg, seed=3)
+    report = adapt.run_task(source, train, test, method, grid, cfg, seed=3)
 
     p = uniform(source.size)
     q = uniform(train.size)
     best = None
     for lam in sorted(grid):
-        (fit,) = adapt.fit_plan(source.features, train.features, p, q, "gram", [lam], cfg)
+        (fit,) = adapt.fit_plan(source.features, train.features, p, q, method, [lam], cfg)
         plan = fit.plan
         projected = barycentric_map(plan, train.features, p)
         pred = knn1_predict(projected, source.labels, train.features)
@@ -706,19 +714,26 @@ def test_run_task_rejects_empty_grid():
 
 @pytest.mark.parametrize("split,points", [
     ("source", 12), ("target-train", 12), ("target-test", 12), ("target-test", 1),
+    ("source", 0), ("target-train", 0), ("target-test", 0),
 ])
 def test_run_task_rejects_an_unlabeled_split_before_any_solve(monkeypatch, split, points):
     # Refused before the round is built: otherwise an unlabeled source
     # fits the whole grid before it fails, and a one-point target split
-    # scores 0.0 against a missing label.
+    # scores 0.0 against a missing label. A labeled split of 0 points is
+    # refused too: an empty source or target-train divides by zero, and an
+    # empty target-test fails only after the whole grid is fitted.
     rng = np.random.default_rng(24)
     clouds = [two_blob_cloud(rng) for _ in range(3)]
     index = ("source", "target-train", "target-test").index(split)
-    clouds[index] = dt.RawDataset(clouds[index].features[:, :points])
+    cloud = clouds[index]
+    if points:
+        clouds[index], problem = dt.RawDataset(cloud.features[:, :points]), "unlabeled"
+    else:
+        clouds[index], problem = dt.RawDataset(cloud.features[:, :0], cloud.labels[:0]), "empty"
     calls = []
     monkeypatch.setattr(gml.sk, "solve", lambda *args: calls.append("solve"))
     monkeypatch.setattr(adapt, "_round", lambda *args: calls.append("round"))
-    with pytest.raises(ValueError, match=f"the {split} split is unlabeled"):
+    with pytest.raises(ValueError, match=f"the {split} split is {problem}"):
         adapt.run_task(*clouds, "learned", GRID, base_cfg())
     assert calls == []
 

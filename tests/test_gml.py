@@ -443,6 +443,11 @@ def test_config_validation():
                 gml.GmlConfig(sinkhorn=scfg, **{name: bad})
     with pytest.raises(ValueError):
         gml.GmlConfig(sinkhorn=scfg, outer_iters=2.5)
+    for bad in (True, np.False_, "0", None):
+        with pytest.raises(ValueError, match="^objective_rtol must be"):
+            gml.GmlConfig(sinkhorn=scfg, objective_rtol=bad)
+    for good in (np.float64(1e-6), np.int64(0), 0):
+        assert gml.GmlConfig(sinkhorn=scfg, objective_rtol=good).objective_rtol == good
 
 
 def make_problem(seed, dim=3, m=8, n=8):

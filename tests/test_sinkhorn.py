@@ -37,6 +37,14 @@ def test_config_validation():
                 {"lam": 1.0, "max_iter": np.nan}, {"lam": 1.0, "max_iter": 2.5}):
         with pytest.raises(ValueError):
             sk.SinkhornConfig(**bad)
+    # A bool is not a weight or a tolerance, and a string is refused as a
+    # ValueError naming the field, not a TypeError from the comparison.
+    for name in ("lam", "tol"):
+        for bad in (True, np.True_, "0.5", None):
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                sk.SinkhornConfig(**{"lam": 1.0, name: bad})
+        for good in (np.float64(0.5), np.float32(0.5), np.int64(2), 2):
+            assert getattr(sk.SinkhornConfig(**{"lam": 1.0, name: good}), name) == good
 
 
 def test_histogram_validation():
