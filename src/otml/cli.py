@@ -12,8 +12,8 @@ fit
     entry.
 adapt
     Run the adaptation protocol on labeled source / target-train /
-    target-test files and write one report row per (seed, method). Each
-    method fits its whole lambda grid through one ``adapt.run_task``.
+    target-test files and write one report row per method. Each method
+    fits its whole lambda grid through one ``adapt.run_task``.
 experiment-skew
     Full skew sweep: for every (skew percent, skew class, seed) draw a
     uniform source sample and two disjoint skewed target samples from the
@@ -42,7 +42,6 @@ import argparse
 import csv
 import io
 import json
-import numbers
 import os
 import statistics
 import sys
@@ -136,12 +135,12 @@ class RunConfig:
             raise ConfigError(f"strict must be true or false, got {self.strict!r}")
         for name in ("m", "n", "downsample"):
             value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
+            if not (sk._is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value}")
         # Seeds feed numpy's seeding, which takes nonnegative integers only.
         for name in ("seeds", "skew_classes"):
             for value in getattr(self, name) or ():
-                if not (_is_int(value) and value >= 0):
+                if not (sk._is_int(value) and value >= 0):
                     raise ConfigError(
                         f"{name} entries must be integers >= 0, got {value}"
                     )
@@ -149,7 +148,7 @@ class RunConfig:
             raise ConfigError(f"format must be one of {dt.FORMATS}")
         # Skews seed their draws too, so 30 and 30.4 would share samples.
         for w in self.skews:
-            if not (_is_int(w) and 0 < w < 100):
+            if not (sk._is_int(w) and 0 < w < 100):
                 raise ConfigError(f"skews entries must be integers in (0, 100), got {w!r}")
         for name in ("out", "name") + _PATH_KEYS:
             value = getattr(self, name)
@@ -161,11 +160,6 @@ class RunConfig:
             for i, v in enumerate(value):
                 if v in value[:i]:
                     raise ConfigError(f"{name} repeats {v!r}")
-
-
-# JSON true/false arrive as bool, which Python counts as an integer.
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _gml_config(cfg: RunConfig, lam: float) -> gml.GmlConfig:
@@ -184,7 +178,7 @@ _SOLVE_KEYS = set("methods d_choice lambda_grid outer_iters objective_rtol sinkh
                   "sinkhorn_max_iter strict out format downsample source".split())
 COMMAND_KEYS = {
     "fit": _SOLVE_KEYS | {"target"},
-    "adapt": _SOLVE_KEYS | set("seeds name source_labels target_train target_train_labels "
+    "adapt": _SOLVE_KEYS | set("name source_labels target_train target_train_labels "
                                "target_test target_test_labels".split()),
     "experiment-skew": _SOLVE_KEYS | set("seeds source_labels target target_labels m n skews "
                                          "skew_classes".split()),
@@ -284,9 +278,13 @@ def _load_labeled(path, cfg: RunConfig, labels_path) -> dt.RawDataset:
 
 
 def _check_converged(cfg: RunConfig, converged: bool, method: str):
-    # Under strict, an unconverged solve ends the run before any output.
-    if cfg.strict and not converged:
-        raise NumericalError(f"transport solve did not converge ({method})")
+    # Under strict, an unconverged solve ends the run before any output;
+    # otherwise the run goes on and says so on stderr.
+    if not converged:
+        message = f"transport solve did not converge ({method})"
+        if cfg.strict:
+            raise NumericalError(message)
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def _method_reports(cfg: RunConfig, progress: str, source, ttrain, ttest, seed: int = 0):
@@ -343,7 +341,6 @@ def cmd_fit(cfg: RunConfig) -> int:
 REPORT_HEADER = [
     "task",
     "method",
-    "seed",
     "lambda_chosen",
     "train_accuracy",
     "test_accuracy",
@@ -351,10 +348,9 @@ REPORT_HEADER = [
 
 
 def cmd_adapt(cfg: RunConfig) -> int:
-    """Adaptation protocol on fixed files; one row per (seed, method).
+    """Adaptation protocol on fixed files; one row per method.
 
-    The pipeline is deterministic given the input files, so the seed only
-    labels the row; each method is computed once and stamped per seed.
+    The pipeline draws nothing: the input files determine every row.
     """
     source = _load_labeled(cfg.source, cfg, cfg.source_labels)
     ttrain = _load_labeled(cfg.target_train, cfg, cfg.target_train_labels)
@@ -362,10 +358,10 @@ def cmd_adapt(cfg: RunConfig) -> int:
     dims = {ds.features.shape[0] for ds in (source, ttrain, ttest)}
     if len(dims) != 1:
         raise DataError(f"feature dimensions differ across inputs: {sorted(dims)}")
-    rows = []
-    for rep in _method_reports(cfg, "adapt: ", source, ttrain, ttest):
-        scores = [rep.lambda_chosen, rep.train_accuracy, rep.test_accuracy]
-        rows += [[cfg.name, rep.method, seed, *scores] for seed in cfg.seeds]
+    rows = [
+        [cfg.name, rep.method, rep.lambda_chosen, rep.train_accuracy, rep.test_accuracy]
+        for rep in _method_reports(cfg, "adapt: ", source, ttrain, ttest)
+    ]
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv_atomic(os.path.join(cfg.out, "report.csv"), REPORT_HEADER, rows)
     payload = [dict(zip(REPORT_HEADER, row)) for row in rows]

@@ -299,8 +299,9 @@ def write_idx_images(path: str, images: np.ndarray):
     if images.ndim != 3:
         raise ValueError("images must have shape (count, rows, cols)")
     if images.dtype != np.uint8:
-        if images.min() < 0 or images.max() > 255:
-            raise ValueError("pixel values outside [0, 255]")
+        # NaN fails both comparisons, so it is refused with the out-of-range values.
+        if not ((images >= 0) & (images <= 255)).all():
+            raise ValueError("pixel values not finite or outside [0, 255]")
         images = np.round(images).astype(np.uint8)
     count, rows, cols = images.shape
     write_atomic(path, struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols) + images.tobytes())

@@ -23,7 +23,6 @@ on the way to a plan; ``FitResult.metric`` builds A from these factors
 when it is read.
 """
 
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -78,10 +77,7 @@ class GmlConfig:
 
     def __post_init__(self):
         iters = self.outer_iters
-        # JSON true/false arrive as bool, which Python counts as an integer.
-        if isinstance(iters, bool) or not (
-            isinstance(iters, numbers.Integral) and iters >= 1
-        ):
+        if not (sk._is_int(iters) and iters >= 1):
             raise ValueError(f"outer_iters must be an integer >= 1, got {iters}")
         rtol = self.objective_rtol
         if not (sk._is_number(rtol) and 0 <= rtol < np.inf):

@@ -37,9 +37,13 @@ _POLISH_WARM = 20
 _SCALING_MIN, _SCALING_MAX = 1e-30, 1e30
 
 
+# JSON true/false arrive as bool, which Python counts as a number and an integer.
 def _is_number(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as a number.
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,7 @@ class SinkhornConfig:
             value = getattr(self, name)
             if not (_is_number(value) and 0 < value < np.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        # JSON true/false arrive as bool, which Python counts as an integer.
-        if isinstance(self.max_iter, bool) or not (
-            isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1
-        ):
+        if not (_is_int(self.max_iter) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 

@@ -495,10 +495,11 @@ def test_criterion_9_cli_determinism(tmp_path):
     tgt_m = cloud_csv(tmp_path / "tgtm.csv")
     src_pool = pool_raw(tmp_path / "srcpool.rawf64")
     tgt_pool = pool_raw(tmp_path / "tgtpool.rawf64")
+    # A report from when adapt wrote a seed column; summarize reads both.
     report_csv = tmp_path / "prior.csv"
     report_csv.write_text(
-        ",".join(cli.REPORT_HEADER)
-        + "\nt,euclidean,0,0.1,0.5,0.25\nt,euclidean,1,0.1,0.7,0.85\n"
+        "task,method,seed,lambda_chosen,train_accuracy,test_accuracy"
+        "\nt,euclidean,0,0.1,0.5,0.25\nt,euclidean,1,0.1,0.7,0.85\n"
     )
     expcfg = tmp_path / "exp.json"
     expcfg.write_text(json.dumps({
@@ -512,8 +513,7 @@ def test_criterion_9_cli_determinism(tmp_path):
                 "--source", src_m, "--target", tgt_m],
         "adapt": ["adapt", "--source", src_m, "--target-train", tgt_m,
                   "--target-test", tgt_m, "--method", "euclidean",
-                  "--method", "learned", "--seed", "0",
-                  "--lambda", "0.1", "--lambda", "1.0"],
+                  "--method", "learned", "--lambda", "0.1", "--lambda", "1.0"],
         "experiment-skew": ["experiment-skew", "--config", str(expcfg)],
         "summarize": ["summarize", str(report_csv)],
     }
@@ -529,6 +529,10 @@ def test_criterion_9_cli_determinism(tmp_path):
             mismatches.append(name)
         if not trees[0]:
             mismatches.append(f"{name} (no outputs)")
+    # adapt draws nothing: one row per method.
+    report = (tmp_path / "adapt-a" / "report.csv").read_text().splitlines()
+    if [line.split(",")[1] for line in report[1:]] != ["euclidean", "learned"]:
+        mismatches.append("adapt (not one row per method)")
     _report(
         9,
         not mismatches,

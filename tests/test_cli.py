@@ -76,6 +76,7 @@ def test_load_config_rejects_unknown_key(tmp_path):
     ("adapt", "target", "b.csv"),
     ("experiment-skew", "target_train", "b.csv"),
     ("summarize", "methods", ["euclidean"]),
+    ("adapt", "seeds", [0]),  # adapt draws nothing
 ])
 def test_subcommand_rejects_config_keys_it_does_not_read(tmp_path, capsys, command, key, value):
     # Such a key used to be accepted and silently ignored.
@@ -186,6 +187,29 @@ def test_config_validation_errors():
             cli.load_config(None, {name: None})
 
 
+COUNT_MESSAGES = {
+    "sinkhorn_max_iter": "max_iter must be an integer >= 1",
+    "outer_iters": "outer_iters must be an integer >= 1",
+    "m": "m must be an integer >= 1",
+    "n": "n must be an integer >= 1",
+    "downsample": "downsample must be an integer >= 1",
+    "seeds": "seeds entries must be integers >= 0",
+    "skew_classes": "skew_classes entries must be integers >= 0",
+}
+
+
+@pytest.mark.parametrize("name", list(COUNT_MESSAGES))
+def test_counts_share_one_integer_rule(name):
+    # One predicate, sinkhorn._is_int, decides every count: a numpy integer
+    # is one, a bool (JSON true/false), a float or a string is not.
+    wrap = (lambda v: [v]) if name in ("seeds", "skew_classes") else (lambda v: v)
+    assert getattr(cli.load_config(None, {name: wrap(np.int64(3))}), name) == wrap(3)
+    for bad, shown in ((True, "True"), (np.True_, "True"), (2.5, "2.5"), ("3", "3")):
+        message = f"^{re.escape(COUNT_MESSAGES[name])}, got {shown}$"
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(None, {name: wrap(bad)})
+
+
 @pytest.mark.parametrize("name,value", [
     ("methods", "learned"), ("lambda_grid", 0.5), ("seeds", 3), ("skews", 50),
     ("skew_classes", 1),
@@ -280,6 +304,14 @@ def test_flag_of_an_unread_key_exits_one(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
+def test_adapt_has_no_seed_flag(tmp_path, capsys):
+    # adapt draws nothing, so a seed could only copy its rows.
+    out = tmp_path / "out"
+    assert cli.main(["adapt", "--seed", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: unrecognized arguments: --seed 0\n"
     assert not out.exists()
 
 
@@ -584,12 +616,14 @@ def test_strict_nonconvergence_exits_three_without_outputs(
     base = {**inputs, "methods": ["euclidean"], "lambda_grid": [0.01],
             "sinkhorn_max_iter": 1}
     cfgfile = tmp_path / "c.json"
-    for strict, code in ((False, 0), (True, 3)):
+    # Without strict the run goes on and warns; under strict it stops.
+    for strict, code, kind in ((False, 0, "warning"), (True, 3, "numerical error")):
         out = tmp_path / f"out-{strict}"
         cfgfile.write_text(json.dumps({**base, "strict": strict, "out": str(out)}))
         assert cli.main([command, "--config", str(cfgfile)]) == code
         assert out.exists() == (not strict)
-    assert "numerical error: transport solve did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{kind}: transport solve did not converge (euclidean)\n" in err
 
 
 # ---------------------------------------------------------------------------
@@ -603,26 +637,23 @@ def test_adapt_identical_clouds(tmp_path, capsys):
     rc = cli.main(
         ["adapt", "--source", cloud, "--target-train", cloud,
          "--target-test", cloud, "--method", "euclidean", "--method", "gram",
-         "--seed", "0", "--seed", "1", "--lambda", "0.01", "--lambda", "1.0",
-         "--out", out, "--name", "self"]
+         "--lambda", "0.01", "--lambda", "1.0", "--out", out, "--name", "self"]
     )
     assert rc == 0
 
     with open(os.path.join(out, "report.csv")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == ",".join(cli.REPORT_HEADER)
+    assert lines[0] == "task,method,lambda_chosen,train_accuracy,test_accuracy"
     body = [l.split(",") for l in lines[1:]]
-    assert len(body) == 4  # 2 seeds x 2 methods
+    assert [row[:2] for row in body] == [["self", "euclidean"], ["self", "gram"]]
     for row in body:
-        assert row[0] == "self"
-        assert float(row[5]) == 1.0  # identical clouds classify perfectly
+        assert float(row[4]) == 1.0  # identical clouds classify perfectly
 
     with open(os.path.join(out, "report.json")) as fh:
         payload = json.load(fh)
-    assert len(payload) == 4
-    assert {r["method"] for r in payload} == {"euclidean", "gram"}
-    assert {r["seed"] for r in payload} == {0, 1}
+    assert [r["method"] for r in payload] == ["euclidean", "gram"]
     for rec in payload:
+        assert list(rec) == cli.REPORT_HEADER
         assert isinstance(rec["test_accuracy"], float)
         assert rec["test_accuracy"] == 1.0
 
@@ -688,8 +719,7 @@ def test_cli_runs_without_scipy(tmp_path):
     fit = ["fit", "--source", cloud, "--target", cloud, "--method", "learned",
            "--lambda", "0.5", "--out", str(tmp_path / "fit")]
     adapt = ["adapt", "--source", cloud, "--target-train", cloud,
-             "--target-test", cloud, *methods, "--seed", "0",
-             "--out", str(tmp_path / "adapt")]
+             "--target-test", cloud, *methods, "--out", str(tmp_path / "adapt")]
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -702,7 +732,8 @@ def test_cli_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "fit" / "gamma.rawf64").exists()
-    assert (tmp_path / "adapt" / "report.csv").read_text().count("\n") == 5
+    lines = (tmp_path / "adapt" / "report.csv").read_text().splitlines()
+    assert [l.split(",")[1] for l in lines[1:]] == list(ad.METHODS)  # one row per method
 
 
 def test_adapt_dimension_mismatch_exits_two(tmp_path):
@@ -878,8 +909,9 @@ def test_summarize_means_match_numpy(tmp_path):
         ["t", "euclidean", "1", "0.1", "0.7", "0.85"],
         ["t", "learned", "0", "0.5", "0.9", "0.6"],
     ]
+    # adapt's reports once had a seed column; summarize still reads them.
     report.write_text(
-        ",".join(cli.REPORT_HEADER) + "\n"
+        "task,method,seed,lambda_chosen,train_accuracy,test_accuracy\n"
         + "\n".join(",".join(r) for r in rows) + "\n"
     )
     out = str(tmp_path / "out")
@@ -914,7 +946,8 @@ def test_summarize_rejects_mixed_headers(tmp_path):
 def test_summarize_short_row_exits_two(tmp_path, capsys):
     report = tmp_path / "report.csv"
     report.write_text(
-        ",".join(cli.REPORT_HEADER) + "\n" + "t,euclidean,0,0.1,0.5\n"
+        "task,method,seed,lambda_chosen,train_accuracy,test_accuracy\n"
+        "t,euclidean,0,0.1,0.5\n"
     )
     out = tmp_path / "out"
     assert cli.main(["summarize", "--out", str(out), str(report)]) == 2

@@ -444,6 +444,26 @@ def test_write_idx_rejects_out_of_range():
         dt.write_idx_labels("unused", np.array([0, 999]))
 
 
+@pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+def test_write_idx_images_refuses_non_finite_pixels(tmp_path, pixel):
+    # A NaN pixel was once written as byte 0, with only a RuntimeWarning.
+    images = np.full((1, 2, 2), 7.0)
+    images[0, 1, 0] = pixel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pixel values not finite"):
+            dt.write_idx_images(str(tmp_path / "imgs.idx"), images)
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_idx_images_writes_an_empty_float_stack_as_an_empty_u8_one(tmp_path):
+    floats, u8 = tmp_path / "f.idx", tmp_path / "u.idx"
+    dt.write_idx_images(str(floats), np.zeros((0, 2, 3)))
+    dt.write_idx_images(str(u8), np.zeros((0, 2, 3), dtype=np.uint8))
+    header = struct.pack(">IIII", dt.IDX_IMAGE_MAGIC, 0, 2, 3)
+    assert floats.read_bytes() == u8.read_bytes() == header
+
+
 LABEL_WRITERS = {
     "save_rawf64": lambda path, labels: dt.save_rawf64(path, np.ones((1, 2)), labels),
     "write_idx_labels": dt.write_idx_labels,

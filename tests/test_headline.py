@@ -1,14 +1,17 @@
-"""The headline claim on the benchmark's seeded mixture: under label skew,
-the learned metric beats the Euclidean one.
+"""The headline claim on the benchmark's seeded mixture: at skew 50 %
+and d=64, the learned metric beats the Euclidean one.
 
 The pools come from ``benchmark/workloads.py`` (imported read-only) and
 each round is drawn as the benchmark's ``Runner._sample`` draws it: a
-uniform source sample and two disjoint target samples skewed onto the
-round's class. Both cases keep the benchmark's generator, grid and
-criterion-7 Sinkhorn settings as they are. At d=64 the learned metric
-wins clearly. At the paper's pixel dimension (d=784 > m+n) it trails
-(70.1 against 73.25 %), which stays visible as a strict xfail: a fix
-shows up as an XPASS.
+uniform source sample and two disjoint target samples in which the
+round's class takes 50 % of the mass. Both cases keep the benchmark's
+generator, grid and criterion-7 Sinkhorn settings as they are. At d=64
+the learned metric wins clearly. Only skew 50 % is checked, and the gain
+is not owed to the skew: ROADMAP item 5's paired probe found it as large
+at skew 10 %, where the 10 classes make the target labels uniform (+9.33
+against +8.57 points at 50 %). At the paper's pixel dimension
+(d=784 > m+n) the learned metric trails (70.1 against 73.25 %), which
+stays visible as a strict xfail: a fix shows up as an XPASS.
 
 The d=784 miss is an estimation limit of the full metric at this sample
 size, not a defect found in the code. There is much to learn: the oracle
