@@ -3,12 +3,13 @@
 Stand-in corpus for the skew experiment when no full-size digit files
 are on hand. Writes digits-images-idx3-ubyte / digits-labels-idx1-ubyte
 and, with --pools, a disjoint source/target pool pair in rawf64 that
-`otml experiment-skew` can consume directly:
+the skew sweep's config can run on in place of the full-size files,
+at the sizes of the stand-in acceptance check:
 
     python3 scripts/export_digits_idx.py --out data/digits --pools
-    otml experiment-skew --source data/digits/source_pool.rawf64 \
-        --target data/digits/target_pool.rawf64 --m 140 --n 140 \
-        --lambda 0.05 --lambda 0.2 --lambda 0.5 --lambda 1.0 --lambda 2.0
+    otml experiment-skew --config scripts/mnist_skew.json \
+        --source data/digits/source_pool.rawf64 \
+        --target data/digits/target_pool.rawf64 --m 140 --n 140
 """
 
 import argparse
@@ -52,22 +53,11 @@ def main():
     if not args.pools:
         return 0
 
-    ds = dt.load_matrix(images_path)
-    rng = np.random.default_rng(args.seed)
-    src_idx, tgt_idx = [], []
-    for c in range(ds.class_count):
-        pool = np.flatnonzero(ds.labels == c)
-        perm = rng.permutation(pool)
-        src_idx.append(perm[: args.per_class])
-        tgt_idx.append(perm[args.per_class :])
-    src_idx = np.concatenate(src_idx)
-    tgt_idx = np.concatenate(tgt_idx)
-    src_path = os.path.join(args.out, "source_pool.rawf64")
-    tgt_path = os.path.join(args.out, "target_pool.rawf64")
-    dt.save_rawf64(src_path, ds.features[:, src_idx], ds.labels[src_idx])
-    dt.save_rawf64(tgt_path, ds.features[:, tgt_idx], ds.labels[tgt_idx])
-    print(f"wrote {src_path} ({src_idx.size} points)")
-    print(f"wrote {tgt_path} ({tgt_idx.size} points)")
+    pools = dt.split_per_class(dt.load_matrix(images_path), args.seed, args.per_class)
+    for name, pool in zip(("source_pool", "target_pool"), pools):
+        path = os.path.join(args.out, f"{name}.rawf64")
+        dt.save_rawf64(path, pool.features, pool.labels)
+        print(f"wrote {path} ({pool.size} points)")
     return 0
 
 

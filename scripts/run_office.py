@@ -43,7 +43,38 @@ def load_domain(root, name):
     )
 
 
-def main():
+def office_table(domains, methods, lambdas, seed, outer_iters):
+    """Held-out accuracy (percent) per method on the 12 ordered domain pairs.
+
+    ``domains`` maps each name in DOMAINS to its labeled dataset. Returns
+    one row [task, accuracy per method] per pair, then the Average row.
+    """
+    cfg = gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=1.0, tol=1e-7, max_iter=2000),
+        outer_iters=outer_iters,
+        d_choice="identity",
+        objective_rtol=1e-5,
+    )
+    rows = []
+    for src_name, tgt_name in itertools.permutations(DOMAINS, 2):
+        per_class = 8 if src_name == "dslr" else 10
+        src_ds = domains[src_name]
+        task_seed = seed + DOMAINS.index(src_name) * 16 + DOMAINS.index(tgt_name)
+        source = dt.uniform_sample(
+            src_ds, per_class * src_ds.class_count, seed=task_seed
+        )
+        ttrain, ttest = dt.split_per_class(domains[tgt_name], seed=task_seed)
+        row = [f"{src_name[0].upper()}->{tgt_name[0].upper()}"]
+        for meth in methods:
+            rep = adapt.run_task(source, ttrain, ttest, meth, list(lambdas), cfg)
+            row.append(100.0 * rep.test_accuracy)
+            print(f"{row[0]} {meth}: {row[-1]:.2f} (lambda {rep.lambda_chosen})")
+        rows.append(row)
+    columns = list(zip(*rows))[1:]
+    return rows + [["Average"] + [statistics.fmean(col) for col in columns]]
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--data-dir", default="data/office")
     ap.add_argument("--out", default="out/office")
@@ -52,42 +83,16 @@ def main():
                     default=[0.05, 0.2, 0.5, 1.0, 2.0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--outer-iters", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     domains = {name: load_domain(args.data_dir, name) for name in DOMAINS}
-    cfg = gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(lam=1.0, tol=1e-7, max_iter=2000),
-        outer_iters=args.outer_iters,
-        d_choice="identity",
-        objective_rtol=1e-5,
-    )
-
-    header = ["task"] + list(args.methods)
-    rows = []
-    sums = {meth: [] for meth in args.methods}
-    for src_name, tgt_name in itertools.permutations(DOMAINS, 2):
-        per_class = 8 if src_name == "dslr" else 10
-        src_ds = domains[src_name]
-        task_seed = args.seed + DOMAINS.index(src_name) * 16 + DOMAINS.index(tgt_name)
-        source = dt.uniform_sample(
-            src_ds, per_class * src_ds.class_count, seed=task_seed
-        )
-        ttrain, ttest = dt.split_even(domains[tgt_name], seed=task_seed)
-        row = [f"{src_name[0].upper()}->{tgt_name[0].upper()}"]
-        for meth in args.methods:
-            rep = adapt.run_task(source, ttrain, ttest, meth, args.lambdas, cfg)
-            pct = 100.0 * rep.test_accuracy
-            sums[meth].append(pct)
-            row.append(f"{pct:.2f}")
-            print(f"{row[0]} {meth}: {pct:.2f} (lambda {rep.lambda_chosen})")
-        rows.append(row)
-    rows.append(
-        ["Average"] + [f"{statistics.fmean(sums[meth]):.2f}" for meth in args.methods]
-    )
+    table = office_table(domains, args.methods, args.lambdas, args.seed,
+                         args.outer_iters)
+    rows = [[row[0]] + [f"{pct:.2f}" for pct in row[1:]] for row in table]
 
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "office_table.csv")
-    cli._write_csv_atomic(table_path, header, rows)
+    cli._write_csv_atomic(table_path, ["task"] + list(args.methods), rows)
     print(f"wrote {table_path}")
     for row in rows:
         print(" ".join(f"{cell:>8}" for cell in row))

@@ -259,7 +259,7 @@ def _load(path, cfg: RunConfig, labeled: bool, labels_path=None) -> dt.RawDatase
     if path is None:
         raise DataError("required input path missing from config")
     try:
-        return dt.load_matrix(
+        ds = dt.load_matrix(
             path,
             fmt=cfg.format,
             labeled=labeled,
@@ -268,11 +268,7 @@ def _load(path, cfg: RunConfig, labeled: bool, labels_path=None) -> dt.RawDatase
         )
     except (OSError, ValueError) as e:
         raise DataError(str(e))
-
-
-def _load_labeled(path, cfg: RunConfig, labels_path) -> dt.RawDataset:
-    ds = _load(path, cfg, labeled=True, labels_path=labels_path)
-    if ds.labels is None:
+    if labeled and ds.labels is None:
         raise DataError(f"{path}: labels required but not present")
     return ds
 
@@ -287,7 +283,7 @@ def _check_converged(cfg: RunConfig, converged: bool, method: str):
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _method_reports(cfg: RunConfig, progress: str, source, ttrain, ttest, seed: int = 0):
+def _method_reports(cfg: RunConfig, progress: str, source, ttrain, ttest):
     """Run every configured method on one task; yield each method's report.
 
     ``progress`` prefixes the ``method=...`` line printed to stderr first.
@@ -295,7 +291,7 @@ def _method_reports(cfg: RunConfig, progress: str, source, ttrain, ttest, seed: 
     gcfg = _gml_config(cfg, cfg.lambda_grid[0])
     for method in cfg.methods:
         print(f"{progress}method={method}", file=sys.stderr)
-        rep = ad.run_task(source, ttrain, ttest, method, list(cfg.lambda_grid), gcfg, seed=seed)
+        rep = ad.run_task(source, ttrain, ttest, method, list(cfg.lambda_grid), gcfg)
         _check_converged(cfg, rep.sinkhorn_converged, method)
         yield rep
 
@@ -352,9 +348,9 @@ def cmd_adapt(cfg: RunConfig) -> int:
 
     The pipeline draws nothing: the input files determine every row.
     """
-    source = _load_labeled(cfg.source, cfg, cfg.source_labels)
-    ttrain = _load_labeled(cfg.target_train, cfg, cfg.target_train_labels)
-    ttest = _load_labeled(cfg.target_test, cfg, cfg.target_test_labels)
+    source = _load(cfg.source, cfg, labeled=True, labels_path=cfg.source_labels)
+    ttrain = _load(cfg.target_train, cfg, labeled=True, labels_path=cfg.target_train_labels)
+    ttest = _load(cfg.target_test, cfg, labeled=True, labels_path=cfg.target_test_labels)
     dims = {ds.features.shape[0] for ds in (source, ttrain, ttest)}
     if len(dims) != 1:
         raise DataError(f"feature dimensions differ across inputs: {sorted(dims)}")
@@ -386,8 +382,8 @@ RUNS_HEADER = [
 
 def cmd_experiment_skew(cfg: RunConfig) -> int:
     """Skew sweep over (percent, class, seed, method)."""
-    src_pool = _load_labeled(cfg.source, cfg, cfg.source_labels)
-    tgt_pool = _load_labeled(cfg.target, cfg, cfg.target_labels)
+    src_pool = _load(cfg.source, cfg, labeled=True, labels_path=cfg.source_labels)
+    tgt_pool = _load(cfg.target, cfg, labeled=True, labels_path=cfg.target_labels)
     if src_pool.features.shape[0] != tgt_pool.features.shape[0]:
         raise DataError("source and target pools have different dimensions")
     # The class list and the per-class counts are sized by class_count.
@@ -415,7 +411,7 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
                 except ValueError as e:
                     raise DataError(str(e))
                 progress = f"experiment-skew: w={w} class={c} seed={seed} "
-                for rep in _method_reports(cfg, progress, x_cloud, ztrain, ztest, seed):
+                for rep in _method_reports(cfg, progress, x_cloud, ztrain, ztest):
                     rows.append([w, c, seed, rep.method, rep.lambda_chosen,
                                  rep.train_accuracy, rep.test_accuracy])
     os.makedirs(cfg.out, exist_ok=True)
@@ -509,7 +505,7 @@ _FLAGS = {
 
 def _build_parser() -> _Parser:
     # A subcommand gets the flags of the keys it reads; any other flag is
-    # an unrecognized argument, which _Parser makes a config error.
+    # an unrecognized argument, which main makes a config error.
     parser = _Parser(prog="otml", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, keys in COMMAND_KEYS.items():
@@ -554,7 +550,11 @@ def _check_out(out: str):
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # summarize's input paths can take a stray flag's value
+            flags = ", ".join(f for k, (f, _) in _FLAGS.items() if k in COMMAND_KEYS[args.command])
+            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}; "
+                              f"{args.command} takes --config, {flags}")
         cfg = load_config(args.config, _overrides(args), args.command)
         _check_out(cfg.out)
         command = _COMMANDS[args.command]

@@ -337,7 +337,7 @@ def load_matrix(
         idx only: average-pool images by this factor per side.
     """
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise FileNotFoundError(f"{path}: no such file")
     if fmt is None:
         fmt = _detect_format(path)
     if fmt not in FORMATS:
@@ -451,14 +451,15 @@ def disjoint_split(
     return first, second
 
 
-def split_even(ds: RawDataset, seed: int) -> "tuple[RawDataset, RawDataset]":
-    """Split every class roughly in half (odd counts favor the first half)."""
+def split_per_class(ds: RawDataset, seed: int, count=None) -> "tuple[RawDataset, RawDataset]":
+    """Cut every class in two: one seeded permutation per class, in class
+    order, and its first ``count`` points (half, rounded up, if None) first."""
     _require_labels(ds)
     rng = np.random.default_rng(seed)
     first, second = [], []
     for j in range(ds.class_count):
         perm = rng.permutation(np.flatnonzero(ds.labels == j))
-        half = (perm.size + 1) // 2
-        first.append(perm[:half])
-        second.append(perm[half:])
+        cut = (perm.size + 1) // 2 if count is None else count
+        first.append(perm[:cut])
+        second.append(perm[cut:])
     return _subset(ds, np.concatenate(first)), _subset(ds, np.concatenate(second))

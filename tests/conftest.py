@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,15 +37,14 @@ def digits_pools(digits_idx):
     images_path, _ = digits_idx
     ds = dt.load_matrix(images_path)
     assert ds.labels is not None, "sibling label discovery failed"
-    rng = np.random.default_rng(12345)
-    src_idx, tgt_idx = [], []
-    for c in range(ds.class_count):
-        pool = np.flatnonzero(ds.labels == c)
-        perm = rng.permutation(pool)
-        src_idx.append(perm[:25])
-        tgt_idx.append(perm[25:])
-    src_idx = np.concatenate(src_idx)
-    tgt_idx = np.concatenate(tgt_idx)
-    source = dt.RawDataset(ds.features[:, src_idx], ds.labels[src_idx])
-    target = dt.RawDataset(ds.features[:, tgt_idx], ds.labels[tgt_idx])
-    return source, target
+    return dt.split_per_class(ds, 12345, 25)
+
+
+@pytest.fixture(scope="session")
+def run_office():
+    """``scripts/run_office.py`` imported as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_office.py"
+    spec = importlib.util.spec_from_file_location("run_office", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -283,22 +283,6 @@ def _find_mnist():
     return None
 
 
-def _split_pools(ds, per_class, seed):
-    rng = np.random.default_rng(seed)
-    src_idx, tgt_idx = [], []
-    for c in range(ds.class_count):
-        pool = np.flatnonzero(ds.labels == c)
-        perm = rng.permutation(pool)
-        src_idx.append(perm[:per_class])
-        tgt_idx.append(perm[per_class:])
-    src_idx = np.concatenate(src_idx)
-    tgt_idx = np.concatenate(tgt_idx)
-    return (
-        dt.RawDataset(ds.features[:, src_idx], ds.labels[src_idx]),
-        dt.RawDataset(ds.features[:, tgt_idx], ds.labels[tgt_idx]),
-    )
-
-
 def _skew_protocol(source_pool, target_pool, m, n, skew, combos, methods, grid, cfg):
     """Mean test accuracy (percent) per method over (class, seed) combos."""
     acc = {meth: [] for meth in methods}
@@ -352,7 +336,7 @@ def test_criterion_7_skewed_digit_adaptation(digits_pools):
     img, lab = found
     if os.environ.get("OTML_ACCEPT_FULL") == "1":
         pool_ds = dt.load_matrix(img, labels_path=lab)
-        source_pool, target_pool = _split_pools(pool_ds, 600, seed=12345)
+        source_pool, target_pool = dt.split_per_class(pool_ds, 12345, 600)
         combos = list(zip((1, 3, 5, 7, 9), range(5)))
         methods = ("euclidean", "whiten", "learned")
         per_skew = {}
@@ -380,7 +364,7 @@ def test_criterion_7_skewed_digit_adaptation(digits_pools):
         return
 
     pool_ds = dt.load_matrix(img, labels_path=lab, downsample=2)
-    source_pool, target_pool = _split_pools(pool_ds, 300, seed=12345)
+    source_pool, target_pool = dt.split_per_class(pool_ds, 12345, 300)
     combos = list(zip((1, 3, 5, 7, 9), range(5)))
     means = _skew_protocol(
         source_pool, target_pool, 200, 200, 50, combos,
@@ -402,25 +386,22 @@ def test_criterion_7_skewed_digit_adaptation(digits_pools):
 # 8: office features (optional corpus)
 
 
-OFFICE_DOMAINS = ("amazon", "caltech", "dslr", "webcam")
-
-
-def _find_office():
+def _find_office(domains):
     root = os.environ.get("OTML_OFFICE_DIR", os.path.join("data", "office"))
     if not os.path.isdir(root):
         return None
     paths = {}
-    for name in OFFICE_DOMAINS:
+    for name in domains:
         for ext in (".rawf64", ".csv"):
             cand = os.path.join(root, name + ext)
             if os.path.exists(cand):
                 paths[name] = cand
                 break
-    return paths if len(paths) == len(OFFICE_DOMAINS) else None
+    return paths if len(paths) == len(domains) else None
 
 
-def test_criterion_8_office_feature_table():
-    paths = _find_office()
+def test_criterion_8_office_feature_table(run_office):
+    paths = _find_office(run_office.DOMAINS)
     if paths is None:
         print("criterion 8: SKIP (no feature exports under $OTML_OFFICE_DIR)")
         pytest.skip("office feature exports not supplied")
@@ -430,26 +411,11 @@ def test_criterion_8_office_feature_table():
         domains[name] = dt.load_matrix(path, labeled=path.endswith(".csv"))
         if domains[name].labels is None:
             pytest.skip(f"{path} has no labels")
-    cfg = _skew_cfg()
-    totals = {"euclidean": [], "learned": []}
-    lines = []
-    for src_name, tgt_name in itertools.permutations(OFFICE_DOMAINS, 2):
-        per_class = 8 if src_name == "dslr" else 10
-        src_ds = domains[src_name]
-        m = per_class * src_ds.class_count
-        task_seed = OFFICE_DOMAINS.index(src_name) * 16 + OFFICE_DOMAINS.index(tgt_name)
-        source = dt.uniform_sample(src_ds, m, seed=task_seed)
-        ttrain, ttest = dt.split_even(domains[tgt_name], seed=task_seed)
-        row = [f"{src_name[0].upper()}->{tgt_name[0].upper()}"]
-        for meth in ("euclidean", "learned"):
-            rep = adapt.run_task(source, ttrain, ttest, meth, SKEW_GRID, cfg)
-            totals[meth].append(100.0 * rep.test_accuracy)
-            row.append(f"{100.0 * rep.test_accuracy:.2f}")
-        lines.append(" ".join(row))
-    avg_e = statistics.fmean(totals["euclidean"])
-    avg_l = statistics.fmean(totals["learned"])
-    for line in lines:
-        print(line)
+    # The script's default run.
+    table = run_office.office_table(domains, ("euclidean", "learned"), SKEW_GRID, 0, 8)
+    *tasks, (_, avg_e, avg_l) = table
+    for task, *pcts in tasks:
+        print(" ".join([task] + [f"{pct:.2f}" for pct in pcts]))
     _report(
         8,
         avg_l > avg_e,

@@ -127,7 +127,10 @@ def test_eps_is_not_a_config_key(tmp_path, capsys):
     argv = ["fit", "--source", src, "--target", src, "--method", "euclidean",
             "--lambda", "0.5", "--out", str(out)]
     assert cli.main(argv + ["--eps", "1e-3"]) == 1
-    assert capsys.readouterr().err == "config error: unrecognized arguments: --eps 1e-3\n"
+    assert capsys.readouterr().err == (
+        "config error: unrecognized arguments: --eps 1e-3; fit takes --config, --method, "
+        "--lambda, --outer-iters, --out, --format, --downsample, --source, --target\n"
+    )
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"eps": 1e-6}))
     assert cli.main(argv + ["--config", str(cfgfile)]) == 1
@@ -307,11 +310,26 @@ def test_flag_of_an_unread_key_exits_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_summarize_names_the_flags_it_takes(tmp_path, capsys):
+    # The input paths take the value of a stray flag, so argparse's message
+    # names the flag only; the flags summarize does take follow it.
+    out = tmp_path / "out"
+    assert cli.main(["summarize", "--method", "euclidean", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: unrecognized arguments: --method; summarize takes --config, --out\n"
+    )
+    assert not out.exists()
+
+
 def test_adapt_has_no_seed_flag(tmp_path, capsys):
     # adapt draws nothing, so a seed could only copy its rows.
     out = tmp_path / "out"
     assert cli.main(["adapt", "--seed", "0", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "config error: unrecognized arguments: --seed 0\n"
+    assert capsys.readouterr().err == (
+        "config error: unrecognized arguments: --seed 0; adapt takes --config, --method, "
+        "--lambda, --outer-iters, --out, --name, --format, --downsample, --source, "
+        "--target-train, --target-test\n"
+    )
     assert not out.exists()
 
 
@@ -532,7 +550,7 @@ def test_fit_missing_input_exits_two_without_outputs(tmp_path, capsys):
          "--target", str(tmp_path / "absent.csv"), "--out", out]
     )
     assert rc == 2
-    assert "data error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'absent.csv'}: no such file\n"
     assert not os.path.exists(out)
 
 

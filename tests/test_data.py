@@ -557,7 +557,7 @@ def test_writers_replace_the_file_whole_or_not_at_all(tmp_path, monkeypatch, wri
 
 
 def test_load_matrix_missing_file():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="^/nonexistent/path.csv: no such file$"):
         dt.load_matrix("/nonexistent/path.csv")
 
 
@@ -660,7 +660,7 @@ def test_samplers_require_every_class_below_class_count():
     spec = dt.SkewSpec(1, 50.0, 4)
     for draw in (lambda: dt.uniform_sample(stray, 6, seed=0),
                  lambda: dt.disjoint_split(stray, spec, spec, seed=0),
-                 lambda: dt.split_even(stray, seed=0)):
+                 lambda: dt.split_per_class(stray, seed=0)):
         with pytest.raises(ValueError, match="every class"):
             draw()
 
@@ -670,7 +670,7 @@ def test_samplers_reject_a_pool_with_one_class():
     spec = dt.SkewSpec(0, 50.0, 2)
     for draw in (lambda: dt.uniform_sample(one, 2, seed=0),
                  lambda: dt.disjoint_split(one, spec, spec, seed=0),
-                 lambda: dt.split_even(one, seed=0)):
+                 lambda: dt.split_per_class(one, seed=0)):
         with pytest.raises(ValueError, match="at least 2 classes"):
             draw()
 
@@ -780,9 +780,9 @@ def test_disjoint_split_insufficient_pool():
         dt.disjoint_split(ds, spec, spec, seed=0)
 
 
-def test_split_even_partitions_each_class():
+def test_split_per_class_partitions_each_class():
     ds = make_ds(per_class=7, k=3)
-    a, b = dt.split_even(ds, seed=0)
+    a, b = dt.split_per_class(ds, seed=0)
     assert a.size == 12 and b.size == 9  # odd class counts favor the first half
     np.testing.assert_array_equal(np.bincount(a.labels, minlength=3), [4, 4, 4])
     np.testing.assert_array_equal(np.bincount(b.labels, minlength=3), [3, 3, 3])
@@ -790,15 +790,37 @@ def test_split_even_partitions_each_class():
     assert len(set(a.indices.tolist()) | set(b.indices.tolist())) == 21
 
 
+@pytest.mark.parametrize("count", [None, 0, 2, 5, 9])
+def test_split_per_class_is_one_permutation_per_class(count):
+    # The per-class loop every pool split used: one permutation per class,
+    # in class order, cut at the count or at half rounded up. Class 1 has
+    # an odd size and class 3 one point.
+    labels = np.array([0] * 6 + [1] * 5 + [2] * 8 + [3])
+    ds = dt.RawDataset(np.random.default_rng(1).normal(size=(2, 20)), labels)
+    rng = np.random.default_rng(12345)
+    first, second = [], []
+    for c in range(4):
+        perm = rng.permutation(np.flatnonzero(labels == c))
+        cut = (perm.size + 1) // 2 if count is None else count
+        first.append(perm[:cut])
+        second.append(perm[cut:])
+    a, b = dt.split_per_class(ds, 12345, count)
+    np.testing.assert_array_equal(a.indices, np.concatenate(first))
+    np.testing.assert_array_equal(b.indices, np.concatenate(second))
+    for part in (a, b):
+        np.testing.assert_array_equal(part.features, ds.features[:, part.indices])
+        np.testing.assert_array_equal(part.labels, labels[part.indices])
+
+
 def test_samples_are_pool_datasets_that_run_task_takes():
-    # Class 3 has one point: the skewed halves and split_even's second half
+    # Class 3 has one point: the skewed halves and split_per_class's second half
     # draw none of it, yet every sample keeps the pool's class count.
     labels = np.array([0] * 8 + [1] * 8 + [2] * 8 + [3])
     ds = dt.RawDataset(np.random.default_rng(5).normal(size=(2, 25)), labels)
     spec = dt.SkewSpec(skew_class=1, skew_percent=50.0, sample_size=4)
     source = dt.uniform_sample(ds, 6, seed=0)
     train, test = dt.disjoint_split(ds, spec, spec, seed=1)
-    samples = [source, train, test, *dt.split_even(ds, seed=2)]
+    samples = [source, train, test, *dt.split_per_class(ds, seed=2)]
     assert train.labels.max() == 2
     for sample in samples:
         assert isinstance(sample, dt.RawDataset)
