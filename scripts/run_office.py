@@ -30,14 +30,19 @@ DOMAINS = ("amazon", "caltech", "dslr", "webcam")
 
 
 def load_domain(root, name):
+    """The labeled export of one domain: <name>.rawf64, else <name>.csv.
+
+    Raises FileNotFoundError when neither file exists and ValueError when
+    the export carries no labels (or the loader rejects it).
+    """
     for ext, labeled in ((".rawf64", False), (".csv", True)):
         path = os.path.join(root, name + ext)
         if os.path.exists(path):
             ds = dt.load_matrix(path, labeled=labeled)
             if ds.labels is None:
-                raise SystemExit(f"{path}: no labels found")
+                raise ValueError(f"{path}: no labels found")
             return ds
-    raise SystemExit(
+    raise FileNotFoundError(
         f"no feature export for domain {name!r} under {root} "
         f"(expected {name}.rawf64 or {name}.csv)"
     )
@@ -85,7 +90,10 @@ def main(argv=None):
     ap.add_argument("--outer-iters", type=int, default=8)
     args = ap.parse_args(argv)
 
-    domains = {name: load_domain(args.data_dir, name) for name in DOMAINS}
+    try:
+        domains = {name: load_domain(args.data_dir, name) for name in DOMAINS}
+    except (FileNotFoundError, ValueError) as e:
+        raise SystemExit(str(e))
     table = office_table(domains, args.methods, args.lambdas, args.seed,
                          args.outer_iters)
     rows = [[row[0]] + [f"{pct:.2f}" for pct in row[1:]] for row in table]

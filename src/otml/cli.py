@@ -42,8 +42,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
-import statistics
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -419,10 +419,8 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
 
     table_header = ["skew_percent"] + list(cfg.methods)
     groups = _group(rows, (0, 3))  # (skew_percent, method)
-    table_rows = [
-        [w] + [statistics.fmean(r[6] for r in groups[w, method]) for method in cfg.methods]
-        for w in cfg.skews
-    ]
+    means = {key: math.fsum(r[6] for r in grp) / len(grp) for key, grp in groups.items()}
+    table_rows = [[w] + [means[w, method] for method in cfg.methods] for w in cfg.skews]
     _write_csv_atomic(os.path.join(cfg.out, "table.csv"), table_header, table_rows)
     _print_table(table_header, table_rows)
     return 0
@@ -466,7 +464,7 @@ def cmd_summarize(cfg: RunConfig, inputs: "list[str]") -> int:
     keys = [k for k in ("task", "skew_percent", "method") if k in header]
     out_header = keys + ["runs"] + [f"mean_{k}" for k in scores]
     out_rows = [
-        list(key) + [len(grp)] + [statistics.fmean(r[k] for r in grp) for k in scores]
+        list(key) + [len(grp)] + [math.fsum(r[k] for r in grp) / len(grp) for k in scores]
         for key, grp in _group(rows, keys).items()
     ]
     os.makedirs(cfg.out, exist_ok=True)

@@ -390,7 +390,7 @@ def _skewed_counts(n: int, k: int, skew_class: int, percent: float) -> np.ndarra
 
 
 def _draw_by_counts(
-    ds: RawDataset, counts: "list[np.ndarray]", rng: np.random.Generator
+    ds: RawDataset, counts: "list[np.ndarray]", rng: "np.random.Generator"
 ) -> "list[RawDataset]":
     # One sample per count vector, cut in order from one draw per class.
     parts = [[] for _ in counts]

@@ -222,13 +222,13 @@ def span(x: np.ndarray, z: np.ndarray) -> Span:
 
 
 def _scatter(x, z, plan):
-    # Plan-weighted scatter sum_ij plan_ij (x_i - z_j)(x_i - z_j)^T through
-    # its expansion: X diag(r) X^T + Z diag(c) Z^T - X plan Z^T - (...)^T,
-    # O(d^2 (m+n) + d m n) instead of O(d^2 m n).
-    r = plan.sum(axis=1)
-    c = plan.sum(axis=0)
+    # Plan-weighted scatter sum_ij plan_ij (x_i - z_j)(x_i - z_j)^T through its
+    # expansion (X r^1/2)(X r^1/2)^T + (Z c^1/2)(Z c^1/2)^T - (X plan Z^T + (...)^T),
+    # O(d^2 (m+n) + d m n) instead of O(d^2 m n); each term is exactly symmetric.
+    xr = x * np.sqrt(plan.sum(axis=1))
+    zc = z * np.sqrt(plan.sum(axis=0))
     cross = x @ plan @ z.T
-    return symmetrize((x * r) @ x.T + (z * c) @ z.T - cross - cross.T)
+    return xr @ xr.T + zc @ zc.T - (cross + cross.T)
 
 
 def _ridge(raw, dim):
@@ -308,9 +308,9 @@ def baseline_factors(kind: str, sp: Span) -> "tuple[np.ndarray, float]":
     if kind == "euclidean":
         return np.eye(rank), 1.0
     points = np.hstack([sp.x, sp.z]) + sp.origin[:, None]
-    raw = symmetrize(points @ points.T)
-    rho = _ridge(raw, sp.points.shape[0])
-    gram = raw + rho * np.eye(rank)
+    gram = points @ points.T
+    rho = _ridge(gram, sp.points.shape[0])
+    gram.flat[:: rank + 1] += rho
     return (gram, rho) if kind == "gram" else (spd_inv(gram), 1.0 / rho)
 
 
@@ -390,11 +390,11 @@ def fit_grid(
     ridge = _ridge(raw, dim)
     rest = 2.0 * (dim - rank) * float(np.sqrt(ridge * d_rest))
 
-    def step(scatter):
-        # Metric for the scatter lifted by the frozen ridge, its regularizer
-        # and its cost; trace(A^{-1} D) = trace(A cg) = sum(A * cg), since
-        # A cg A = D and both are symmetric.
-        cg = scatter + ridge * np.eye(rank)
+    def step(cg):
+        # Metric for a scatter cg lifted in place by the frozen ridge, its
+        # regularizer and its cost; trace(A^{-1} D) = trace(A cg) =
+        # sum(A * cg), since A cg A = D and both are symmetric.
+        cg.flat[:: rank + 1] += ridge
         metric = update_metric(cg, d_mat)
         reg = ridge * float(np.trace(metric)) + float(np.sum(metric * cg)) + rest
         return metric, reg, cost_matrix(sp.x, sp.z, metric)

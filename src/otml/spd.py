@@ -3,11 +3,11 @@
 All matrix functions go through the symmetric eigendecomposition, which is
 the simplest route to a correct principal root. Inputs are symmetrized
 before decomposition so that accumulated round-off asymmetry cannot leak
-into eigenvalue signs, and the result of the quadratic solve is
-re-symmetrized before return so that drift does not build up over repeated
-alternating updates. The quadratic solve decomposes its first argument
-once, and decomposes a second matrix only when the second argument is not
-a scalar multiple of the identity.
+into eigenvalue signs. Every matrix function result is a product F F^T,
+which numpy computes with one syrk and returns exactly symmetric, so no
+drift builds up over repeated alternating updates. The quadratic solve
+decomposes its first argument once, and decomposes a second matrix only
+when the second argument is not a scalar multiple of the identity.
 """
 
 import numpy as np
@@ -72,17 +72,18 @@ def eigh_spd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig_power(w: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
-    """v diag(w**k) v^T from an eigendecomposition, symmetrized.
+    """v diag(w**k) v^T from an eigendecomposition, as F F^T (exactly symmetric).
 
-    Negative powers divide the eigenvector columns by w**-k rather than
-    multiply by its reciprocal, one rounding per entry instead of two.
+    F is v diag(w**(k/2)). Negative powers divide the eigenvector columns
+    by w**(-k/2) rather than multiply by its reciprocal, one rounding per
+    entry instead of two.
     """
-    scaled = v * w**k if k > 0 else v / w**-k
-    return symmetrize(scaled @ v.T)
+    f = v * w ** (k / 2) if k > 0 else v / w ** (-k / 2)
+    return f @ f.T
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Square root of a matrix known to be PSD up to round-off.
+def _psd_sqrt_factor(mat: np.ndarray) -> np.ndarray:
+    """R with R R^T the square root of a matrix known to be PSD up to round-off.
 
     Congruences P M P of a definite M are positive in exact arithmetic,
     but when the product is nearly singular the computed eigenvalues can
@@ -90,7 +91,7 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     of such inputs, so no positivity check is applied here.
     """
     w, v = np.linalg.eigh(symmetrize(mat))
-    return _eig_power(np.maximum(w, 0.0), v, 0.5)
+    return v * np.maximum(w, 0.0) ** 0.25
 
 
 def spd_inv(mat: np.ndarray) -> np.ndarray:
@@ -102,11 +103,11 @@ def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Solve the quadratic matrix equation A @ C @ A = D for SPD A.
 
     The unique SPD solution is C^{-1/2} (C^{1/2} D C^{1/2})^{1/2} C^{-1/2},
-    the affine-invariant geometric mean of C^{-1} and D, computed with two
-    eigendecompositions: one of C for both of its roots, one of the inner
-    product. When D is exactly s * I this is s^{1/2} C^{-1/2}, computed
-    from the one eigendecomposition of C (the zero matrix for s <= 0, as
-    the clamp in ``_psd_sqrt`` gives it).
+    the affine-invariant geometric mean of C^{-1} and D, formed as G G^T for
+    G = C^{-1/2} R, R R^T the inner root: one eigendecomposition of C for
+    both of its roots, one of the inner product. When D is exactly s * I
+    this is s^{1/2} C^{-1/2}, from the one eigendecomposition of C (the
+    zero matrix for s <= 0, as the clamp in ``_psd_sqrt_factor`` gives it).
 
     Parameters
     ----------
@@ -116,17 +117,17 @@ def riccati_solve(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     Returns
     -------
     ndarray of shape (d, d)
-        The SPD solution, symmetrized before return.
+        The SPD solution, exactly symmetric.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     if c.shape != d.shape:
         raise ValueError(f"dimension mismatch: {c.shape} vs {d.shape}")
     w, v = eigh_spd(c)
-    s = d[0, 0]
-    if np.array_equal(d, s * np.eye(d.shape[0])):
-        return np.sqrt(max(s, 0.0)) * _eig_power(w, v, -0.5)
-    outer = _eig_power(w, v, -0.5)
+    # D = s * I: no nonzero entry off the diagonal, and every entry on it s.
+    diag = np.diagonal(d)
+    if np.count_nonzero(d) == np.count_nonzero(diag) and (diag == diag[0]).all():
+        return np.sqrt(max(diag[0], 0.0)) * _eig_power(w, v, -0.5)
     inner = _eig_power(w, v, 0.5)
-    return symmetrize(outer @ _psd_sqrt(inner @ symmetrize(d) @ inner) @ outer)
-
+    g = _eig_power(w, v, -0.5) @ _psd_sqrt_factor(inner @ symmetrize(d) @ inner)
+    return g @ g.T

@@ -432,4 +432,5 @@ def geometric_mean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.sqrt(max(s, 0.0)) * spd._eig_power(w, v, 0.5)
     outer = spd._eig_power(w, v, 0.5)
     inner = spd._eig_power(w, v, -0.5)
-    return spd.symmetrize(outer @ spd._psd_sqrt(inner @ spd.symmetrize(q) @ inner) @ outer)
+    root = spd._psd_sqrt_factor(inner @ spd.symmetrize(q) @ inner)
+    return spd.symmetrize(outer @ root @ root.T @ outer)

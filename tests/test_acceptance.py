@@ -17,8 +17,8 @@ Checks 7 and 8 depend on external corpora. Full-size digit files are
 picked up from $OTML_MNIST_DIR (default ./data/mnist); without them,
 check 7 runs a calibrated stand-in on the bundled 8x8 digits with a
 correspondingly reduced gap threshold. Office feature exports are picked
-up from $OTML_OFFICE_DIR (default ./data/office); check 8 skips cleanly
-when they are absent.
+up from $OTML_OFFICE_DIR (default ./data/office) by the office script's
+``load_domain``; check 8 skips cleanly when one is absent or unlabeled.
 """
 
 import itertools
@@ -386,31 +386,14 @@ def test_criterion_7_skewed_digit_adaptation(digits_pools):
 # 8: office features (optional corpus)
 
 
-def _find_office(domains):
-    root = os.environ.get("OTML_OFFICE_DIR", os.path.join("data", "office"))
-    if not os.path.isdir(root):
-        return None
-    paths = {}
-    for name in domains:
-        for ext in (".rawf64", ".csv"):
-            cand = os.path.join(root, name + ext)
-            if os.path.exists(cand):
-                paths[name] = cand
-                break
-    return paths if len(paths) == len(domains) else None
-
-
 def test_criterion_8_office_feature_table(run_office):
-    paths = _find_office(run_office.DOMAINS)
-    if paths is None:
-        print("criterion 8: SKIP (no feature exports under $OTML_OFFICE_DIR)")
-        pytest.skip("office feature exports not supplied")
-    # csv exports carry labels in the last column; rawf64 carries its own flag
-    domains = {}
-    for name, path in paths.items():
-        domains[name] = dt.load_matrix(path, labeled=path.endswith(".csv"))
-        if domains[name].labels is None:
-            pytest.skip(f"{path} has no labels")
+    # The script's own load rule: a missing or unlabeled export skips.
+    root = os.environ.get("OTML_OFFICE_DIR", os.path.join("data", "office"))
+    try:
+        domains = {name: run_office.load_domain(root, name) for name in run_office.DOMAINS}
+    except (FileNotFoundError, ValueError) as e:
+        print(f"criterion 8: SKIP ({e})")
+        pytest.skip(f"office feature exports not usable: {e}")
     # The script's default run.
     table = run_office.office_table(domains, ("euclidean", "learned"), SKEW_GRID, 0, 8)
     *tasks, (_, avg_e, avg_l) = table

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ot_oracle import barycentric_map, knn1_predict
-from otml import adapt, gml
+from otml import adapt, gml, spd
 from otml import data as dt
 from otml import sinkhorn as sk
 
@@ -560,6 +561,69 @@ def test_run_task_shares_the_lambda_independent_work(
     assert counts["cost_matrix"] == costs
     assert counts.get("_scatter", 0) == scatters
     assert counts["eigh"] == metrics
+
+
+def test_run_task_builds_every_spd_matrix_exactly_symmetric(monkeypatch):
+    # Every symmetric matrix a fit forms is a product F F^T (one syrk, exactly
+    # symmetric) or a sum of such products and their ridge, so gml
+    # symmetrizes nothing, and spd symmetrizes only what arrives from outside
+    # its own products: each eigendecomposition's input and, where D is not
+    # s * I, D and the inner product C^1/2 D C^1/2 of the Riccati solve.
+    rng = np.random.default_rng(29)
+    labels = np.repeat([0, 1], 9)
+    source, train, test = (
+        dt.RawDataset(rng.normal(size=(8, 18)) + 2.0 * labels + shift, labels)
+        for shift in (0.0, 0.5, 0.5)
+    )
+    callers, counts, built = {}, {}, []
+    original = spd.symmetrize
+
+    def symmetrize(mat):
+        frame = sys._getframe(1)
+        key = (frame.f_globals["__name__"], frame.f_code.co_name)
+        callers[key] = callers.get(key, 0) + 1
+        return original(mat)
+
+    def keep(name, label):
+        # Record each matrix gml.<name> returns, as it was returned.
+        made = getattr(gml, name)
+
+        def kept(*args):
+            out = made(*args)
+            tag, mat = label(args, out)
+            built.append((tag, mat.copy()))
+            return out
+
+        monkeypatch.setattr(gml, name, kept)
+
+    monkeypatch.setattr(spd, "symmetrize", symmetrize)
+    monkeypatch.setattr(gml, "symmetrize", symmetrize)
+    _count_calls(monkeypatch, spd, "eigh_spd", counts)
+    keep("_scatter", lambda args, out: ("scatter", out))
+    keep("baseline_factors", lambda args, out: (args[0], out[0]))
+    keep("update_metric", lambda args, out: ("learned", out))
+    general = 0  # Riccati solves whose D is not s * I
+    for method, d_choice in [("euclidean", "identity"), ("gram", "identity"),
+                             ("whiten", "identity"), ("learned", "identity"),
+                             ("learned", "gram_sum")]:
+        cfg = gml.GmlConfig(
+            sinkhorn=sk.SinkhornConfig(lam=0.1, tol=1e-9, max_iter=5000),
+            outer_iters=3, d_choice=d_choice, objective_rtol=0.0,
+        )
+        before = len(built)
+        adapt.run_task(source, train, test, method, GRID, cfg)
+        if d_choice == "gram_sum":
+            general += sum(tag == "learned" for tag, _ in built[before:])
+    assert general > 0
+    assert callers == {
+        ("otml.spd", "eigh_spd"): counts["eigh_spd"],
+        ("otml.spd", "riccati_solve"): general,
+        ("otml.spd", "_psd_sqrt_factor"): general,
+    }
+    # The scatter, the Gram target (and gram baseline), the whiten inverse
+    # and every learned metric were all formed, and each is its transpose.
+    assert {tag for tag, _ in built} == {"scatter", "euclidean", "gram", "whiten", "learned"}
+    assert all(np.array_equal(a, a.T) for _, a in built)
 
 
 @pytest.mark.parametrize("method", ["learned", "gram", "whiten", "euclidean"])

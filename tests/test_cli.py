@@ -754,6 +754,23 @@ def test_cli_runs_without_scipy(tmp_path):
     assert [l.split(",")[1] for l in lines[1:]] == list(ad.METHODS)  # one row per method
 
 
+def test_importing_the_layers_loads_neither_numpy_random_nor_statistics():
+    # A cold start pays only for what import needs: numpy loads numpy.random
+    # on first attribute access, and statistics pulls in random, hashlib,
+    # fractions and decimal. Each is loaded where it is used, not at import.
+    code = (
+        "import sys\n"
+        "from otml import adapt, cli, data, gml, sinkhorn, spd\n"
+        "print(sorted({'numpy.random', 'statistics'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_adapt_dimension_mismatch_exits_two(tmp_path):
     rng = np.random.default_rng(2)
     a = write_cloud_csv(tmp_path / "a.csv", rng, dim=2)

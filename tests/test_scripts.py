@@ -2,6 +2,7 @@ import csv
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from otml import adapt as ad
 from otml import cli
@@ -80,3 +81,15 @@ def test_run_office_writes_the_twelve_task_table(tmp_path, run_office):
     assert ((cells >= 0) & (cells <= 100)).all()
     # The Average row is the mean of the unrounded accuracies.
     np.testing.assert_allclose(cells[-1], cells[:-1].mean(axis=0), atol=0.01)
+
+
+def test_run_office_load_domain_raises_and_main_exits(tmp_path, run_office):
+    # A missing export is a FileNotFoundError and an unlabeled one a
+    # ValueError, which criterion 8 skips on; main exits with the message.
+    with pytest.raises(FileNotFoundError, match="amazon"):
+        run_office.load_domain(str(tmp_path), "amazon")
+    dt.save_rawf64(str(tmp_path / "amazon.rawf64"), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="no labels"):
+        run_office.load_domain(str(tmp_path), "amazon")
+    with pytest.raises(SystemExit, match="no labels"):
+        run_office.main(["--data-dir", str(tmp_path), "--out", str(tmp_path / "out")])
