@@ -16,15 +16,14 @@ one row per task plus an Average row.
 
 import argparse
 import itertools
+import math
 import os
-import statistics
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from otml import adapt, cli, gml
+from otml import cli
 from otml import data as dt
-from otml import sinkhorn as sk
 
 DOMAINS = ("amazon", "caltech", "dslr", "webcam")
 
@@ -53,12 +52,11 @@ def office_table(domains, methods, lambdas, seed, outer_iters):
 
     ``domains`` maps each name in DOMAINS to its labeled dataset. Returns
     one row [task, accuracy per method] per pair, then the Average row.
+    Progress and any unconverged solve are reported on stderr.
     """
-    cfg = gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(lam=1.0, tol=1e-7, max_iter=2000),
-        outer_iters=outer_iters,
-        d_choice="identity",
-        objective_rtol=1e-5,
+    cfg = cli.RunConfig(
+        methods=list(methods), lambda_grid=list(lambdas), outer_iters=outer_iters,
+        d_choice="identity", objective_rtol=1e-5, sinkhorn_tol=1e-7, sinkhorn_max_iter=2000,
     )
     rows = []
     for src_name, tgt_name in itertools.permutations(DOMAINS, 2):
@@ -69,14 +67,11 @@ def office_table(domains, methods, lambdas, seed, outer_iters):
             src_ds, per_class * src_ds.class_count, seed=task_seed
         )
         ttrain, ttest = dt.split_per_class(domains[tgt_name], seed=task_seed)
-        row = [f"{src_name[0].upper()}->{tgt_name[0].upper()}"]
-        for meth in methods:
-            rep = adapt.run_task(source, ttrain, ttest, meth, list(lambdas), cfg)
-            row.append(100.0 * rep.test_accuracy)
-            print(f"{row[0]} {meth}: {row[-1]:.2f} (lambda {rep.lambda_chosen})")
-        rows.append(row)
+        task = f"{src_name[0].upper()}->{tgt_name[0].upper()}"
+        reports = cli._method_reports(cfg, f"office: {task} ", source, ttrain, ttest)
+        rows.append([task] + [100.0 * rep.test_accuracy for rep in reports])
     columns = list(zip(*rows))[1:]
-    return rows + [["Average"] + [statistics.fmean(col) for col in columns]]
+    return rows + [["Average"] + [math.fsum(col) / len(col) for col in columns]]
 
 
 def main(argv=None):

@@ -402,16 +402,13 @@ def cmd_experiment_skew(cfg: RunConfig) -> int:
     for w in cfg.skews:
         for c in classes:
             for seed in cfg.seeds:
-                mix = np.random.SeedSequence([int(seed), int(w), int(c)])
-                s_src, s_tgt = (int(v) for v in mix.generate_state(2))
+                entropy = [int(seed), int(w), int(c)]
                 try:
-                    x_cloud = dt.uniform_sample(src_pool, cfg.m, s_src)
-                    spec = dt.SkewSpec(c, float(w), cfg.n)
-                    ztrain, ztest = dt.disjoint_split(tgt_pool, spec, spec, s_tgt)
+                    clouds = dt.skew_round(src_pool, tgt_pool, cfg.m, cfg.n, c, w, entropy)
                 except ValueError as e:
                     raise DataError(str(e))
                 progress = f"experiment-skew: w={w} class={c} seed={seed} "
-                for rep in _method_reports(cfg, progress, x_cloud, ztrain, ztest):
+                for rep in _method_reports(cfg, progress, *clouds):
                     rows.append([w, c, seed, rep.method, rep.lambda_chosen,
                                  rep.train_accuracy, rep.test_accuracy])
     os.makedirs(cfg.out, exist_ok=True)

@@ -6,8 +6,8 @@ Three on-disk formats are understood:
   integer label column.
 * ``rawf64``: a little-endian binary dump. Layout: u64 feature count d,
   u64 sample count N, then d*N float64 values in column-major order (one
-  column per sample), then a u8 flag, then N u32 labels when the flag is
-  nonzero.
+  column per sample), then a u8 flag (0 or 1), then N u32 labels when the
+  flag is 1.
 * ``idx``: the big-endian image/label container commonly used for digit
   corpora (magic 0x00000803 for u8 image tensors, 0x00000801 for u8 label
   vectors). Pixels are rescaled to [0, 1]; each image is flattened
@@ -132,7 +132,7 @@ def _detect_format(path: str) -> str:
 
 
 def _load_csv(path: str, labeled: bool) -> RawDataset:
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         first = fh.readline()
     skip = 0
     try:
@@ -142,7 +142,7 @@ def _load_csv(path: str, labeled: bool) -> RawDataset:
     with warnings.catch_warnings():
         # A file without data rows is an error that load_matrix reports.
         warnings.simplefilter("ignore", UserWarning)
-        table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, encoding="utf-8-sig")
     if labeled:
         if table.size and table.shape[1] < 2:
             raise ValueError(f"{path}: labeled csv needs at least 2 columns")
@@ -181,9 +181,9 @@ def _load_rawf64(path: str) -> RawDataset:
         # point-major on disk: the (n, d) array's transpose is the feature matrix
         points = _read_payload(fh, (n, d), "<f8", "rawf64 payload")
         flag = fh.read(1)
-        labels = None
-        if flag and flag[0]:
-            labels = _read_payload(fh, (n,), "<u4", "rawf64 label block")
+        if flag > b"\x01":
+            raise ValueError(f"{path}: rawf64 label flag {flag[0]}, not 0 or 1")
+        labels = _read_payload(fh, (n,), "<u4", "rawf64 label block") if flag == b"\x01" else None
         _check_end(fh, "rawf64 data")
     return RawDataset(points.T, labels)
 
@@ -449,6 +449,15 @@ def disjoint_split(
         )
     first, second = _draw_by_counts(ds, counts, np.random.default_rng(seed))
     return first, second
+
+
+def skew_round(source, target, m: int, n: int, skew_class: int, skew_percent, entropy):
+    """A uniform m-point source sample and two disjoint n-point target samples in
+    which ``skew_class`` takes ``skew_percent`` %, seeded by ``SeedSequence(entropy)``."""
+    s_src, s_tgt = (int(v) for v in np.random.SeedSequence(entropy).generate_state(2))
+    x = uniform_sample(source, m, s_src)
+    spec = SkewSpec(skew_class, float(skew_percent), n)
+    return (x, *disjoint_split(target, spec, spec, s_tgt))
 
 
 def split_per_class(ds: RawDataset, seed: int, count=None) -> "tuple[RawDataset, RawDataset]":

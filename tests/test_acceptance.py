@@ -23,8 +23,8 @@ up from $OTML_OFFICE_DIR (default ./data/office) by the office script's
 
 import itertools
 import json
+import math
 import os
-import statistics
 import time
 
 import numpy as np
@@ -283,44 +283,33 @@ def _find_mnist():
     return None
 
 
-def _skew_protocol(source_pool, target_pool, m, n, skew, combos, methods, grid, cfg):
+# Criterion 7 runs the solver settings and lambda grid of the shipped digit sweep.
+MNIST_SKEW_CONFIG = os.path.join(os.path.dirname(__file__), "..", "scripts", "mnist_skew.json")
+
+
+def _skew_protocol(source_pool, target_pool, m, n, skew, combos, methods):
     """Mean test accuracy (percent) per method over (class, seed) combos."""
+    cfg = cli.load_config(MNIST_SKEW_CONFIG, {"methods": list(methods)}, "experiment-skew")
     acc = {meth: [] for meth in methods}
     for c, seed in combos:
-        mix = np.random.SeedSequence([int(seed), int(skew), int(c)])
-        s_src, s_tgt = (int(v) for v in mix.generate_state(2))
-        x_cloud = dt.uniform_sample(source_pool, m, s_src)
-        spec = dt.SkewSpec(c, float(skew), n)
-        ztrain, ztest = dt.disjoint_split(target_pool, spec, spec, s_tgt)
-        for meth in methods:
-            rep = adapt.run_task(x_cloud, ztrain, ztest, meth, grid, cfg, seed=seed)
-            acc[meth].append(rep.test_accuracy)
-    return {meth: 100.0 * statistics.fmean(v) for meth, v in acc.items()}
+        clouds = dt.skew_round(source_pool, target_pool, m, n, c, skew, [seed, skew, c])
+        for rep in cli._method_reports(cfg, f"criterion 7: class={c} seed={seed} ", *clouds):
+            acc[rep.method].append(rep.test_accuracy)
+    return {meth: 100.0 * (math.fsum(v) / len(v)) for meth, v in acc.items()}
 
 
 SKEW_GRID = [0.05, 0.2, 0.5, 1.0, 2.0]
 
 
-def _skew_cfg():
-    return gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(lam=1.0, tol=1e-7, max_iter=2000),
-        outer_iters=8,
-        d_choice="identity",
-        objective_rtol=1e-5,
-    )
-
-
 def test_criterion_7_skewed_digit_adaptation(digits_pools):
     found = _find_mnist()
     start = time.perf_counter()
-    cfg = _skew_cfg()
     if found is None:
         # bundled 8x8 digits stand-in, calibrated to clear a +2 point gap
         source_pool, target_pool = digits_pools
         combos = list(itertools.product((1, 3, 5, 7, 9), range(5)))
         means = _skew_protocol(
-            source_pool, target_pool, 140, 140, 50, combos,
-            ("euclidean", "learned"), SKEW_GRID, cfg,
+            source_pool, target_pool, 140, 140, 50, combos, ("euclidean", "learned")
         )
         gap = means["learned"] - means["euclidean"]
         elapsed = time.perf_counter() - start
@@ -342,8 +331,7 @@ def test_criterion_7_skewed_digit_adaptation(digits_pools):
         per_skew = {}
         for skew in (10, 20, 30, 40, 50):
             per_skew[skew] = _skew_protocol(
-                source_pool, target_pool, 500, 500, skew, combos,
-                methods, SKEW_GRID, cfg,
+                source_pool, target_pool, 500, 500, skew, combos, methods
             )
         elapsed = time.perf_counter() - start
         gap50 = per_skew[50]["learned"] - per_skew[50]["euclidean"]
@@ -367,8 +355,7 @@ def test_criterion_7_skewed_digit_adaptation(digits_pools):
     source_pool, target_pool = dt.split_per_class(pool_ds, 12345, 300)
     combos = list(zip((1, 3, 5, 7, 9), range(5)))
     means = _skew_protocol(
-        source_pool, target_pool, 200, 200, 50, combos,
-        ("euclidean", "learned"), SKEW_GRID, cfg,
+        source_pool, target_pool, 200, 200, 50, combos, ("euclidean", "learned")
     )
     gap = means["learned"] - means["euclidean"]
     elapsed = time.perf_counter() - start

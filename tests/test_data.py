@@ -125,6 +125,18 @@ def test_csv_header_skipped(tmp_path):
     np.testing.assert_array_equal(ds.features, np.array([[1.0, 3.0], [2.0, 4.0]]))
 
 
+def test_csv_byte_order_mark_is_no_header(tmp_path):
+    # Read with the mark, the first row's first cell is not a number, and the
+    # row was skipped as a header.
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    ds = dt.load_matrix(str(path))
+    np.testing.assert_array_equal(ds.features, np.array([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]))
+    path.write_bytes(b"\xef\xbb\xbff0,f1\n1.0,2.0\n3.0,4.0\n")
+    ds = dt.load_matrix(str(path))
+    np.testing.assert_array_equal(ds.features, np.array([[1.0, 3.0], [2.0, 4.0]]))
+
+
 def test_csv_labeled_last_column(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.0,2.0,0\n3.0,4.0,2\n5.0,6.0,1\n")
@@ -240,6 +252,15 @@ def test_rawf64_may_end_after_the_payload(tmp_path):
     back = dt.load_matrix(str(path))
     np.testing.assert_array_equal(back.features, feats)
     assert back.labels is None
+
+
+@pytest.mark.parametrize("flag", [2, 255])
+def test_rawf64_label_flag_is_0_or_1(tmp_path, flag):
+    payload = dt.rawf64_bytes(np.arange(4.0).reshape(2, 2), [0, 1])
+    path = tmp_path / "x.rawf64"
+    path.write_bytes(payload[:48] + bytes([flag]) + payload[49:])
+    with pytest.raises(ValueError, match=f"x.rawf64: rawf64 label flag {flag}, not 0 or 1"):
+        dt.load_matrix(str(path))
 
 
 def test_rawf64_implausible_dimensions(tmp_path):

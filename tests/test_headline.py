@@ -67,12 +67,8 @@ def _rounds(dim, size, rounds, seed, pixels):
     src, tgt = wl.make_pools(seed, dim, 3 * size, pixels)
     source, target = dt.RawDataset(*src), dt.RawDataset(*tgt)
     for r in range(rounds):
-        mix = np.random.SeedSequence([wl.draw_seed(seed, r), wl.SKEW_PERCENT])
-        s_src, s_tgt = (int(v) for v in mix.generate_state(2))
-        spec = dt.SkewSpec(r % wl.CLASSES, float(wl.SKEW_PERCENT), size)
-        x = dt.uniform_sample(source, size, s_src)
-        zt, ze = dt.disjoint_split(target, spec, spec, s_tgt)
-        yield x, zt, ze
+        entropy = [wl.draw_seed(seed, r), wl.SKEW_PERCENT]
+        yield dt.skew_round(source, target, size, size, r % wl.CLASSES, wl.SKEW_PERCENT, entropy)
 
 
 def _mean_test_accuracy(dim, size, outer_iters, rounds, seed, pixels):
@@ -84,6 +80,20 @@ def _mean_test_accuracy(dim, size, outer_iters, rounds, seed, pixels):
             rep = adapt.run_task(x, zt, ze, method, wl.GRID, cfg, seed=r)
             acc[method].append(rep.test_accuracy)
     return {m: 100.0 * statistics.fmean(v) for m, v in acc.items()}
+
+
+def test_rounds_are_the_benchmark_runners_draws():
+    # The rounds above are the ones the benchmark measures: on the skew-n320
+    # smoke workload, every round equals Runner._sample's to the bit.
+    work = wl.SMOKE["skew-n320"]
+    otml = {"adapt": adapt, "data": dt, "gml": gml, "sinkhorn": sk}
+    runner = wl.Runner(work, 1, None, otml, None, None)
+    ours = _rounds(work.dim, work.size, 3, seed=1, pixels=work.pixels)
+    for r, clouds in enumerate(ours):
+        for mine, theirs in zip(clouds, runner._sample(r), strict=True):
+            assert mine.features.tobytes() == theirs.features.tobytes()
+            assert np.array_equal(mine.labels, theirs.labels)
+            assert np.array_equal(mine.indices, theirs.indices)
 
 
 def test_metric_updates_meet_criterion_1_at_d784(monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +55,19 @@ def test_mnist_skew_config_runs_the_sweep(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def office_domains(names):
+    """(name, features, labels) of one seeded three-class toy export per domain."""
+    rng = np.random.default_rng(7)
+    for i, name in enumerate(names):
+        labels = np.repeat(np.arange(3), 21 + i)
+        yield name, rng.normal(size=(5, labels.size)) + 0.8 * labels + 0.5 * i, labels
+
+
 def test_run_office_writes_the_twelve_task_table(tmp_path, run_office):
     # Two domains as csv (labels last), two as rawf64 (labels embedded).
-    rng = np.random.default_rng(7)
     data_dir = tmp_path / "office"
     data_dir.mkdir()
-    for i, name in enumerate(run_office.DOMAINS):
-        labels = np.repeat(np.arange(3), 21 + i)
-        x = rng.normal(size=(5, labels.size)) + 0.8 * labels + 0.5 * i
+    for i, (name, x, labels) in enumerate(office_domains(run_office.DOMAINS)):
         if i % 2:
             np.savetxt(data_dir / f"{name}.csv", np.column_stack([x.T, labels]), delimiter=",")
         else:
@@ -81,6 +87,18 @@ def test_run_office_writes_the_twelve_task_table(tmp_path, run_office):
     assert ((cells >= 0) & (cells <= 100)).all()
     # The Average row is the mean of the unrounded accuracies.
     np.testing.assert_allclose(cells[-1], cells[:-1].mean(axis=0), atol=0.01)
+
+
+def test_office_table_warns_about_an_unconverged_solve(monkeypatch, capsys, run_office):
+    run_task = ad.run_task
+    monkeypatch.setattr(ad, "run_task", lambda *args, **kwargs: dataclasses.replace(
+        run_task(*args, **kwargs), sinkhorn_converged=False))
+    domains = {name: dt.RawDataset(x, labels)
+               for name, x, labels in office_domains(run_office.DOMAINS)}
+    table = run_office.office_table(domains, ["euclidean"], [1.0], 0, 1)
+    assert len(table) == 13 and table[-1][0] == "Average"
+    err = capsys.readouterr().err
+    assert err.count("warning: transport solve did not converge (euclidean)\n") == 12
 
 
 def test_run_office_load_domain_raises_and_main_exits(tmp_path, run_office):
