@@ -47,6 +47,14 @@ def load_domain(root, name):
     )
 
 
+def office_config(methods, lambdas, outer_iters):
+    """The protocol's ``cli.RunConfig``; raises ``cli.ConfigError`` on a bad value."""
+    return cli.RunConfig(
+        methods=list(methods), lambda_grid=list(lambdas), outer_iters=outer_iters,
+        d_choice="identity", objective_rtol=1e-5, sinkhorn_tol=1e-7, sinkhorn_max_iter=2000,
+    )
+
+
 def office_table(domains, methods, lambdas, seed, outer_iters):
     """Held-out accuracy (percent) per method on the 12 ordered domain pairs.
 
@@ -54,10 +62,7 @@ def office_table(domains, methods, lambdas, seed, outer_iters):
     one row [task, accuracy per method] per pair, then the Average row.
     Progress and any unconverged solve are reported on stderr.
     """
-    cfg = cli.RunConfig(
-        methods=list(methods), lambda_grid=list(lambdas), outer_iters=outer_iters,
-        d_choice="identity", objective_rtol=1e-5, sinkhorn_tol=1e-7, sinkhorn_max_iter=2000,
-    )
+    cfg = office_config(methods, lambdas, outer_iters)
     rows = []
     for src_name, tgt_name in itertools.permutations(DOMAINS, 2):
         per_class = 8 if src_name == "dslr" else 10
@@ -85,6 +90,11 @@ def main(argv=None):
     ap.add_argument("--outer-iters", type=int, default=8)
     args = ap.parse_args(argv)
 
+    try:  # a bad flag value is reported before any domain is read
+        office_config(args.methods, args.lambdas, args.outer_iters)
+    except cli.ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 1
     try:
         domains = {name: load_domain(args.data_dir, name) for name in DOMAINS}
     except (FileNotFoundError, ValueError) as e:

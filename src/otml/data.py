@@ -464,6 +464,8 @@ def split_per_class(ds: RawDataset, seed: int, count=None) -> "tuple[RawDataset,
     """Cut every class in two: one seeded permutation per class, in class
     order, and its first ``count`` points (half, rounded up, if None) first."""
     _require_labels(ds)
+    if count is not None and count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     first, second = [], []
     for j in range(ds.class_count):

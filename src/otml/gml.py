@@ -341,7 +341,7 @@ def fit(
         Source points as columns.
     z : ndarray of shape (d, n)
         Target points as columns.
-    p, q : histograms of sizes m and n.
+    p, q : histograms of sizes m and n, every entry positive.
     cfg : GmlConfig
 
     Returns
@@ -427,13 +427,11 @@ def grid_fits(
     records the objective of ``FitResult``, one-sweep fits included, from
     the solve's potentials: for P = exp((f + g - cost) / lam),
     <P, cost> + lam sum P ln P = <r, f> + <c, g> with r and c the row and
-    column sums of P, taken over the rows and columns with mass (the
-    potentials are -inf elsewhere). Fits run lazily, in the order of
+    column sums of P. Fits run lazily, in the order of
     ``lambdas``; results may share the first metric and are not to be
     modified in place.
     """
     sweeps = 1 if refit is None else cfg.outer_iters
-    rows, cols = p > 0, q > 0
     for lam in lambdas:
         scfg = replace(cfg.sinkhorn, lam=lam)
         metric, reg, cost = first
@@ -447,9 +445,7 @@ def grid_fits(
             transport = sk.solve(cost, p, q, scfg, warm)
             plan, warm = transport.matrix, transport.g
             all_sinkhorn_ok = all_sinkhorn_ok and transport.converged
-            primal = (plan.sum(axis=1)[rows] @ transport.f[rows]
-                      + plan.sum(axis=0)[cols] @ warm[cols])
-            history.append(reg + float(primal))
+            history.append(reg + float(plan.sum(axis=1) @ transport.f + plan.sum(axis=0) @ warm))
             if len(history) >= 2 and cfg.objective_rtol > 0:
                 decrease = history[-2] - history[-1]
                 if decrease <= cfg.objective_rtol * max(1.0, abs(history[-2])):

@@ -90,7 +90,6 @@ class TransportPlan:
         False when the iteration cap was hit above tolerance.
     f, g : ndarray of shape (m,), (n,)
         Dual potentials, with exp((f_i + g_j - cost_ij) / lam) = matrix_ij.
-        Rows and columns with zero histogram mass have potential -inf.
     """
 
     matrix: np.ndarray
@@ -102,14 +101,14 @@ class TransportPlan:
 
 
 def validate_histogram(weights: np.ndarray, name: str = "histogram") -> np.ndarray:
-    """Check that ``weights`` lies on the probability simplex."""
+    """Check that ``weights`` is a histogram with every entry positive."""
     w = np.asarray(weights, dtype=float).ravel()
     if w.size == 0:
         raise ValueError(f"{name} is empty")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{name} has non-finite entries")
-    if np.any(w < 0):
-        raise ValueError(f"{name} has negative entries")
+    if np.any(w <= 0):
+        raise ValueError(f"{name} has an entry <= 0; drop a point without mass first")
     total = float(w.sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"{name} sums to {total!r}, expected 1")
@@ -144,53 +143,33 @@ def solve(
     cost : ndarray of shape (m, n)
         Nonnegative ground costs.
     p, q : ndarray of shape (m,), (n,)
-        Source and target histograms on the simplex.
+        Source and target histograms on the simplex, every entry positive.
     cfg : SinkhornConfig
         Regularization weight and stopping rule.
     g0 : ndarray of shape (n,), optional
-        Column potential to start from, such as the ``g`` of a solve on a
-        nearby cost; finite on columns with mass, and not read on
-        zero-mass columns. Omitted, the start is zero.
+        Finite column potential to start from, such as the ``g`` of a solve
+        on a nearby cost. Omitted, the start is zero.
 
     Returns
     -------
     TransportPlan
-        Rows or columns with zero histogram mass are excluded from the
-        iteration and receive zero plan mass. A +inf cost forbids its
-        pair, which gets zero mass.
+        The plan is C-ordered. A +inf cost forbids its pair, which gets
+        zero mass.
 
     Raises
     ------
     ValueError
-        On a NaN cost in a row and column with mass, a row or a column with
-        mass whose costs are all +inf, or a start potential that is not
-        finite on a column with mass.
+        On a NaN or -inf cost, a row or a column whose costs are all +inf,
+        or a start potential that is not finite.
     """
     cost, p, q = _check_inputs(cost, p, q)
-    rows = p > 0
-    cols = q > 0
     if g0 is not None:
         if np.shape(g0) != q.shape:
             raise ValueError(f"start potential has shape {np.shape(g0)}, q has {q.shape}")
-        g0 = np.asarray(g0, dtype=float)[cols]
+        g0 = np.asarray(g0, dtype=float)
         if not np.isfinite(g0).all():
-            raise ValueError("start potential is not finite on a column with mass")
-    # every mass positive: a C-ordered cost needs no submatrix copy, its plan no scatter
-    whole = cost.flags.c_contiguous and rows.all() and cols.all()
-    sub_plan, sub_f, sub_g, iters, err = _solve_scaling(
-        cost if whole else cost[np.ix_(rows, cols)], p[rows], q[cols], cfg, g0
-    )
-    if whole:  # C-ordered, as the scatter's: a polish on the short side transposes it
-        plan = np.ascontiguousarray(sub_plan)
-    else:
-        plan = np.zeros_like(cost)
-        plan[np.ix_(rows, cols)] = sub_plan
-    if plan is not sub_plan:  # the error is summed over the matrix returned
-        err = max(marginal_error(plan, p, q))
-    f = np.full(p.size, -np.inf)
-    f[rows] = sub_f
-    g = np.full(q.size, -np.inf)
-    g[cols] = sub_g
+            raise ValueError("start potential is not finite")
+    plan, f, g, iters, err = _solve_scaling(np.ascontiguousarray(cost), p, q, cfg, g0)
     return TransportPlan(
         matrix=plan,
         iterations=iters,
@@ -239,8 +218,7 @@ def _solve_scaling(cost, p, q, cfg, g0):
             np.subtract(h, scaled, out=kernel)
             t = kernel.max(axis=1)
             if not np.isfinite(t).all():
-                raise ValueError("cost has a NaN entry, or a row with no finite entry, "
-                                 "among the rows and columns with mass")
+                raise ValueError("cost has a NaN or -inf entry, or a row with no finite entry")
             kernel -= t[:, None]
             np.exp(kernel, out=kernel)
             a = p / kernel.sum(axis=1)
@@ -254,7 +232,7 @@ def _solve_scaling(cost, p, q, cfg, g0):
                 f = lam * (np.log(p) - _logsumexp(h - scaled, axis=1))
                 expo = f[:, None] / lam - scaled
                 if not np.isfinite(expo.max(axis=0)).all():
-                    raise ValueError("cost has a column with mass and no finite entry")
+                    raise ValueError("cost has a column with no finite entry")
                 g = lam * (np.log(q) - _logsumexp(expo, axis=0))
                 np.exp((f[:, None] + g[None, :]) / lam - scaled, out=kernel)
             u, v, kv = np.ones(p.size), np.ones(q.size), kernel.sum(axis=1)
@@ -303,7 +281,10 @@ def _newton_polish(scaled, p, q, f, g, lam, tol):
     """
     if p.size < q.size:
         out = _newton_polish(scaled.T, q, p, g, f, lam, tol)
-        return None if out is None else (out[1], out[0], out[2].T, out[3])
+        if out is None:
+            return None
+        plan = np.ascontiguousarray(out[2].T)  # C-ordered as every plan; error of this matrix
+        return out[1], out[0], plan, max(_marginals(plan, p, q)[2:])
     expo = (f[:, None] + g[None, :]) / lam - scaled
     plan = np.exp(expo)
     r, c, *errs = _marginals(plan, p, q)

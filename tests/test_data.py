@@ -833,6 +833,13 @@ def test_split_per_class_is_one_permutation_per_class(count):
         np.testing.assert_array_equal(part.labels, labels[part.indices])
 
 
+
+def test_split_per_class_refuses_a_negative_count():
+    # perm[:-3] would silently cut 3 points from the end of every class
+    ds = dt.RawDataset(np.zeros((1, 20)), np.repeat([0, 1], 10))
+    with pytest.raises(ValueError, match="count must be >= 0, got -3"):
+        dt.split_per_class(ds, 0, -3)
+
 def test_samples_are_pool_datasets_that_run_task_takes():
     # Class 3 has one point: the skewed halves and split_per_class's second half
     # draw none of it, yet every sample keeps the pool's class count.

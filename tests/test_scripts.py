@@ -111,3 +111,18 @@ def test_run_office_load_domain_raises_and_main_exits(tmp_path, run_office):
         run_office.load_domain(str(tmp_path), "amazon")
     with pytest.raises(SystemExit, match="no labels"):
         run_office.main(["--data-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--methods", "bogus"], "unknown method 'bogus'"),
+    (["--methods", "euclidean", "euclidean"], "methods repeats 'euclidean'"),
+    (["--lambdas", "0"], "lam must be positive and finite, got 0.0"),
+    (["--outer-iters", "0"], "outer_iters must be an integer >= 1, got 0"),
+], ids=["unknown-method", "repeated-method", "zero-lambda", "zero-outer-iters"])
+def test_run_office_reports_a_bad_flag_before_reading_data(tmp_path, capsys, run_office,
+                                                           flags, message):
+    # As otml does: one line on stderr and exit 1, though no domain exists.
+    out = tmp_path / "out"
+    assert run_office.main(["--data-dir", str(tmp_path), "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()

@@ -57,6 +57,9 @@ def test_histogram_validation():
     # NaN fails both the sign and the sum comparisons.
     with pytest.raises(ValueError, match="non-finite"):
         sk.validate_histogram(np.array([np.nan, 0.5, 0.5]))
+    # a point without mass is dropped by the caller, not solved
+    with pytest.raises(ValueError, match="^q has an entry <= 0"):
+        sk.validate_histogram(np.array([0.5, 0.0, 0.5]), "q")
 
 
 def test_input_shape_mismatch():
@@ -127,35 +130,25 @@ def test_log_and_scaling_routes_agree():
     np.testing.assert_allclose(a.matrix, b, atol=1e-10)
 
 
-def test_zero_mass_rows_excluded():
-    rng = np.random.default_rng(5)
-    cost = rng.random((4, 4))
-    p = np.array([0.5, 0.5, 0.0, 0.0])
-    q = np.array([0.25, 0.25, 0.25, 0.25])
-    tp = sk.solve(cost, p, q, sk.SinkhornConfig(lam=0.5))
-    assert tp.converged
-    np.testing.assert_array_equal(tp.matrix[2:], 0.0)
-    row_err, col_err = sk.marginal_error(tp.matrix, p, q)
-    assert max(row_err, col_err) < 1e-9
-
-
 @pytest.mark.parametrize("m, n, lam", [(30, 25, 0.5), (25, 50, 0.005)],
                          ids=["sweeps", "polish-on-the-short-side"])
 def test_positive_masses_solve_as_the_zero_padded_problem(m, n, lam):
-    # With every mass positive the cost is solved as it is; padded with a
-    # zero-mass row and column it is solved as the submatrix, and the plan
-    # scattered back. Both must give the same bits, also when the Newton
-    # polish runs on the short side (m < n), which transposes the plan.
+    # A zero-mass point is refused, so a caller drops it first: padded with
+    # a zero-mass row and column the problem raises, and without them it is
+    # solved as given. The plan is C-ordered, also when the Newton polish
+    # runs on the short side (m < n), which transposes it, and when the
+    # cost is not; its reported error is summed over the matrix returned.
     cost, p, q = cloud_problem(m, n, "euclidean")
     cfg = sk.SinkhornConfig(lam=lam)
+    with pytest.raises(ValueError, match="p has an entry <= 0"):
+        sk.solve(np.pad(cost, ((0, 1), (0, 1))), np.append(p, 0.0), np.append(q, 0.0), cfg)
     plain = sk.solve(cost, p, q, cfg)
-    padded = sk.solve(np.pad(cost, ((0, 1), (0, 1))), np.append(p, 0.0), np.append(q, 0.0), cfg)
-    assert plain.matrix.flags.c_contiguous
-    np.testing.assert_array_equal(plain.matrix, padded.matrix[:m, :n])
-    np.testing.assert_array_equal(plain.f, padded.f[:m])
-    np.testing.assert_array_equal(plain.g, padded.g[:n])
-    assert (plain.iterations, plain.marginal_error) == (padded.iterations, padded.marginal_error)
-    assert plain.iterations == (17 if lam == 0.5 else 200)
+    fortran = sk.solve(np.asfortranarray(cost), p, q, cfg)
+    for tp in (plain, fortran):
+        assert tp.matrix.flags.c_contiguous
+        assert tp.marginal_error == max(sk.marginal_error(tp.matrix, p, q))
+    np.testing.assert_array_equal(plain.matrix, fortran.matrix)
+    assert plain.iterations == fortran.iterations == (17 if lam == 0.5 else 200)
 
 
 def test_stiff_instance_reaches_tight_tolerance():
@@ -178,14 +171,12 @@ def random_histogram(rng, size):
 def test_potentials_reproduce_plan(solver):
     rng = np.random.default_rng(10)
     cost = rng.random((5, 6))
-    p = np.array([0.3, 0.0, 0.2, 0.5, 0.0])
-    q = np.array([0.1, 0.2, 0.0, 0.3, 0.25, 0.15])
+    p = random_histogram(rng, 5)
+    q = random_histogram(rng, 6)
     lam = 0.4
     tp = solver(cost, p, q, sk.SinkhornConfig(lam=lam))
     assert tp.f.shape == (5,) and tp.g.shape == (6,)
-    np.testing.assert_array_equal(tp.f[p == 0], -np.inf)
-    np.testing.assert_array_equal(tp.g[q == 0], -np.inf)
-    assert np.all(np.isfinite(tp.f[p > 0])) and np.all(np.isfinite(tp.g[q > 0]))
+    assert np.all(np.isfinite(tp.f)) and np.all(np.isfinite(tp.g))
     rebuilt = np.exp((tp.f[:, None] + tp.g[None, :] - cost) / lam)
     np.testing.assert_allclose(rebuilt, tp.matrix, rtol=1e-10, atol=0)
 
@@ -301,13 +292,6 @@ def cloud_problem(m, n, metric, tiny_mass=None, tilt=0.0):
     return cost, p, q
 
 
-def zero_mass_problem():
-    cost, p, q = cloud_problem(30, 25, "euclidean")
-    p[[3, 7]] = 0.0
-    q[[0, 24]] = 0.0
-    return cost, p / p.sum(), q / q.sum()
-
-
 def neighbour_g(m, n, lam):
     # the column potential of the learned-style cost under a metric nudged
     # by 0.05 I, as the sweep before would hand it on
@@ -320,8 +304,6 @@ PARITY_CASES = [
     for metric in ("euclidean", "learned")
     for m, n in ((40, 40), (50, 30))
     for lam in GRID
-] + [
-    pytest.param(*zero_mass_problem(), lam, None, id=f"zero-mass-lam{lam}") for lam in GRID
 ] + [
     # masses below the smallest normal double: the kernel products of their
     # row underflow, so those sweeps fall back to the log domain (at 1e-310
@@ -346,15 +328,10 @@ PARITY_CASES = [
 def test_scaling_sweeps_match_the_log_domain_oracle(cost, p, q, lam, g0):
     cfg = sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000)
     tp = sk.solve(cost, p, q, cfg, g0)
-    rows, cols = p > 0, q > 0
-    plan, _, _, iters = log_domain_solve(
-        cost[np.ix_(rows, cols)], p[rows], q[cols], cfg, None if g0 is None else g0[cols]
-    )
+    plan, _, _, iters = log_domain_solve(cost, p, q, cfg, g0)
     assert tp.iterations == iters
-    assert tp.converged == (max(sk.marginal_error(plan, p[rows], q[cols])) < cfg.tol)
-    np.testing.assert_allclose(tp.matrix[np.ix_(rows, cols)], plan, rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(tp.matrix[~rows], 0.0)
-    np.testing.assert_array_equal(tp.matrix[:, ~cols], 0.0)
+    assert tp.converged == (max(sk.marginal_error(plan, p, q)) < cfg.tol)
+    np.testing.assert_allclose(tp.matrix, plan, rtol=0, atol=1e-15)
 
 
 def high_column_problem(lam):
@@ -400,63 +377,39 @@ def test_first_sweep_takes_one_exp_unless_a_mass_is_out_of_reach(
     np.testing.assert_allclose(tp.matrix, plan, rtol=0, atol=1e-15)
 
 
-def bad_cost_problem(case):
-    # row 2 holds a NaN cost in column 3 or, for "forbidden-row", only +inf
-    # costs; "zero-row" and "zero-column" take that row's or column's mass
+@pytest.mark.parametrize("case", ["nan", "minus-inf", "forbidden-row"])
+def test_bad_costs_raise_unless_their_mass_is_zero(case):
+    # Every row and column has mass, so every cost is read: row 2 holds a
+    # NaN or a -inf cost in column 3, or for "forbidden-row" only +inf
+    # costs, which leave it no feasible plan.
     cost, p, q = cloud_problem(6, 5, "euclidean")
-    cost[2, 3] = np.nan
+    cost[2, 3] = -np.inf if case == "minus-inf" else np.nan
     if case == "forbidden-row":
         cost[2] = np.inf
-    elif case == "zero-row":
-        p[2] = 0.0
-    elif case == "zero-column":
-        q[3] = 0.0
-    return cost, p / p.sum(), q / q.sum()
+    with pytest.raises(ValueError, match="NaN or -inf entry, or a row with no finite entry"):
+        sk.solve(cost, p, q, sk.SinkhornConfig(lam=0.5))
 
 
-@pytest.mark.parametrize("case", ["nan", "forbidden-row", "zero-row", "zero-column"])
-def test_bad_costs_raise_unless_their_mass_is_zero(case):
-    # zero-mass rows and columns are never read; a row with mass and only
-    # +inf costs has no feasible plan
-    cost, p, q = bad_cost_problem(case)
-    cfg = sk.SinkhornConfig(lam=0.5)
-    if case.startswith("zero"):
-        tp = sk.solve(cost, p, q, cfg)
-        assert tp.converged and np.all(np.isfinite(tp.matrix))
-    else:
-        with pytest.raises(ValueError, match="NaN entry, or a row with no finite entry"):
-            sk.solve(cost, p, q, cfg)
-
-
-@pytest.mark.parametrize("mass", [True, False], ids=["with-mass", "zero-mass"])
-def test_a_column_of_forbidden_pairs_raises_unless_its_mass_is_zero(mass):
-    # A column with mass and only +inf costs has no feasible plan. Its mass
-    # in the first exp is zero, so the column log-sum-exp fallback runs,
-    # and must name the column, not warn about a -inf shift. A zero-mass
-    # one is never read and gets an exactly zero plan column.
+@pytest.mark.parametrize("q", [uniform(3)], ids=["with-mass"])
+def test_a_column_of_forbidden_pairs_raises_unless_its_mass_is_zero(q):
+    # A column with only +inf costs has no feasible plan. Its mass in the
+    # first exp is zero, so the column log-sum-exp fallback runs, and must
+    # name the column, not warn about a -inf shift.
     cost = np.random.default_rng(28).random((4, 3))
     cost[:, 1] = np.inf
-    q = uniform(3) if mass else np.array([0.5, 0.0, 0.5])
-    cfg = sk.SinkhornConfig(lam=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        if mass:
-            with pytest.raises(ValueError, match="column with mass and no finite entry"):
-                sk.solve(cost, uniform(4), q, cfg)
-        else:
-            tp = sk.solve(cost, uniform(4), q, cfg)
-            assert tp.converged
-            np.testing.assert_array_equal(tp.matrix[:, 1], 0.0)
+        with pytest.raises(ValueError, match="column with no finite entry"):
+            sk.solve(cost, uniform(4), q, sk.SinkhornConfig(lam=0.5))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_start_potential_must_be_finite_where_q_has_mass(value):
+    # q has mass on every column, so g0 must be finite on every column.
     cost, p, q = cloud_problem(6, 5, "euclidean")
-    q[1] = 0.0
-    q /= q.sum()
     cfg = sk.SinkhornConfig(lam=0.5)
     g0 = sk.solve(cost, p, q, cfg).g
-    assert sk.solve(cost, p, q, cfg, np.where(q > 0, g0, value)).converged
+    assert sk.solve(cost, p, q, cfg, g0).converged
     g0[3] = value
     with pytest.raises(ValueError, match="not finite"):
         sk.solve(cost, p, q, cfg, g0)
@@ -487,19 +440,16 @@ def test_start_potential_must_match_q():
 
 
 @pytest.mark.parametrize("lam", GRID)
-@pytest.mark.parametrize("metric", ["euclidean", "learned", "zero-mass"])
+@pytest.mark.parametrize("metric", ["euclidean", "learned"])
 def test_solve_from_its_own_potential_stops_at_once(metric, lam):
     # At tol 1e-13 one sweep from the converged g moves the plan by about
-    # 1e-13 of its maximum. A zero-mass solve hands on g = -inf on its
-    # empty columns, which the warm start must not read.
-    cost, p, q = zero_mass_problem() if metric == "zero-mass" else cloud_problem(40, 40, metric)
+    # 1e-13 of its maximum.
+    cost, p, q = cloud_problem(40, 40, metric)
     cfg = sk.SinkhornConfig(lam=lam, tol=1e-13)
     cold = sk.solve(cost, p, q, cfg)
     warm = sk.solve(cost, p, q, cfg, cold.g)
     assert cold.converged and warm.converged and warm.iterations <= 2
     assert np.abs(warm.matrix - cold.matrix).max() <= 1e-12 * cold.matrix.max()
-    np.testing.assert_array_equal(warm.matrix[p == 0], 0.0)
-    np.testing.assert_array_equal(warm.matrix[:, q == 0], 0.0)
 
 
 def successive_learned_costs(monkeypatch, m, n, lam):
