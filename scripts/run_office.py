@@ -8,8 +8,9 @@ column). Points are rows for csv; rawf64 stores columns.
 For every ordered domain pair the source is a per-class uniform draw
 (10 per class, 8 when dslr is the source), the target is split evenly
 into a tuning half and a held-out half, and each method reports held-out
-1-NN accuracy after barycentric projection. Writes office_table.csv with
-one row per task plus an Average row.
+1-NN accuracy after barycentric projection. The solves run otml's default
+protocol (``cli.RunConfig``); --lambdas and --outer-iters override it.
+Writes office_table.csv with one row per task plus an Average row.
 
     python3 scripts/run_office.py --data-dir data/office --out out/office
 """
@@ -48,11 +49,12 @@ def load_domain(root, name):
 
 
 def office_config(methods, lambdas, outer_iters):
-    """The protocol's ``cli.RunConfig``; raises ``cli.ConfigError`` on a bad value."""
-    return cli.RunConfig(
-        methods=list(methods), lambda_grid=list(lambdas), outer_iters=outer_iters,
-        d_choice="identity", objective_rtol=1e-5, sinkhorn_tol=1e-7, sinkhorn_max_iter=2000,
-    )
+    """``cli.RunConfig`` with these three settings and the CLI's defaults.
+
+    Raises ``cli.ConfigError`` on a bad value.
+    """
+    return cli.RunConfig(methods=list(methods), lambda_grid=list(lambdas),
+                         outer_iters=outer_iters)
 
 
 def office_table(domains, methods, lambdas, seed, outer_iters):
@@ -80,14 +82,14 @@ def office_table(domains, methods, lambdas, seed, outer_iters):
 
 
 def main(argv=None):
+    defaults = cli.RunConfig()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--data-dir", default="data/office")
     ap.add_argument("--out", default="out/office")
     ap.add_argument("--methods", nargs="+", default=["euclidean", "learned"])
-    ap.add_argument("--lambdas", type=float, nargs="+",
-                    default=[0.05, 0.2, 0.5, 1.0, 2.0])
+    ap.add_argument("--lambdas", type=float, nargs="+", default=defaults.lambda_grid)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--outer-iters", type=int, default=8)
+    ap.add_argument("--outer-iters", type=int, default=defaults.outer_iters)
     args = ap.parse_args(argv)
 
     try:  # a bad flag value is reported before any domain is read

@@ -33,7 +33,8 @@ the entries of ``lambda_grid`` must be JSON numbers, the entries of
 ``name`` and the input paths strings. ``out`` must be a directory or
 creatable as one; that is checked before any input is read. Exit codes:
 0 success, 1 configuration error, 2 data error, 3 numerical failure (under
-``strict`` also an unconverged solve, before any output).
+``strict`` also an unconverged solve, before any output). RunConfig's solver
+defaults are the measured protocol; SinkhornConfig and GmlConfig keep tighter ones.
 Results go to stdout, diagnostics to stderr. Output files are written
 atomically (temp file then rename).
 """
@@ -55,7 +56,7 @@ from . import gml
 from . import sinkhorn as sk
 from .spd import PositivityError
 
-DEFAULT_LAMBDA_GRID = (0.005, 0.01, 0.05, 0.1, 0.5, 1.0)
+DEFAULT_LAMBDA_GRID = (0.05, 0.2, 0.5, 1.0, 2.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # The RunConfig fields that name input files; null means not given.
 _PATH_KEYS = ("source", "source_labels", "target", "target_labels", "target_train",
@@ -83,10 +84,10 @@ class RunConfig:
     lambda_grid: "list[float]" = field(
         default_factory=lambda: list(DEFAULT_LAMBDA_GRID)
     )
-    outer_iters: int = gml.GmlConfig.outer_iters
-    objective_rtol: float = gml.GmlConfig.objective_rtol
-    sinkhorn_tol: float = sk.SinkhornConfig.tol
-    sinkhorn_max_iter: int = sk.SinkhornConfig.max_iter
+    outer_iters: int = 8
+    objective_rtol: float = 1e-5
+    sinkhorn_tol: float = 1e-7
+    sinkhorn_max_iter: int = 2000
     strict: bool = False
     seeds: "list[int]" = field(default_factory=lambda: list(DEFAULT_SEEDS))
     out: str = "out"

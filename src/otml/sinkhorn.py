@@ -201,8 +201,7 @@ def _solve_scaling(cost, p, q, cfg, g0):
     g, v, kv = np.zeros(q.size) if g0 is None else g0, np.ones(q.size), np.zeros(p.size)
     polish_at = _POLISH_FIRST if g0 is None else _POLISH_WARM
     for it in range(1, cfg.max_iter + 1):
-        u = p / np.fmax(kv, tiny)
-        if kv.min() >= tiny and (ktu := kernel.T @ u).min() >= tiny:
+        if kv.min() >= tiny and (ktu := kernel.T @ (u := p / kv)).min() >= tiny:
             v = q / ktu
             kv = kernel @ v
         else:

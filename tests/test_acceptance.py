@@ -283,7 +283,7 @@ def _find_mnist():
     return None
 
 
-# Criterion 7 runs the solver settings and lambda grid of the shipped digit sweep.
+# Criterion 7 runs the shipped digit sweep, which takes the CLI's default protocol.
 MNIST_SKEW_CONFIG = os.path.join(os.path.dirname(__file__), "..", "scripts", "mnist_skew.json")
 
 
@@ -296,9 +296,6 @@ def _skew_protocol(source_pool, target_pool, m, n, skew, combos, methods):
         for rep in cli._method_reports(cfg, f"criterion 7: class={c} seed={seed} ", *clouds):
             acc[rep.method].append(rep.test_accuracy)
     return {meth: 100.0 * (math.fsum(v) / len(v)) for meth, v in acc.items()}
-
-
-SKEW_GRID = [0.05, 0.2, 0.5, 1.0, 2.0]
 
 
 def test_criterion_7_skewed_digit_adaptation(digits_pools):
@@ -381,8 +378,10 @@ def test_criterion_8_office_feature_table(run_office):
     except (FileNotFoundError, ValueError) as e:
         print(f"criterion 8: SKIP ({e})")
         pytest.skip(f"office feature exports not usable: {e}")
-    # The script's default run.
-    table = run_office.office_table(domains, ("euclidean", "learned"), SKEW_GRID, 0, 8)
+    # The script's default run: the CLI's default grid and outer sweeps.
+    defaults = cli.RunConfig()
+    table = run_office.office_table(domains, ("euclidean", "learned"), defaults.lambda_grid,
+                                    0, defaults.outer_iters)
     *tasks, (_, avg_e, avg_l) = table
     for task, *pcts in tasks:
         print(" ".join([task] + [f"{pct:.2f}" for pct in pcts]))

@@ -113,10 +113,15 @@ def test_load_config_rejects_unreadable_and_non_object_files(tmp_path):
             cli.load_config(str(cfgfile), {})
 
 
-@pytest.mark.parametrize("lam", [0.05, 1.0])
-def test_run_config_defaults_are_the_solver_configs(lam):
-    assert cli._gml_config(cli.RunConfig(), lam) == gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(lam=lam)
+def test_run_config_defaults_are_the_protocol():
+    # The one literal statement of the measured protocol. The scripts and
+    # the acceptance suite read it from RunConfig, and the library's
+    # SinkhornConfig and GmlConfig keep their tighter defaults.
+    cfg = cli.RunConfig()
+    assert cfg.lambda_grid == [0.05, 0.2, 0.5, 1.0, 2.0]
+    assert cli._gml_config(cfg, 0.05) == gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=0.05, tol=1e-7, max_iter=2000),
+        outer_iters=8, objective_rtol=1e-5, d_choice="identity",
     )
 
 
@@ -387,10 +392,10 @@ def test_fit_rejects_repeated_flag(fit_inputs, tmp_path, capsys, flag, values):
 
 @pytest.mark.parametrize("argv,message", [
     ([], "fit takes one --method, got 4"),
-    (["--method", "euclidean"], "fit takes one --lambda, got 6"),
+    (["--method", "euclidean"], "fit takes one --lambda, got 5"),
 ], ids=["no-method", "no-lambda"])
 def test_fit_needs_one_method_and_one_lambda(tmp_path, capsys, argv, message):
-    # The defaults hold every method and six lambdas; fit says so before
+    # The defaults hold every method and five lambdas; fit says so before
     # it reads any input (the inputs here do not exist).
     out = tmp_path / "out"
     absent = str(tmp_path / "absent.csv")
@@ -455,8 +460,10 @@ def fit_inputs(tmp_path):
 def test_fit_euclidean_outputs(fit_inputs, tmp_path, capsys):
     src, tgt = fit_inputs
     out = str(tmp_path / "out")
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"sinkhorn_tol": 1e-9}))
     rc = cli.main(
-        ["fit", "--method", "euclidean", "--lambda", "0.2",
+        ["fit", "--config", str(cfgfile), "--method", "euclidean", "--lambda", "0.2",
          "--source", src, "--target", tgt, "--out", out]
     )
     assert rc == 0
@@ -490,13 +497,16 @@ def test_fit_writes_the_fit_plan_result(tmp_path, capsys, method):
     src = write_matrix_csv(tmp_path / "src.csv", x)
     tgt = write_matrix_csv(tmp_path / "tgt.csv", z)
     out = tmp_path / "out"
-    assert cli.main(["fit", "--method", method, "--lambda", "0.2",
+    # A tight tol, so that the re-solve below can be held to 1e-8.
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"sinkhorn_tol": 1e-9}))
+    assert cli.main(["fit", "--config", str(cfgfile), "--method", method, "--lambda", "0.2",
                      "--source", src, "--target", tgt, "--out", str(out)]) == 0
     assert "converged=True" in capsys.readouterr().out
 
     x, z = dt.load_matrix(src).features, dt.load_matrix(tgt).features
     p, q = np.full(7, 1 / 7), np.full(5, 1 / 5)
-    cfg = cli._gml_config(cli.RunConfig(), 0.2)
+    cfg = cli._gml_config(cli.load_config(str(cfgfile), {}), 0.2)
     (expected,) = ad.fit_plan(x, z, p, q, method, [0.2], cfg)
     plan = dt.load_matrix(str(out / "gamma.rawf64")).features
     metric = dt.load_matrix(str(out / "metric.rawf64")).features

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otml import adapt, gml
+from otml import adapt, cli, gml
 from otml import data as dt
 from otml import sinkhorn as sk
 
@@ -80,6 +80,18 @@ def _mean_test_accuracy(dim, size, outer_iters, rounds, seed, pixels):
             rep = adapt.run_task(x, zt, ze, method, wl.GRID, cfg, seed=r)
             acc[method].append(rep.test_accuracy)
     return {m: 100.0 * statistics.fmean(v) for m, v in acc.items()}
+
+
+def test_benchmark_settings_are_the_cli_protocol():
+    # The benchmark keeps its own copy of otml's default protocol, which must
+    # not drift. skew-n320 and highdim-d784 run one outer sweep by design.
+    defaults = cli.RunConfig()
+    assert wl.GRID == defaults.lambda_grid
+    assert wl.SINKHORN_TOL == defaults.sinkhorn_tol
+    assert wl.SINKHORN_MAX_ITER == defaults.sinkhorn_max_iter
+    assert wl.OBJECTIVE_RTOL == defaults.objective_rtol
+    assert wl.D_CHOICE == defaults.d_choice
+    assert wl.FULL["skew-cli-n150"].outer_iters == defaults.outer_iters
 
 
 def test_rounds_are_the_benchmark_runners_draws():
