@@ -115,12 +115,16 @@ def test_load_config_rejects_unreadable_and_non_object_files(tmp_path):
 
 def test_run_config_defaults_are_the_protocol():
     # The one literal statement of the measured protocol. The scripts and
-    # the acceptance suite read it from RunConfig, and the library's
+    # the acceptance suite read it from RunConfig.
+    assert cli.RunConfig().lambda_grid == [0.05, 0.2, 0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+def test_run_config_defaults_are_the_solver_configs(lam):
+    # The protocol's solver settings at each lambda; the library's
     # SinkhornConfig and GmlConfig keep their tighter defaults.
-    cfg = cli.RunConfig()
-    assert cfg.lambda_grid == [0.05, 0.2, 0.5, 1.0, 2.0]
-    assert cli._gml_config(cfg, 0.05) == gml.GmlConfig(
-        sinkhorn=sk.SinkhornConfig(lam=0.05, tol=1e-7, max_iter=2000),
+    assert cli._gml_config(cli.RunConfig(), lam) == gml.GmlConfig(
+        sinkhorn=sk.SinkhornConfig(lam=lam, tol=1e-7, max_iter=2000),
         outer_iters=8, objective_rtol=1e-5, d_choice="identity",
     )
 
